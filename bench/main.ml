@@ -104,77 +104,11 @@ let serve_sweep () =
     Obs.counter_value ~obs "serve.lru_hits",
     Obs.counter_value ~obs "serve.requests" )
 
-(* PR 7 block-RGF fast path: a synthetic wide-ribbon-scale device —
-   [block_nb] blocks of [block_m] orbitals, random hermitian on-block
-   Hamiltonians and complex couplings, absorbing self-energies
-   Σ = H_s - 0.15i·I (so Γ = 0.3·I is safely positive) — swept over
-   [block_ne] energies.  Deterministic seed so the naive-vs-fast
-   comparison below times identical work across runs. *)
-let block_nb = 24
-
-let block_m = 26
-
-let block_ne = 220
-
-let block_device =
-  lazy
-    (let st = Random.State.make [| 0x7b10c6 |] in
-     let rc lo hi = lo +. ((hi -. lo) *. Random.State.float st 1.) in
-     let herm scale =
-       let a = Array.make_matrix block_m block_m Complex.zero in
-       for i = 0 to block_m - 1 do
-         a.(i).(i) <- { Complex.re = rc (-.scale) scale; im = 0. };
-         for j = i + 1 to block_m - 1 do
-           let v = { Complex.re = rc (-.scale) scale; im = rc (-.scale) scale } in
-           a.(i).(j) <- v;
-           a.(j).(i) <- Complex.conj v
-         done
-       done;
-       Cmatrix.init block_m block_m (fun i j -> a.(i).(j))
-     in
-     let general scale =
-       let a = Array.make_matrix block_m block_m Complex.zero in
-       for i = 0 to block_m - 1 do
-         for j = 0 to block_m - 1 do
-           a.(i).(j) <- { Complex.re = rc (-.scale) scale; im = rc (-.scale) scale }
-         done
-       done;
-       Cmatrix.init block_m block_m (fun i j -> a.(i).(j))
-     in
-     let absorbing () =
-       let base = herm 0.05 in
-       Cmatrix.init block_m block_m (fun i j ->
-           let v = Cmatrix.get base i j in
-           if i = j then { v with Complex.im = v.Complex.im -. 0.15 } else v)
-     in
-     {
-       Rgf_block.blocks = Array.init block_nb (fun _ -> herm 0.4);
-       couplings = Array.init (block_nb - 1) (fun _ -> general 0.25);
-       sigma_l = absorbing ();
-       sigma_r = absorbing ();
-     })
-
-let block_egrid =
-  Array.init block_ne (fun k -> -1. +. (2. *. float_of_int k /. float_of_int (block_ne - 1)))
-
-(* Smaller grid for the (4-sweep) spectra kernel so one Bechamel run
-   stays well inside the quota. *)
-let block_sp_ne = 60
-
-let block_sp_egrid =
-  Array.init block_sp_ne (fun k ->
-      -1. +. (2. *. float_of_int k /. float_of_int (block_sp_ne - 1)))
-
-(* Persistent workspace: Bechamel then times steady-state reuse, which
-   is the contract the zero-alloc claim is made under. *)
-let block_ws = Rgf_block.workspace ()
-
-(* PR 8 gnrtbl load path: a synthetic production-scale table (256 x 128
-   bias points, ~0.5 MB on disk) written once per bench run in both
-   formats, then loaded back per kernel invocation — Marshal
-   deserialization vs the mmap + CRC-validate gnrtbl read
-   (docs/FORMAT.md).  Values are deterministic closed forms so the two
-   files are identical across runs. *)
+(* gnrtbl load path: a synthetic production-scale table (256 x 128 bias
+   points, ~0.5 MB on disk) written once per bench run, then loaded back
+   per kernel invocation through the mmap + CRC-validate gnrtbl read
+   (docs/FORMAT.md).  Values are deterministic closed forms so the file
+   is identical across runs. *)
 let tl_n_vg = 256
 
 let tl_n_vd = 128
@@ -194,43 +128,26 @@ let table_load_table =
        failed_points = [ (0, 0); (17, 31) ];
      })
 
-let table_load_paths =
+let table_load_path =
   lazy
     (let dir =
        Filename.concat (Filename.get_temp_dir_name ())
          (Printf.sprintf "gnrfet_bench_tblload.%d" (Unix.getpid ()))
      in
      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-     let t = Lazy.force table_load_table in
      let gnrtbl = Filename.concat dir "bench.gnrtbl" in
-     let marshal = Filename.concat dir "bench.table" in
-     Tbl_format.write ~path:gnrtbl ~cache_key:"bench|table-load" t;
-     let oc = open_out_bin marshal in
-     Marshal.to_channel oc ("bench|table-load", t) [];
-     close_out oc;
-     (gnrtbl, marshal))
+     Tbl_format.write ~path:gnrtbl ~cache_key:"bench|table-load"
+       (Lazy.force table_load_table);
+     gnrtbl)
 
 let table_load_cleanup () =
-  if Lazy.is_val table_load_paths then begin
-    let gnrtbl, marshal = Lazy.force table_load_paths in
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ gnrtbl; marshal ];
+  if Lazy.is_val table_load_path then begin
+    let gnrtbl = Lazy.force table_load_path in
+    (try Sys.remove gnrtbl with Sys_error _ -> ());
     try Sys.rmdir (Filename.dirname gnrtbl) with Sys_error _ -> ()
   end
 
-let load_marshal () =
-  let _, marshal = Lazy.force table_load_paths in
-  let ic = open_in_bin marshal in
-  let _key, (t : Iv_table.t) =
-    (Marshal.from_channel ic : string * Iv_table.t)
-  in
-  close_in ic;
-  t
-
-let load_gnrtbl () =
-  let gnrtbl, _ = Lazy.force table_load_paths in
-  Tbl_format.read ~path:gnrtbl
+let load_gnrtbl () = Tbl_format.read ~path:(Lazy.force table_load_path)
 
 (* Campaign fixture: enough samples that per-sample journal costs
    dominate setup, and a trivial evaluator so the journal is all that
@@ -321,27 +238,8 @@ let all_kernels : (string * (unit -> float)) list =
       fun () ->
         let _, coalesced, _, _ = serve_sweep () in
         float_of_int coalesced );
-    (* PR 7 block-RGF fast path (docs/PERF.md, "block kernel layer"). *)
-    ( "rgf-block:transmission-sweep",
-      fun () ->
-        let dev = Lazy.force block_device in
-        let out = Rgf_block.transmission_sweep ~egrid:block_egrid (fun _ -> dev) in
-        out.(block_ne / 2) );
-    ( "rgf-block:spectra-sweep",
-      fun () ->
-        let dev = Lazy.force block_device in
-        let acc = ref 0. in
-        for k = 0 to block_sp_ne - 1 do
-          acc := !acc +. Rgf_block.spectra_into block_ws dev block_sp_egrid.(k)
-        done;
-        !acc );
-    (* PR 8 table-load paths (docs/FORMAT.md): the same ~1 MB table read
-       back per run via Marshal deserialization vs the zero-copy gnrtbl
-       mmap + CRC validation. *)
-    ( "table:load-marshal",
-      fun () ->
-        let t = load_marshal () in
-        t.Iv_table.current.(tl_n_vg / 2).(tl_n_vd / 2) );
+    (* Table-load path (docs/FORMAT.md): the same ~0.5 MB table read back
+       per run via the zero-copy gnrtbl mmap + CRC validation. *)
     ( "table:load-gnrtbl",
       fun () ->
         let v = load_gnrtbl () in
@@ -388,7 +286,7 @@ let kernels =
    the energy loop forced sequential (GNRFET_DOMAINS=1) and with the
    pool at full width, to track the tentpole speedup. *)
 let energy_loop_kernels =
-  [ "fig2a:scf-iv-sweep"; "fig5:impurity-scf"; "rgf-block:transmission-sweep" ]
+  [ "fig2a:scf-iv-sweep"; "fig5:impurity-scf" ]
 
 (* Plain wall-clock best-of-r timing for the before/after comparison
    (Bechamel owns the per-kernel steady-state numbers; here we want the
@@ -404,8 +302,7 @@ let time_ms ?(repeat = 3) kernel =
 
 (* GC allocation profile of one kernel run (words, deltas after a full
    major collection): the bench schema carries these next to the timing
-   so allocation regressions — the thing the PR 7 in-place kernels
-   exist to prevent — show up in the artifact.  Minor words come from
+   so allocation regressions show up in the artifact.  Minor words come from
    Gc.minor_words, which reads the allocation pointer and is exact in
    native code; quick_stat's minor_words field only updates at GC
    events, so a kernel whose allocations fit the minor heap would
@@ -474,128 +371,19 @@ let run_energy_loop_comparison () =
       pairs
   end
 
-(* Naive-vs-fast block RGF on the synthetic device above: wall-clock
-   best-of for the naive Cmatrix reference, the Zdense fast path forced
-   sequential, and the fast path over the pool — plus the per-energy
-   steady-state GC profile of a warm single-workspace sweep, which is
-   the "zero-alloc per energy" acceptance number.  Skipped when the
-   kernel filter selects no rgf-block kernel. *)
-type block_rgf_result = {
-  br_naive_ms : float;
-  br_fast_seq_ms : float;
-  br_fast_par_ms : float;
-  br_sp_naive_ms : float;
-  br_sp_fast_ms : float;
-  br_minor_per_e : float;
-  br_major_per_e : float;
-  br_promoted_per_e : float;
-  br_max_rel_diff : float;
-}
-
-let run_block_rgf_comparison () =
-  if
-    not
-      (List.exists
-         (fun (name, _) ->
-           String.length name >= 9 && String.sub name 0 9 = "rgf-block")
-         kernels)
-  then None
-  else begin
-    Printf.printf
-      "\n== block RGF: naive Cmatrix reference vs Zdense fast path ==\n%!";
-    Printf.printf "   device: %d blocks x %d orbitals, %d energies\n%!" block_nb
-      block_m block_ne;
-    let dev = Lazy.force block_device in
-    let naive () =
-      Array.fold_left
-        (fun acc e -> acc +. Rgf_block.transmission dev e)
-        0. block_egrid
-    in
-    let fast () =
-      let out = Rgf_block.transmission_sweep ~egrid:block_egrid (fun _ -> dev) in
-      Array.fold_left ( +. ) 0. out
-    in
-    (* Cross-check while we are here: the two paths must agree. *)
-    let max_rel_diff =
-      let ws = Rgf_block.workspace () in
-      Array.fold_left
-        (fun acc e ->
-          let tn = Rgf_block.transmission dev e in
-          let tf = Rgf_block.transmission_into ws dev e in
-          Float.max acc (Float.abs (tn -. tf) /. Float.max 1. (Float.abs tn)))
-        0.
-        (Array.sub block_egrid 0 8)
-    in
-    let naive_ms = time_ms ~repeat:2 naive in
-    let fast_seq_ms = with_env "GNRFET_DOMAINS" "1" (fun () -> time_ms fast) in
-    let fast_par_ms = time_ms fast in
-    Printf.printf
-      "   transmission: naive %10.1f ms   fast(seq) %8.1f ms   fast(par) \
-       %8.1f ms   %.2fx\n%!"
-      naive_ms fast_seq_ms fast_par_ms (naive_ms /. fast_seq_ms);
-    let sp_naive () =
-      Array.fold_left
-        (fun acc e -> acc +. (Rgf_block.spectra dev e).Rgf_block.t_coh)
-        0. block_sp_egrid
-    in
-    let sp_fast () =
-      let acc = ref 0. in
-      for k = 0 to block_sp_ne - 1 do
-        acc := !acc +. Rgf_block.spectra_into block_ws dev block_sp_egrid.(k)
-      done;
-      !acc
-    in
-    let sp_naive_ms = time_ms ~repeat:2 sp_naive in
-    let sp_fast_ms = time_ms sp_fast in
-    Printf.printf "   spectra:      naive %10.1f ms   fast      %8.1f ms   %.2fx\n%!"
-      sp_naive_ms sp_fast_ms (sp_naive_ms /. sp_fast_ms);
-    (* Warm one workspace, then measure a whole sweep's GC deltas. *)
-    let ws = Rgf_block.workspace () in
-    ignore (Rgf_block.transmission_into ws dev block_egrid.(0));
-    Gc.full_major ();
-    let s0 = Gc.quick_stat () in
-    for k = 0 to block_ne - 1 do
-      ignore (Sys.opaque_identity (Rgf_block.transmission_into ws dev block_egrid.(k)))
-    done;
-    let s1 = Gc.quick_stat () in
-    let per v0 v1 = (v1 -. v0) /. float_of_int block_ne in
-    let minor = per s0.Gc.minor_words s1.Gc.minor_words in
-    let major = per s0.Gc.major_words s1.Gc.major_words in
-    let promoted = per s0.Gc.promoted_words s1.Gc.promoted_words in
-    Printf.printf
-      "   steady state: %.1f minor / %.1f major / %.1f promoted words per \
-       energy   (max rel diff vs naive %.2e)\n%!"
-      minor major promoted max_rel_diff;
-    Some
-      {
-        br_naive_ms = naive_ms;
-        br_fast_seq_ms = fast_seq_ms;
-        br_fast_par_ms = fast_par_ms;
-        br_sp_naive_ms = sp_naive_ms;
-        br_sp_fast_ms = sp_fast_ms;
-        br_minor_per_e = minor;
-        br_major_per_e = major;
-        br_promoted_per_e = promoted;
-        br_max_rel_diff = max_rel_diff;
-      }
-  end
-
-(* Marshal vs gnrtbl load on the synthetic ~1 MB table: wall-clock
-   best-of plus whole-load GC deltas.  The gnrtbl number is the PR 8
-   acceptance criterion: >= 5x over Marshal with ~0 major words per
-   load (the mapped columns live outside the OCaml heap).  Skipped when
-   the kernel filter selects no table:load kernel. *)
+(* gnrtbl load on the synthetic table: loop-averaged wall clock for the
+   raw mapped read and for read + conversion to [Iv_table.t], plus
+   whole-load GC deltas (~0 major words per raw load: the mapped columns
+   live outside the OCaml heap).  Skipped when the kernel filter selects
+   no table:load kernel. *)
 type table_load_result = {
   tl_gnrtbl_bytes : int;
-  tl_marshal_bytes : int;
-  tl_marshal_ms : float;
   tl_gnrtbl_ms : float;
   tl_convert_ms : float;
-  tl_marshal_gc : float * float * float;
   tl_gnrtbl_gc : float * float * float;
 }
 
-let run_table_load_comparison () =
+let run_table_load_report () =
   if
     not
       (List.exists
@@ -604,20 +392,16 @@ let run_table_load_comparison () =
          kernels)
   then None
   else begin
-    Printf.printf "\n== table load: Marshal vs zero-copy gnrtbl ==\n%!";
-    let gnrtbl_path, marshal_path = Lazy.force table_load_paths in
-    let file_size p = (Unix.stat p).Unix.st_size in
+    Printf.printf "\n== table load: zero-copy gnrtbl ==\n%!";
     (* Cross-check while we are here: the gnrtbl view converts back to
-       exactly the table Marshal round-trips. *)
-    let tm = load_marshal () in
-    let tc = Tbl_format.to_table (load_gnrtbl ()) in
-    if tm <> tc then failwith "table:load cross-check failed (gnrtbl <> marshal)";
+       exactly the table that was written. *)
+    if Tbl_format.to_table (load_gnrtbl ()) <> Lazy.force table_load_table then
+      failwith "table:load cross-check failed (gnrtbl round trip)";
     (* Loop-averaged timing (best window of 3, 100 loads per window,
        warm pass first): a single isolated mmap-path load measures the
        kernel's cold fault-handling machinery rather than the load
        itself — one-shot timings came out 4-5x above the steady state
-       the serve daemon actually runs at, for marshal and gnrtbl
-       alike. *)
+       the serve daemon actually runs at. *)
     let loads_per_window = 100 in
     let avg_ms kernel =
       for _ = 1 to 20 do
@@ -634,36 +418,22 @@ let run_table_load_comparison () =
       done;
       !best
     in
-    let marshal_ms = avg_ms (fun () -> (load_marshal ()).Iv_table.current.(0).(0)) in
-    let gnrtbl_ms =
-      avg_ms (fun () ->
-          Bigarray.Array1.get (load_gnrtbl ()).Tbl_format.v_current 0)
-    in
+    let raw_load () = Bigarray.Array1.get (load_gnrtbl ()).Tbl_format.v_current 0 in
+    let gnrtbl_ms = avg_ms raw_load in
     let convert_ms =
       avg_ms (fun () ->
           (Tbl_format.to_table (load_gnrtbl ())).Iv_table.current.(0).(0))
     in
-    let marshal_gc = gc_stats (fun () -> (load_marshal ()).Iv_table.current.(0).(0)) in
-    let gnrtbl_gc =
-      gc_stats (fun () ->
-          Bigarray.Array1.get (load_gnrtbl ()).Tbl_format.v_current 0)
-    in
-    let _, marshal_major, _ = marshal_gc and _, gnrtbl_major, _ = gnrtbl_gc in
-    Printf.printf
-      "   %d x %d table: marshal %8.3f ms   gnrtbl %8.3f ms   (+convert \
-       %8.3f ms)   %.1fx\n%!"
-      tl_n_vg tl_n_vd marshal_ms gnrtbl_ms convert_ms (marshal_ms /. gnrtbl_ms);
-    Printf.printf
-      "   major words/load: marshal %.0f   gnrtbl %.0f\n%!" marshal_major
-      gnrtbl_major;
+    let gnrtbl_gc = gc_stats raw_load in
+    let _, gnrtbl_major, _ = gnrtbl_gc in
+    Printf.printf "   %d x %d table: gnrtbl %8.3f ms   (+convert %8.3f ms)\n%!"
+      tl_n_vg tl_n_vd gnrtbl_ms convert_ms;
+    Printf.printf "   major words/load: gnrtbl %.0f\n%!" gnrtbl_major;
     Some
       {
-        tl_gnrtbl_bytes = file_size gnrtbl_path;
-        tl_marshal_bytes = file_size marshal_path;
-        tl_marshal_ms = marshal_ms;
+        tl_gnrtbl_bytes = (Unix.stat (Lazy.force table_load_path)).Unix.st_size;
         tl_gnrtbl_ms = gnrtbl_ms;
         tl_convert_ms = convert_ms;
-        tl_marshal_gc = marshal_gc;
         tl_gnrtbl_gc = gnrtbl_gc;
       }
   end
@@ -774,12 +544,11 @@ let exercise_table_cache () =
 (* Hand-rolled JSON (no json dependency in the image): flat schema, one
    object per kernel plus the observability snapshot, documented in
    docs/PERF.md and docs/OBS.md. *)
-let write_json path ~domains ~kernel_times ~pairs ~block_rgf ~table_load
-    ~campaign ~serve =
+let write_json path ~domains ~kernel_times ~pairs ~table_load ~campaign ~serve =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"gnrfet-bench-v6\",\n";
+  add "  \"schema\": \"gnrfet-bench-v7\",\n";
   add "  \"pr\": 9,\n";
   add "  \"domains\": %d,\n" domains;
   (match table_load with
@@ -793,15 +562,10 @@ let write_json path ~domains ~kernel_times ~pairs ~block_rgf ~table_load
     in
     add "  \"table_load\": {\n";
     add
-      "    \"table\": {\"n_vg\": %d, \"n_vd\": %d, \"gnrtbl_bytes\": %d, \
-       \"marshal_bytes\": %d},\n"
-      tl_n_vg tl_n_vd r.tl_gnrtbl_bytes r.tl_marshal_bytes;
-    add
-      "    \"marshal_ms\": %.6g, \"gnrtbl_ms\": %.6g, \"convert_ms\": %.6g,\n"
-      r.tl_marshal_ms r.tl_gnrtbl_ms r.tl_convert_ms;
-    add "    \"speedup_gnrtbl_vs_marshal\": %.4g,\n"
-      (r.tl_marshal_ms /. r.tl_gnrtbl_ms);
-    add "    \"marshal_gc_per_load\": %s,\n" (gc_obj r.tl_marshal_gc);
+      "    \"table\": {\"n_vg\": %d, \"n_vd\": %d, \"gnrtbl_bytes\": %d},\n"
+      tl_n_vg tl_n_vd r.tl_gnrtbl_bytes;
+    add "    \"gnrtbl_ms\": %.6g, \"convert_ms\": %.6g,\n" r.tl_gnrtbl_ms
+      r.tl_convert_ms;
     add "    \"gnrtbl_gc_per_load\": %s\n" (gc_obj r.tl_gnrtbl_gc);
     add "  },\n");
   (match campaign with
@@ -825,30 +589,6 @@ let write_json path ~domains ~kernel_times ~pairs ~block_rgf ~table_load
      "  \"serve\": {\"requests\": %d, \"generates\": %d, \"coalesced_hits\": \
       %d, \"lru_hits\": %d},\n"
      requests generates coalesced lru_hits);
-  (match block_rgf with
-  | None -> ()
-  | Some r ->
-    add "  \"block_rgf\": {\n";
-    add "    \"device\": {\"blocks\": %d, \"orbitals\": %d, \"energies\": %d},\n"
-      block_nb block_m block_ne;
-    add
-      "    \"transmission\": {\"naive_ms\": %.6g, \"fast_seq_ms\": %.6g, \
-       \"fast_par_ms\": %.6g, \"speedup_fast_vs_naive\": %.4g, \
-       \"speedup_par_vs_seq\": %.4g},\n"
-      r.br_naive_ms r.br_fast_seq_ms r.br_fast_par_ms
-      (r.br_naive_ms /. r.br_fast_seq_ms)
-      (r.br_fast_seq_ms /. r.br_fast_par_ms);
-    add
-      "    \"spectra\": {\"energies\": %d, \"naive_ms\": %.6g, \"fast_ms\": \
-       %.6g, \"speedup_fast_vs_naive\": %.4g},\n"
-      block_sp_ne r.br_sp_naive_ms r.br_sp_fast_ms
-      (r.br_sp_naive_ms /. r.br_sp_fast_ms);
-    add
-      "    \"steady_state_alloc_per_energy\": {\"minor_words\": %.3g, \
-       \"major_words\": %.3g, \"promoted_words\": %.3g},\n"
-      r.br_minor_per_e r.br_major_per_e r.br_promoted_per_e;
-    add "    \"max_rel_diff_vs_naive\": %.3g\n" r.br_max_rel_diff;
-    add "  },\n");
   add "  \"kernels\": [\n";
   List.iteri
     (fun i (name, ms, (minor, major, promoted)) ->
@@ -914,8 +654,7 @@ let () =
   List.iter (fun (_, k) -> ignore (k ())) kernels;
   let kernel_times = run_benchmarks () in
   let pairs = run_energy_loop_comparison () in
-  let block_rgf = run_block_rgf_comparison () in
-  let table_load = run_table_load_comparison () in
+  let table_load = run_table_load_report () in
   let campaign = run_campaign_comparison () in
   exercise_table_cache ();
   (* One clean serve sweep for the report's counter breakdown (the
@@ -935,7 +674,7 @@ let () =
     | Some _ | None -> "BENCH_PR9.json"
   in
   write_json json_path ~domains:(Parallel.num_domains ()) ~kernel_times ~pairs
-    ~block_rgf ~table_load ~campaign ~serve;
+    ~table_load ~campaign ~serve;
   table_load_cleanup ();
   campaign_cleanup ();
   Printf.printf "\n[bench total: %.1f s]\n" (Unix.gettimeofday () -. t0)

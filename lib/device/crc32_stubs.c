@@ -14,8 +14,7 @@
    can deserialize the same bytes.  Elsewhere a hand-rolled
    table-driven implementation ("slicing by 8", eight 256-entry
    tables) takes over; same checksum, same file bytes, no dependencies
-   beyond the OCaml runtime headers.  Same foreign-stub arrangement as
-   lib/numerics/zdense_stubs.c.
+   beyond the OCaml runtime headers.
 
    Both entry points are [@@noalloc]: they return the CRC as a tagged
    immediate (fits easily in OCaml's 63-bit int) and never touch the

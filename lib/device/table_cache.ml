@@ -13,9 +13,7 @@ let clear_memory () =
 (* The "v2|" prefix versions the *logical* key contents (PR 4 added
    [failed_points]); the on-disk byte layout is versioned separately by
    the gnrtbl header (Tbl_format.version), so a gnrtbl layout bump
-   retires files via Bad_version instead of a key change.  Legacy
-   Marshal files were stored under the same v2 keys, which is what lets
-   the fallback reader below still accept them. *)
+   retires files via Bad_version instead of a key change. *)
 let full_key ?grid p =
   let g = match grid with Some g -> g | None -> Iv_table.default_grid in
   "v2|" ^ Params.cache_key p ^ "|"
@@ -26,24 +24,16 @@ let key ?grid ?ctx p =
   let c = Ctx.resolve ?ctx ?grid () in
   full_key ?grid:c.Ctx.grid p
 
-(* New tables are written as [<digest>.gnrtbl] (Tbl_format,
-   docs/FORMAT.md); [<digest>.table] is the pre-PR 8 Marshal layout,
-   still readable for one release so a deployed cache is not orphaned
-   by the upgrade. *)
+(* Tables are stored as [<digest>.gnrtbl] (Tbl_format, docs/FORMAT.md). *)
 let gnrtbl_path key =
   Filename.concat (cache_dir ()) (Digest.to_hex (Digest.string key) ^ ".gnrtbl")
 
-let legacy_path key =
-  Filename.concat (cache_dir ()) (Digest.to_hex (Digest.string key) ^ ".table")
-
 (* Fault-injection site (docs/ROBUST.md): an armed campaign fails the
-   read — gnrtbl and legacy alike — as a corrupt file, exercising the
-   quarantine path. *)
+   read as a corrupt file, exercising the quarantine path. *)
 let fault_read = Fault.site "table_cache.read"
 
 type disk_outcome =
   | Table of Iv_table.t
-  | Legacy of Iv_table.t
   | Absent
   | Stale
   | Corrupt of Robust_error.corrupt_reason
@@ -71,41 +61,13 @@ let injected_reason site hit =
   Robust_error.Undecodable
     { detail = Printf.sprintf "injected fault (%s hit %d)" site hit }
 
-(* Legacy-Marshal fallback reader: marshaled (key, table) pair.  Marshal
-   cannot be validated without being parsed, so the only corruption
-   attribution possible here is [Undecodable]; the channel is closed on
-   every path. *)
-let load_legacy ?obs key =
-  let path = legacy_path key in
-  match open_in_bin path with
-  | exception Sys_error _ -> Absent (* absent (the common case) or unreadable *)
-  | ic -> (
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    match
-      Fault.fail fault_read;
-      (Marshal.from_channel ic : string * Iv_table.t)
-    with
-    | stored_key, table ->
-      if String.equal stored_key key then Legacy table
-      else Stale (* digest collision or key-format drift: not corrupt *)
-    | exception ((Failure _ | End_of_file | Sys_error _ | Invalid_argument _) as e)
-      ->
-      let reason = Robust_error.Undecodable { detail = Printexc.to_string e } in
-      quarantine ?obs path reason;
-      Corrupt reason
-    | exception Fault.Injected { site; hit } ->
-      let reason = injected_reason site hit in
-      quarantine ?obs path reason;
-      Corrupt reason)
-
 (* gnrtbl read path: map, checksum-validate, convert.  Tbl_format does
    the mapping and raises checksum-precise [Cache_corrupt] reasons;
-   everything else this function can observe is absence (fall through
-   to the legacy reader) or an unreadable file (degrades to a miss, as
-   the legacy open failure always has). *)
+   everything else this function can observe is absence or an
+   unreadable file, both of which degrade to a plain miss. *)
 let probe_key ?obs key =
   let path = gnrtbl_path key in
-  if not (Sys.file_exists path) then load_legacy ?obs key
+  if not (Sys.file_exists path) then Absent
   else
     match
       Fault.fail fault_read;
@@ -169,9 +131,11 @@ let store_file ?obs key table =
       cleanup ())
 
 (* Hit/miss accounting (docs/OBS.md): every [lookup] resolves to exactly
-   one of memory hit, disk hit or miss; a disk hit served by the mapped
-   gnrtbl path additionally counts [table_cache.mmap_hits], and
-   [generates] counts cache-initiated table generations. *)
+   one of memory hit, disk hit or miss, and [generates] counts
+   cache-initiated table generations.  Every disk hit is served by the
+   mapped gnrtbl path, so [table_cache.mmap_hits] always equals
+   [table_cache.disk_hits]; it is kept because daemon [stats] readers
+   consume it. *)
 let lookup ?grid ?obs ?ctx p =
   let c = Ctx.resolve ?ctx ?obs ?grid () in
   let obs = c.Ctx.obs in
@@ -182,12 +146,9 @@ let lookup ?grid ?obs ?ctx p =
     Some t
   | None -> begin
     match probe_key ~obs key with
-    | (Table t | Legacy t) as outcome ->
+    | Table t ->
       Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.disk_hits");
-      (match outcome with
-      | Table _ ->
-        Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.mmap_hits")
-      | _ -> ());
+      Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.mmap_hits");
       Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
       Some t
     | Absent | Stale | Corrupt _ ->

@@ -8,9 +8,8 @@
     by the device cache key, in the [gnrtbl] binary columnar format
     ({!Tbl_format}, docs/FORMAT.md): a disk hit {e maps} the file and
     validates it with a per-section CRC-32C pass instead of
-    deserializing it.  Pre-PR 8 Marshal files ([<digest>.table]) are
-    still read through a legacy fallback for one release; new stores
-    always write [<digest>.gnrtbl]. *)
+    deserializing it.  Files in any other layout, such as the
+    pre-gnrtbl Marshal [<digest>.table], are ignored. *)
 
 val cache_dir : unit -> string
 
@@ -25,12 +24,8 @@ val gnrtbl_path : string -> string
     not); bench and test harnesses use it to read and corrupt files
     directly. *)
 
-val legacy_path : string -> string
-(** On-disk path of the pre-PR 8 Marshal file for a full {!key}. *)
-
 type disk_outcome =
   | Table of Iv_table.t  (** [gnrtbl] hit: mapped, validated, converted *)
-  | Legacy of Iv_table.t  (** pre-PR 8 Marshal fallback hit *)
   | Absent  (** no file (or unreadable): a plain miss *)
   | Stale  (** file present but stored under a different key *)
   | Corrupt of Robust_error.corrupt_reason
@@ -54,8 +49,8 @@ val lookup :
 (** Load from memory or disk; [None] when absent, stale or corrupt.
     Every call bumps exactly one of [table_cache.memory_hits],
     [table_cache.disk_hits] or [table_cache.misses] in [?obs] (default
-    {!Obs.global}); a disk hit served by the mapped [gnrtbl] path also
-    bumps [table_cache.mmap_hits].  See docs/OBS.md.
+    {!Obs.global}); every disk hit also bumps [table_cache.mmap_hits]
+    (all disk hits are mapped [gnrtbl] reads).  See docs/OBS.md.
 
     {b Corruption hardening} (docs/ROBUST.md): a [gnrtbl] file that
     fails validation is quarantined — renamed to [<name>.corrupt],

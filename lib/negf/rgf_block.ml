@@ -9,26 +9,42 @@ let gamma_of sigma =
   (* Γ = i (Σ - Σ†) *)
   Cmatrix.scale { Complex.re = 0.; im = 1. } (Cmatrix.sub sigma (Cmatrix.adjoint sigma))
 
-(* ------------------------------------------------------------------ *)
-(* Naive reference path.  Allocates freely through the Cmatrix API —
-   kept verbatim as the oracle the Zdense fast path below is tested
-   against (1e-10 relative, test/test_negf.ml); the hot-alloc lint rule
-   is suppressed line by line for exactly that reason.  Production
-   sweeps use [transmission_into]/[spectra_into]/[transmission_sweep]. *)
-
-let transmission ?(eta = 1e-6) dev e =
+(* Both entry points vet the whole device before any arithmetic, so a
+   malformed device fails the same way whichever one it reaches. *)
+let validate dev =
   let nb = Array.length dev.blocks in
-  if nb < 1 then invalid_arg "Rgf_block.transmission: empty device";
+  if nb < 1 then invalid_arg "Rgf_block: empty device";
   if Array.length dev.couplings <> nb - 1 then
-    invalid_arg "Rgf_block.transmission: coupling count mismatch";
-  let m, _ = Cmatrix.dims dev.blocks.(0) in
-  let z = { Complex.re = e; im = eta } in
-  let zi = Cmatrix.scale z (Cmatrix.identity m) in
-  let a i =
+    invalid_arg "Rgf_block: coupling count mismatch";
+  let m, mc = Cmatrix.dims dev.blocks.(0) in
+  if m <> mc then invalid_arg "Rgf_block: blocks must be square";
+  Array.iter
+    (fun b -> if Cmatrix.dims b <> (m, m) then invalid_arg "Rgf_block: block dims differ")
+    dev.blocks;
+  Array.iter
+    (fun h ->
+      if Cmatrix.dims h <> (m, m) then invalid_arg "Rgf_block: coupling dims differ")
+    dev.couplings;
+  if Cmatrix.dims dev.sigma_l <> (m, m) || Cmatrix.dims dev.sigma_r <> (m, m) then
+    invalid_arg "Rgf_block: self-energy dims differ";
+  (nb, m)
+
+(* [a i] = (e + iη) I - H_i - Σ_L[i=0] - Σ_R[i=nb-1]: the inverse of the
+   isolated block's Green's function, with the leads folded in. *)
+let effective_block ~eta dev ~nb ~m e =
+  let zi = Cmatrix.scale { Complex.re = e; im = eta } (Cmatrix.identity m) in
+  fun i ->
     let base = Cmatrix.sub zi dev.blocks.(i) in
     let base = if i = 0 then Cmatrix.sub base dev.sigma_l else base in
     if i = nb - 1 then Cmatrix.sub base dev.sigma_r else base
-  in
+
+(* Both solvers allocate freely through the Cmatrix API: they are the
+   atomistic oracle the mode-space chains are tested against, not a hot
+   path, so the hot-alloc lint rule is suppressed line by line. *)
+
+let transmission ?(eta = 1e-6) dev e =
+  let nb, m = validate dev in
+  let a = effective_block ~eta dev ~nb ~m e in
   (* Left sweep of left-connected Green's functions, tracking the
      propagator product G_{0,n-1}. *)
   let gl = ref (Cmatrix.inverse (a 0)) in
@@ -59,16 +75,8 @@ type spectra = {
 }
 
 let spectra ?(eta = 1e-6) dev e =
-  let nb = Array.length dev.blocks in
-  if nb < 1 then invalid_arg "Rgf_block.spectra: empty device";
-  let m, _ = Cmatrix.dims dev.blocks.(0) in
-  let z = { Complex.re = e; im = eta } in
-  let zi = Cmatrix.scale z (Cmatrix.identity m) in
-  let a i =
-    let base = Cmatrix.sub zi dev.blocks.(i) in
-    let base = if i = 0 then Cmatrix.sub base dev.sigma_l else base in
-    if i = nb - 1 then Cmatrix.sub base dev.sigma_r else base
-  in
+  let nb, m = validate dev in
+  let a = effective_block ~eta dev ~nb ~m e in
   (* Left- and right-connected Green's functions. *)
   let gl = Array.make nb (Cmatrix.identity m) in
   gl.(0) <- Cmatrix.inverse (a 0);
@@ -143,344 +151,7 @@ let spectra ?(eta = 1e-6) dev e =
   in
   { t_coh = t.Complex.re; a1; a2 }
 
-(* ------------------------------------------------------------------ *)
-(* Fast path: the same physics on the Zdense in-place kernels.
-
-   The workspace mirrors the device into Bigarray storage once per
-   device (cached by physical equality, like [Rgf.workspace]) and holds
-   every per-energy temporary, so a steady-state sweep over one device
-   allocates nothing per energy point.  The transmission recursion is
-   also restructured to avoid per-block explicit inverses: with
-   Y_i = gL_i H_i (one LU solve against the factored effective block)
-   the propagator product obeys Q_{i+1} = Q_i Y_i and the inner
-   self-energy is H_i† Y_i, so each interior block costs one LU
-   factorisation plus three m×m multiplies — against four multiplies
-   plus a full Gauss–Jordan inverse on the naive path. *)
-
-type workspace = {
-  mutable validated : device option;
-  mutable nb : int;
-  mutable m : int;
-  (* Device mirror (Zdense copies of blocks/couplings/self-energies and
-     the broadening matrices Γ = i(Σ - Σ†), rebuilt on cache miss). *)
-  mutable dblocks : Zdense.t array;
-  mutable dcoup : Zdense.t array;
-  mutable dsig_l : Zdense.t;
-  mutable dsig_r : Zdense.t;
-  mutable dgam_l : Zdense.t;
-  mutable dgam_r : Zdense.t;
-  (* Adjoints H_i† of the couplings, mirrored once per device so the hot
-     recursions run plain [gemm_into] instead of the slower adjoint-flag
-     kernels (same products in the same order: bit-identical results). *)
-  mutable dcoup_adj : Zdense.t array;
-  (* m×m scratch shared by every kernel (contents are overwritten before
-     use: results never depend on workspace history). *)
-  mutable aeff : Zdense.t;
-  mutable y : Zdense.t;
-  mutable q : Zdense.t;
-  mutable self : Zdense.t;
-  mutable t1 : Zdense.t;
-  mutable t2 : Zdense.t;
-  mutable piv : int array;
-  (* Per-block spectra storage, allocated on first [spectra_into]. *)
-  mutable sgl : Zdense.t array;
-  mutable sgr : Zdense.t array;
-  mutable scol0 : Zdense.t array;
-  mutable scoln : Zdense.t array;
-  mutable wa1 : float array array;
-  mutable wa2 : float array array;
-  (* LU factorisations since creation (flushed to obs per sweep chunk). *)
-  mutable lu_count : int;
-}
-
-let workspace () =
-  let z = Zdense.create 0 0 in
-  {
-    validated = None;
-    nb = 0;
-    m = -1;
-    dblocks = [||];
-    dcoup = [||];
-    dcoup_adj = [||];
-    dsig_l = z;
-    dsig_r = z;
-    dgam_l = z;
-    dgam_r = z;
-    aeff = z;
-    y = z;
-    q = z;
-    self = z;
-    t1 = z;
-    t2 = z;
-    piv = [||];
-    sgl = [||];
-    sgr = [||];
-    scol0 = [||];
-    scoln = [||];
-    wa1 = [||];
-    wa2 = [||];
-    lu_count = 0;
-  }
-
-let a1 ws = ws.wa1
-
-let a2 ws = ws.wa2
-
-let validate dev =
-  let nb = Array.length dev.blocks in
-  if nb < 1 then invalid_arg "Rgf_block: empty device";
-  if Array.length dev.couplings <> nb - 1 then
-    invalid_arg "Rgf_block: coupling count mismatch";
-  let m, mc = Cmatrix.dims dev.blocks.(0) in
-  if m <> mc then invalid_arg "Rgf_block: blocks must be square";
-  Array.iter
-    (fun b -> if Cmatrix.dims b <> (m, m) then invalid_arg "Rgf_block: block dims differ")
-    dev.blocks;
-  Array.iter
-    (fun h ->
-      if Cmatrix.dims h <> (m, m) then invalid_arg "Rgf_block: coupling dims differ")
-    dev.couplings;
-  if Cmatrix.dims dev.sigma_l <> (m, m) || Cmatrix.dims dev.sigma_r <> (m, m) then
-    invalid_arg "Rgf_block: self-energy dims differ";
-  (nb, m)
-
-(* Grow [arr] to at least [n] slots of fresh m×m matrices, geometrically
-   (slots beyond the current device are kept for later reuse). *)
-let grow_slots arr n m =
-  let len = Array.length arr in
-  if len >= n then arr
-  else begin
-    let cap = max n (2 * len) in
-    Array.init cap (fun i -> if i < len then arr.(i) else Zdense.create m m)
-  end
-
-(* Γ = i (Σ - Σ†) into [dst], using [tmp] as scratch. *)
-let gamma_into ~tmp dsig dst =
-  Zdense.adjoint_into dsig tmp;
-  Zdense.sub_into dsig tmp tmp;
-  Zdense.scale_into { Complex.re = 0.; im = 1. } tmp dst
-
-let ensure_device ws dev =
-  match ws.validated with
-  | Some d when d == dev -> ()
-  | Some _ | None ->
-    let nb, m = validate dev in
-    if m <> ws.m then begin
-      (* Block size changed: every m×m buffer is re-created at the new
-         exact size (per-block slot arrays restart empty and regrow). *)
-      let mk () = Zdense.create m m in
-      ws.dsig_l <- mk ();
-      ws.dsig_r <- mk ();
-      ws.dgam_l <- mk ();
-      ws.dgam_r <- mk ();
-      ws.aeff <- mk ();
-      ws.y <- mk ();
-      ws.q <- mk ();
-      ws.self <- mk ();
-      ws.t1 <- mk ();
-      ws.t2 <- mk ();
-      ws.piv <- Array.make m 0;
-      ws.dblocks <- [||];
-      ws.dcoup <- [||];
-      ws.dcoup_adj <- [||];
-      ws.sgl <- [||];
-      ws.sgr <- [||];
-      ws.scol0 <- [||];
-      ws.scoln <- [||];
-      ws.wa1 <- [||];
-      ws.wa2 <- [||];
-      ws.m <- m
-    end;
-    ws.dblocks <- grow_slots ws.dblocks nb m;
-    ws.dcoup <- grow_slots ws.dcoup (max 0 (nb - 1)) m;
-    ws.dcoup_adj <- grow_slots ws.dcoup_adj (max 0 (nb - 1)) m;
-    for i = 0 to nb - 1 do
-      Zdense.of_cmatrix_into dev.blocks.(i) ws.dblocks.(i)
-    done;
-    for i = 0 to nb - 2 do
-      Zdense.of_cmatrix_into dev.couplings.(i) ws.dcoup.(i);
-      Zdense.adjoint_into ws.dcoup.(i) ws.dcoup_adj.(i)
-    done;
-    Zdense.of_cmatrix_into dev.sigma_l ws.dsig_l;
-    Zdense.of_cmatrix_into dev.sigma_r ws.dsig_r;
-    gamma_into ~tmp:ws.t1 ws.dsig_l ws.dgam_l;
-    gamma_into ~tmp:ws.t1 ws.dsig_r ws.dgam_r;
-    ws.nb <- nb;
-    ws.validated <- Some dev
-
-(* aeff = (e + iη) I - H_i - Σ_L[i=0] - Σ_R[i=nb-1], the same effective
-   block the naive [a i] builds. *)
-let build_aeff ws z i =
-  Zdense.shift_sub_into z ws.dblocks.(i) ws.aeff;
-  if i = 0 then Zdense.sub_into ws.aeff ws.dsig_l ws.aeff;
-  if i = ws.nb - 1 then Zdense.sub_into ws.aeff ws.dsig_r ws.aeff
-
-let factor_aeff ws =
-  Zdense.lu_factor ws.aeff ws.piv;
-  ws.lu_count <- ws.lu_count + 1
-
-let transmission_into ?(eta = 1e-6) ws dev e =
-  ensure_device ws dev;
-  let nb = ws.nb in
-  let z = { Complex.re = e; im = eta } in
-  build_aeff ws z 0;
-  factor_aeff ws;
-  (* After the sweep [ws.q] holds the propagator G_{0,nb-1}. *)
-  if nb = 1 then Zdense.inverse_into ws.aeff ws.piv ws.q
-  else begin
-    (* Y_0 = gL_0 H_0 by LU solve; Q_1 = Y_0; inner Σ = H_0† Y_0. *)
-    Zdense.copy_into ws.dcoup.(0) ws.y;
-    Zdense.solve_into ws.aeff ws.piv ws.y;
-    Zdense.copy_into ws.y ws.q;
-    Zdense.gemm_into ws.dcoup_adj.(0) ws.y ws.self;
-    for i = 1 to nb - 2 do
-      build_aeff ws z i;
-      Zdense.sub_into ws.aeff ws.self ws.aeff;
-      factor_aeff ws;
-      Zdense.copy_into ws.dcoup.(i) ws.y;
-      Zdense.solve_into ws.aeff ws.piv ws.y;
-      Zdense.gemm_into ws.dcoup_adj.(i) ws.y ws.self;
-      Zdense.gemm_into ws.q ws.y ws.t1;
-      let t = ws.q in
-      ws.q <- ws.t1;
-      ws.t1 <- t
-    done;
-    build_aeff ws z (nb - 1);
-    Zdense.sub_into ws.aeff ws.self ws.aeff;
-    factor_aeff ws;
-    Zdense.inverse_into ws.aeff ws.piv ws.t1;
-    Zdense.gemm_into ws.q ws.t1 ws.t2;
-    let t = ws.q in
-    ws.q <- ws.t2;
-    ws.t2 <- t
-  end;
-  (* T = Tr(ΓL G ΓR G†) = Re <ΓL G ΓR, G> without forming the adjoint. *)
-  Zdense.gemm_into ws.dgam_l ws.q ws.t1;
-  Zdense.gemm_into ws.t1 ws.dgam_r ws.y;
-  Zdense.re_inner ws.y ws.q
-
-let ensure_spectra ws =
-  let nb = ws.nb and m = ws.m in
-  ws.sgl <- grow_slots ws.sgl nb m;
-  ws.sgr <- grow_slots ws.sgr nb m;
-  ws.scol0 <- grow_slots ws.scol0 nb m;
-  ws.scoln <- grow_slots ws.scoln nb m;
-  if Array.length ws.wa1 < nb || (nb > 0 && Array.length ws.wa1.(0) < m) then begin
-    ws.wa1 <- Array.init (max nb (Array.length ws.wa1)) (fun _ -> Array.make m 0.);
-    ws.wa2 <- Array.init (max nb (Array.length ws.wa2)) (fun _ -> Array.make m 0.)
-  end
-
-let spectra_into ?(eta = 1e-6) ws dev e =
-  ensure_device ws dev;
-  ensure_spectra ws;
-  let nb = ws.nb in
-  let z = { Complex.re = e; im = eta } in
-  (* Left-connected gL_i, mirroring the naive association
-     Σ = H† (gL H) so the two paths agree to rounding. *)
-  build_aeff ws z 0;
-  factor_aeff ws;
-  Zdense.inverse_into ws.aeff ws.piv ws.sgl.(0);
-  for i = 1 to nb - 1 do
-    let h = ws.dcoup.(i - 1) in
-    Zdense.gemm_into ws.sgl.(i - 1) h ws.t1;
-    Zdense.gemm_into ws.dcoup_adj.(i - 1) ws.t1 ws.self;
-    build_aeff ws z i;
-    Zdense.sub_into ws.aeff ws.self ws.aeff;
-    factor_aeff ws;
-    Zdense.inverse_into ws.aeff ws.piv ws.sgl.(i)
-  done;
-  (* Right-connected gR_i: Σ = H (gR H†). *)
-  build_aeff ws z (nb - 1);
-  factor_aeff ws;
-  Zdense.inverse_into ws.aeff ws.piv ws.sgr.(nb - 1);
-  for i = nb - 2 downto 0 do
-    let h = ws.dcoup.(i) in
-    Zdense.gemm_into ws.sgr.(i + 1) ws.dcoup_adj.(i) ws.t1;
-    Zdense.gemm_into h ws.t1 ws.self;
-    build_aeff ws z i;
-    Zdense.sub_into ws.aeff ws.self ws.aeff;
-    factor_aeff ws;
-    Zdense.inverse_into ws.aeff ws.piv ws.sgr.(i)
-  done;
-  (* First column G_{i,0}. *)
-  build_aeff ws z 0;
-  if nb > 1 then begin
-    let h = ws.dcoup.(0) in
-    Zdense.gemm_into ws.sgr.(1) ws.dcoup_adj.(0) ws.t1;
-    Zdense.gemm_into h ws.t1 ws.self;
-    Zdense.sub_into ws.aeff ws.self ws.aeff
-  end;
-  factor_aeff ws;
-  Zdense.inverse_into ws.aeff ws.piv ws.scol0.(0);
-  for i = 1 to nb - 1 do
-    Zdense.gemm_into ws.dcoup_adj.(i - 1) ws.scol0.(i - 1) ws.t1;
-    Zdense.gemm_into ws.sgr.(i) ws.t1 ws.scol0.(i)
-  done;
-  (* Last column G_{i,nb-1}. *)
-  build_aeff ws z (nb - 1);
-  if nb > 1 then begin
-    let h = ws.dcoup.(nb - 2) in
-    Zdense.gemm_into ws.sgl.(nb - 2) h ws.t1;
-    Zdense.gemm_into ws.dcoup_adj.(nb - 2) ws.t1 ws.self;
-    Zdense.sub_into ws.aeff ws.self ws.aeff
-  end;
-  factor_aeff ws;
-  Zdense.inverse_into ws.aeff ws.piv ws.scoln.(nb - 1);
-  for i = nb - 2 downto 0 do
-    let h = ws.dcoup.(i) in
-    Zdense.gemm_into h ws.scoln.(i + 1) ws.t1;
-    Zdense.gemm_into ws.sgl.(i) ws.t1 ws.scoln.(i)
-  done;
-  (* Contact-resolved diagonals: a1 = diag(G_{i,0} ΓL G_{i,0}†),
-     a2 = diag(G_{i,nb-1} ΓR G_{i,nb-1}†). *)
-  for i = 0 to nb - 1 do
-    Zdense.gemm_into ws.scol0.(i) ws.dgam_l ws.t1;
-    Zdense.re_inner_rows ws.t1 ws.scol0.(i) ws.wa1.(i);
-    Zdense.gemm_into ws.scoln.(i) ws.dgam_r ws.t1;
-    Zdense.re_inner_rows ws.t1 ws.scoln.(i) ws.wa2.(i)
-  done;
-  (* t_coh = Tr(ΓL G_{0,nb-1} ΓR G_{0,nb-1}†). *)
-  Zdense.gemm_into ws.dgam_l ws.scoln.(0) ws.t1;
-  Zdense.gemm_into ws.t1 ws.dgam_r ws.t2;
-  Zdense.re_inner ws.t2 ws.scoln.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Energy-parallel sweep over the persistent domain pool: fixed chunk
-   grid (depends only on the grid length), per-slot workspaces, chunks
-   writing disjoint ranges of the output — bit-for-bit identical for
-   every GNRFET_DOMAINS setting (docs/PERF.md).  Instrumentation stays
-   at the chunk level so the per-energy loop touches no clock. *)
-
-let domains_of parallel = if parallel then None else Some 1
-
-let transmission_sweep ?eta ?parallel ?obs ?ctx ~egrid device_of_energy =
-  let c = Ctx.resolve ?ctx ?parallel ?obs () in
-  let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
-  let tm = Obs.Timer.make ~obs "rgf_block.transmission_sweep" in
-  let c_energies = Obs.Counter.make ~obs "rgf_block.transmission_energies" in
-  let c_lu = Obs.Counter.make ~obs "rgf_block.lu_factorizations" in
-  let t0 = Obs.Timer.start tm in
-  Fun.protect ~finally:(fun () -> Obs.Timer.stop tm t0) @@ fun () ->
-  let ne = Array.length egrid in
-  let out = Array.make (max ne 0) 0. in
-  (* Chunks write disjoint index ranges of [out].  gnrlint: allow-shared *)
-  ignore
-    (Parallel.map_reduce ?domains:(domains_of parallel) ~n:ne
-       ~worker:(fun _ -> workspace ())
-       ~body:(fun ws ~lo ~hi ->
-         Obs.Counter.add c_energies (hi - lo);
-         let lu0 = ws.lu_count in
-         for k = lo to hi - 1 do
-           out.(k) <- transmission_into ?eta ws (device_of_energy egrid.(k)) egrid.(k)
-         done;
-         Obs.Counter.add c_lu (ws.lu_count - lu0))
-       ~combine:(fun () () -> ())
-       ());
-  out
-
-(* ------------------------------------------------------------------ *)
-
-let ideal_gnr_device ?(n_cells = 12) n ~device_of_energy:e =
+let ideal_gnr_device ?(n_cells = 12) n e =
   let tb = Tight_binding.make n in
   let h00 = Cmatrix.of_real tb.Tight_binding.h00 in
   let h01 = Cmatrix.of_real tb.Tight_binding.h01 in
@@ -498,4 +169,4 @@ let ideal_gnr_device ?(n_cells = 12) n ~device_of_energy:e =
   }
 
 let ideal_gnr_transmission ?eta ?n_cells n e =
-  transmission ?eta (ideal_gnr_device ?n_cells n ~device_of_energy:e) e
+  transmission ?eta (ideal_gnr_device ?n_cells n e) e

@@ -1,20 +1,14 @@
-(** Block (real-space, full atomistic basis) RGF — the reference solver the
-    mode-space chain is validated against in the test suite, plus the
-    Bigarray fast path production sweeps run on.
+(** Block (real-space, full atomistic basis) RGF — the oracle the
+    mode-space chains of {!Rgf} are validated against in the test suite.
+    No solver or experiment runs it: the paper path is mode-space only.
 
     The device is a chain of identical-size blocks with nearest-block
     coupling; leads enter through explicit self-energy blocks on the first
-    and last block.
-
-    Two implementations of the same physics live here:
-
-    - the naive [transmission]/[spectra] path, allocating freely through
-      the {!Cmatrix} API — kept as the test oracle;
-    - the {!workspace}-based [transmission_into]/[spectra_into]/
-      [transmission_sweep] fast path on the {!Zdense} in-place kernels —
-      zero heap allocation per energy point in steady state, validated
-      against the naive path to 1e-10 relative (docs/PERF.md, "block
-      kernel layer"). *)
+    and last block.  Both entry points allocate freely through the
+    {!Cmatrix} API and raise [Invalid_argument] on a malformed device:
+    no blocks, a coupling count other than [blocks - 1], or a block,
+    coupling or self-energy that is not [m × m] for the first block's
+    size [m]. *)
 
 type device = {
   blocks : Cmatrix.t array;  (** on-block Hamiltonians H_ii, size m × m *)
@@ -24,8 +18,7 @@ type device = {
 }
 
 val transmission : ?eta:float -> device -> float -> float
-(** Coherent transmission [Tr(ΓL G ΓR G†)] at the given energy (eV).
-    Naive reference implementation. *)
+(** Coherent transmission [Tr(ΓL G ΓR G†)] at the given energy (eV). *)
 
 type spectra = {
   t_coh : float;
@@ -38,61 +31,17 @@ val spectra : ?eta:float -> device -> float -> spectra
 (** Contact-resolved spectral functions by full block RGF (forward and
     backward sweeps); the local density of states per orbital is
     [(a1 + a2) / 2π].  Used to validate the mode-space charge
-    integration against the atomistic reference.  Naive reference
-    implementation. *)
+    integration against the atomistic reference. *)
 
-(** {2 Workspace fast path} *)
-
-type workspace
-(** Preallocated per-worker scratch: the device mirrored into Bigarray
-    storage plus every per-energy temporary of the block recursions.
-    The last device vetted is cached by physical equality (per-energy
-    calls on one device — the common case — skip re-validation and
-    re-mirroring); per-block slot arrays grow geometrically and block
-    matrices are re-created when the block size changes, so one
-    workspace can serve devices of changing size.  Not thread-safe:
-    use one workspace per domain (as {!transmission_sweep} does). *)
-
-val workspace : unit -> workspace
-
-val transmission_into : ?eta:float -> workspace -> device -> float -> float
-(** [transmission_into ws dev e]: same contract as {!transmission}, on
-    the in-place kernels — zero allocation per call once [ws] has seen
-    [dev].  The result depends only on [(dev, e)], never on workspace
-    history (every buffer is fully written before it is read). *)
-
-val spectra_into : ?eta:float -> workspace -> device -> float -> float
-(** [spectra_into ws dev e]: same contract as {!spectra}, writing the
-    contact-resolved diagonals into workspace storage; returns [t_coh].
-    Read the diagonals through {!a1}/{!a2}. *)
-
-val a1 : workspace -> float array array
-(** Source-injected spectral diagonals from the last {!spectra_into}
-    call; valid indices are [[0, blocks) × [0, orbitals)] of that call's
-    device (the arrays may be longer).  Overwritten by the next call;
-    re-fetch after any call that may have grown the workspace. *)
-
-val a2 : workspace -> float array array
-(** Drain-injected counterpart of {!a1}. *)
-
-val transmission_sweep :
-  ?eta:float ->
-  ?parallel:bool ->
-  ?obs:Obs.t ->
-  ?ctx:Ctx.t ->
-  egrid:float array ->
-  (float -> device) ->
-  float array
-(** [transmission_sweep ~egrid device_of_energy] evaluates
-    [transmission_into] at every grid point over the persistent domain
-    pool (fixed chunk grid, per-slot workspaces, per-chunk counter
-    flushes), returning the transmissions in grid order.  Bit-for-bit
-    identical for every [GNRFET_DOMAINS] setting, including the
-    sequential [parallel:false] path.  [?ctx] bundles
-    [?parallel]/[?obs] defaults ({!Ctx.resolve} precedence). *)
+val ideal_gnr_device : ?n_cells:int -> int -> float -> device
+(** [ideal_gnr_device n e]: an ideal (flat-potential) A-GNR of index [n],
+    [n_cells] unit cells long (default 12), with the retarded
+    self-energies of semi-infinite GNR leads at energy [e] (eV) computed
+    by {!Self_energy.sancho_rubio}. *)
 
 val ideal_gnr_transmission : ?eta:float -> ?n_cells:int -> int -> float -> float
 (** Transmission of an ideal (flat-potential) A-GNR of the given index,
     with semi-infinite GNR leads computed by Sancho–Rubio decimation: the
     exact staircase [T(E) = number of modes at E], used to validate both
-    the band structure and the mode-space reduction. *)
+    the band structure and the mode-space reduction.  Runs
+    {!transmission} on {!ideal_gnr_device}. *)

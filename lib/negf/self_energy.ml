@@ -21,12 +21,10 @@ let dimer_surface ?(eta = 1e-5) ~t1 ~t2 ~onsite e =
   else if g1.im < g2.im then g1
   else g2
 
-(* Sancho–Rubio decimation on the Zdense in-place kernels: the naive
-   version allocated ~10 Cmatrix temporaries per iteration; here one set
-   of buffers is allocated per call and every iteration runs
-   allocation-free — one LU factorisation of (zI - ε), two m-RHS solves
-   (X = g α, Y = g β) and four multiplies (α Y, β X, α X, β Y), against
-   a Gauss–Jordan inverse plus six multiplies before. *)
+(* Sancho–Rubio decimation: each iteration doubles the effective chain
+   length, so the decimated couplings α, β shrink geometrically.  The
+   products g·α and g·β are formed once per iteration and shared by the
+   four updates (six multiplies plus one inverse per iteration). *)
 
 let c_sancho_calls = Obs.Counter.make "self_energy.sancho_calls"
 
@@ -39,53 +37,25 @@ let sancho_rubio ?(eta = 1e-6) ?(tol = 1e-12) ?(max_iter = 200) ~h00 ~h01 e =
   let t0 = Obs.Timer.start tm_sancho in
   Fun.protect ~finally:(fun () -> Obs.Timer.stop tm_sancho t0) @@ fun () ->
   let n, _ = Cmatrix.dims h00 in
-  let z = { Complex.re = e; im = eta } in
-  let eps = Zdense.of_cmatrix h00 in
-  let eps_s = Zdense.of_cmatrix h00 in
-  let alpha = ref (Zdense.of_cmatrix h01) in
-  let beta = ref (Zdense.create n n) in
-  Zdense.adjoint_into !alpha !beta;
-  let a = Zdense.create n n in
-  let x = Zdense.create n n and y = Zdense.create n n in
-  let t = ref (Zdense.create n n) and u = ref (Zdense.create n n) in
-  let piv = Array.make n 0 in
-  let rec iterate k =
-    let residual = Zdense.max_abs !alpha in
-    if residual < tol then Obs.Histogram.observe h_sancho_iters k
+  let energy = Cmatrix.scale { Complex.re = e; im = eta } (Cmatrix.identity n) in
+  let rec loop eps eps_s alpha beta k =
+    let residual = Cmatrix.max_abs alpha in
+    if residual < tol then begin
+      Obs.Histogram.observe h_sancho_iters k;
+      Cmatrix.inverse (Cmatrix.sub energy eps_s)
+    end
     else if k >= max_iter then
       raise
         (Numerics_error.Stalled
            { solver = "Self_energy.sancho_rubio"; iterations = k; residual })
     else begin
-      (* g = (zI - ε)^-1 applied by LU solve: X = g α, Y = g β. *)
-      Zdense.shift_sub_into z eps a;
-      Zdense.lu_factor a piv;
-      Zdense.copy_into !alpha x;
-      Zdense.solve_into a piv x;
-      Zdense.copy_into !beta y;
-      Zdense.solve_into a piv y;
-      (* ε += α g β + β g α;  ε_s += α g β. *)
-      Zdense.gemm_into !alpha y !t;
-      Zdense.add_into eps !t eps;
-      Zdense.add_into eps_s !t eps_s;
-      Zdense.gemm_into !beta x !t;
-      Zdense.add_into eps !t eps;
-      (* α' = α g α, β' = β g β (the old α/β feed both products, so the
-         updates land in spare buffers and swap in). *)
-      Zdense.gemm_into !alpha x !t;
-      Zdense.gemm_into !beta y !u;
-      let s = !alpha in
-      alpha := !t;
-      t := s;
-      let s = !beta in
-      beta := !u;
-      u := s;
-      iterate (k + 1)
+      let g = Cmatrix.inverse (Cmatrix.sub energy eps) in
+      let ga = Cmatrix.mul g alpha and gb = Cmatrix.mul g beta in
+      (* ε += α g β + β g α;  ε_s += α g β;  α' = α g α;  β' = β g β. *)
+      let agb = Cmatrix.mul alpha gb in
+      let eps' = Cmatrix.add eps (Cmatrix.add agb (Cmatrix.mul beta ga)) in
+      let eps_s' = Cmatrix.add eps_s agb in
+      loop eps' eps_s' (Cmatrix.mul alpha ga) (Cmatrix.mul beta gb) (k + 1)
     end
   in
-  iterate 0;
-  (* g_s = (zI - ε_s)^-1. *)
-  Zdense.shift_sub_into z eps_s a;
-  Zdense.lu_factor a piv;
-  Zdense.inverse_into a piv x;
-  Zdense.to_cmatrix x
+  loop h00 h00 h01 (Cmatrix.adjoint h01) 0

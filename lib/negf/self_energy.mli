@@ -26,8 +26,8 @@ val sancho_rubio :
   Cmatrix.t
 (** Surface Green's function of a semi-infinite periodic block chain
     ([h00] on-cell, [h01] coupling towards the device) via the
-    Sancho–Rubio decimation, running on the {!Zdense} in-place kernels
-    (allocation-free per iteration); the lead self-energy is
+    Sancho–Rubio decimation on {!Cmatrix} (one inverse and six
+    multiplies per iteration); the lead self-energy is
     [h01† · g_s · h01].  Convergence when the decimated coupling's
     largest entry drops below [tol]; raises {!Numerics_error.Stalled}
     after [max_iter] iterations.  Reports [self_energy.sancho_calls] /

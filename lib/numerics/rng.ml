@@ -3,19 +3,14 @@ type t = { mutable state : int64; mutable cached_normal : float option }
 let create seed =
   { state = Int64.of_int seed; cached_normal = None }
 
-(* splitmix64: fast, passes BigCrush, trivially seedable. *)
-let golden_gamma = 0x9E3779B97F4A7C15L
-
-let next_state t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
-
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let int64 t = mix (next_state t)
+(* splitmix64: fast, passes BigCrush, trivially seedable.  The state
+   advances by the golden gamma, and each output is [Fault.splitmix64]
+   (add the gamma, then mix) of the state before the step: one mixer
+   shared with the fault-injection, campaign and client-jitter streams. *)
+let int64 t =
+  let s = t.state in
+  t.state <- Int64.add s 0x9E3779B97F4A7C15L;
+  Fault.splitmix64 s
 
 let split t = { state = int64 t; cached_normal = None }
 

@@ -44,9 +44,10 @@ type site
 
 val splitmix64 : int64 -> int64
 (** The splitmix64 finalizer behind the deterministic hit decisions,
-    exposed so other deterministic-mutation machinery (the [gnrtbl]
-    corruption-matrix fuzzer, test/test_tbl_format.ml) can share one
-    audited mixing function instead of growing private RNGs. *)
+    exposed so other deterministic machinery ([Rng.int64], the campaign
+    sampler, the client retry jitter, the [gnrtbl] corruption-matrix
+    fuzzer in test/test_tbl_format.ml) shares one audited mixing
+    function instead of growing private RNGs. *)
 
 exception Injected of { site : string; hit : int }
 (** Raised by {!fail} when the armed campaign selects this hit.  [hit]

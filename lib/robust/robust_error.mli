@@ -20,8 +20,8 @@ type corrupt_reason =
           [expected] is the byte count the header — or, below the
           minimum header size, the format — requires *)
   | Undecodable of { detail : string }
-      (** not attributable to a precise section: legacy-Marshal parse
-          failures and injected read faults *)
+      (** not attributable to a precise section: raised for injected
+          read faults (the [table_cache.read] fault site) *)
 (** Why an on-disk table was rejected, precise enough that every
     corruption-matrix mutation class maps to a distinct constructor
     (docs/FORMAT.md lists the validation order that guarantees it). *)

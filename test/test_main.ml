@@ -3,7 +3,6 @@ let () =
     [
       ("numerics:basic", Test_numerics_basic.suite);
       ("numerics:linalg", Test_numerics_linalg.suite);
-      ("numerics:zdense", Test_zdense.suite);
       ("numerics:interp+contour", Test_numerics_interp.suite);
       ("numerics:parallel", Test_parallel.suite);
       ("obs", Test_obs.suite);

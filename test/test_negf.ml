@@ -351,28 +351,10 @@ let suite =
       test_workspace_grows_and_revalidates;
   ]
 
-let ideal_block_device n e =
-  (* Rebuild the lead-connected ribbon device used by
-     ideal_gnr_transmission, for the spectral-function tests. *)
-  let tb = Tight_binding.make n in
-  let h00 = Cmatrix.of_real tb.Tight_binding.h00 in
-  let h01 = Cmatrix.of_real tb.Tight_binding.h01 in
-  let h10 = Cmatrix.adjoint h01 in
-  let gs_l = Self_energy.sancho_rubio ~h00 ~h01:h10 e in
-  let sigma_l = Cmatrix.mul h10 (Cmatrix.mul gs_l h01) in
-  let gs_r = Self_energy.sancho_rubio ~h00 ~h01 e in
-  let sigma_r = Cmatrix.mul h01 (Cmatrix.mul gs_r h10) in
-  {
-    Rgf_block.blocks = Array.make 5 h00;
-    couplings = Array.make 4 h01;
-    sigma_l;
-    sigma_r;
-  }
-
 let test_block_spectra_transmission_consistent () =
   List.iter
     (fun e ->
-      let dev = ideal_block_device 7 e in
+      let dev = Rgf_block.ideal_gnr_device ~n_cells:5 7 e in
       let s = Rgf_block.spectra dev e in
       let t = Rgf_block.transmission dev e in
       approx ~eps:1e-8 (Printf.sprintf "T consistent at %g" e) t s.Rgf_block.t_coh;
@@ -401,7 +383,7 @@ let test_block_equilibrium_half_filling () =
   let prev = ref None in
   Array.iter
     (fun e ->
-      let dev = ideal_block_device n e in
+      let dev = Rgf_block.ideal_gnr_device ~n_cells:5 n e in
       let s = Rgf_block.spectra ~eta dev e in
       let f = Fermi.occupation ~mu:0. ~kt e in
       let sample =
@@ -423,126 +405,30 @@ let test_block_equilibrium_half_filling () =
         (occ /. (2. *. Float.pi)))
     occupancy
 
-(* ------------------------------------------------------------------ *)
-(* Bigarray fast path (PR 7): the workspace kernels against the naive
-   Cmatrix oracle, and the determinism contract of the energy sweep. *)
-
-let brng = Rng.create 90211
-
-let rand_z () = { Complex.re = Rng.uniform brng (-1.) 1.; im = Rng.uniform brng (-1.) 1. }
-
-let random_hermitian m =
-  let a = Cmatrix.init m m (fun _ _ -> rand_z ()) in
-  Cmatrix.scale { Complex.re = 0.5; im = 0. } (Cmatrix.add a (Cmatrix.adjoint a))
-
-(* A retarded self-energy with strictly negative anti-hermitian part
-   (Γ > 0), so the resolvent is invertible at any real energy. *)
-let random_sigma m =
-  let h = random_hermitian m in
-  Cmatrix.init m m (fun i j ->
-      let z = Cmatrix.get h i j in
-      if i = j then { z with Complex.im = z.Complex.im -. (0.4 +. Float.abs z.Complex.re) }
-      else z)
-
-let random_block_device ~nb ~m =
-  {
-    Rgf_block.blocks = Array.init nb (fun _ -> random_hermitian m);
-    couplings = Array.init (nb - 1) (fun _ -> Cmatrix.init m m (fun _ _ -> rand_z ()));
-    sigma_l = random_sigma m;
-    sigma_r = random_sigma m;
-  }
-
-let check_fast_matches_naive ~name ws dev e =
-  let t_naive = Rgf_block.transmission dev e in
-  approx_rel ~rel:1e-10 (name ^ ": transmission") t_naive
-    (Rgf_block.transmission_into ws dev e);
-  let s = Rgf_block.spectra dev e in
-  approx_rel ~rel:1e-10 (name ^ ": spectra t_coh") s.Rgf_block.t_coh
-    (Rgf_block.spectra_into ws dev e);
-  let a1 = Rgf_block.a1 ws and a2 = Rgf_block.a2 ws in
-  Array.iteri
-    (fun b per_block ->
-      Array.iteri
-        (fun i v ->
-          let scale = Float.max (Float.abs v) 1e-12 in
-          let d1 = Float.abs (a1.(b).(i) -. v) /. scale in
-          if d1 > 1e-10 then
-            Alcotest.failf "%s: a1.(%d).(%d) rel diff %g" name b i d1;
-          let v2 = s.Rgf_block.a2.(b).(i) in
-          let scale2 = Float.max (Float.abs v2) 1e-12 in
-          let d2 = Float.abs (a2.(b).(i) -. v2) /. scale2 in
-          if d2 > 1e-10 then
-            Alcotest.failf "%s: a2.(%d).(%d) rel diff %g" name b i d2)
-        per_block)
-    s.Rgf_block.a1
-
-let test_fast_matches_naive_random () =
-  let ws = Rgf_block.workspace () in
-  List.iter
-    (fun (nb, m) ->
-      let dev = random_block_device ~nb ~m in
-      List.iter
-        (fun e ->
-          check_fast_matches_naive
-            ~name:(Printf.sprintf "random nb=%d m=%d E=%g" nb m e)
-            ws dev e)
-        [ -0.7; 0.; 0.35 ])
-    [ (4, 5); (7, 3) ]
-
-let test_fast_matches_naive_gnr () =
-  (* The physical device: a lead-connected ideal A-GNR with Sancho–Rubio
-     self-energies, at in-band and in-gap energies. *)
-  let ws = Rgf_block.workspace () in
-  List.iter
-    (fun e ->
-      let dev = ideal_block_device 7 e in
-      check_fast_matches_naive ~name:(Printf.sprintf "A-GNR E=%g" e) ws dev e)
-    [ 0.4; 0.8; 1.2; 2.0 ]
-
-let test_block_workspace_resizes () =
-  (* One workspace across devices of different block counts AND block
-     sizes, interleaved: results must be bit-identical to a fresh
-     workspace (no stale-state contamination in either direction). *)
-  let ws = Rgf_block.workspace () in
-  let small = random_block_device ~nb:3 ~m:4 in
-  let big = random_block_device ~nb:6 ~m:7 in
-  let fresh dev e =
-    Rgf_block.transmission_into (Rgf_block.workspace ()) dev e
+let test_block_rejects_malformed_devices () =
+  (* Both entry points vet the whole device: each defect must raise
+     Invalid_argument from transmission and spectra alike. *)
+  let e = 0.8 in
+  let dev = Rgf_block.ideal_gnr_device ~n_cells:3 7 e in
+  let m, _ = Cmatrix.dims dev.Rgf_block.blocks.(0) in
+  let surplus =
+    { dev with Rgf_block.couplings = Array.make 3 dev.Rgf_block.couplings.(0) }
   in
-  let e = 0.2 in
-  let t_small = Rgf_block.transmission_into ws small e in
-  let t_big = Rgf_block.transmission_into ws big e in
-  let t_small' = Rgf_block.transmission_into ws small e in
-  Alcotest.(check bool) "small bit-for-bit vs fresh ws" true (t_small = fresh small e);
-  Alcotest.(check bool) "big bit-for-bit vs fresh ws" true (t_big = fresh big e);
-  Alcotest.(check bool) "small stable after growth + shrink" true (t_small = t_small')
-
-let test_block_sweep_matches_pointwise () =
-  (* The sweep must reproduce per-energy transmission_into bit-for-bit:
-     chunking and per-slot workspaces are not allowed to change results. *)
-  let egrid = Array.init 31 (fun i -> -0.9 +. (0.06 *. float_of_int i)) in
-  let device_of _e = ideal_block_device 7 0.8 in
-  let dev = device_of 0. in
-  let t_sweep = Rgf_block.transmission_sweep ~parallel:false ~egrid device_of in
-  let ws = Rgf_block.workspace () in
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "sweep point %d bit-for-bit" i)
-        true
-        (t_sweep.(i) = Rgf_block.transmission_into ws dev e))
-    egrid
-
-let test_block_sweep_parallel_exact () =
-  let egrid = Array.init 47 (fun i -> -1.2 +. (0.05 *. float_of_int i)) in
-  let device_of _e = ideal_block_device 5 0.8 in
-  let t_seq = Rgf_block.transmission_sweep ~parallel:false ~egrid device_of in
+  let blocks = Array.copy dev.Rgf_block.blocks in
+  blocks.(1) <- Cmatrix.create m (m + 1);
+  let non_square = { dev with Rgf_block.blocks } in
+  let bad_sigma = { dev with Rgf_block.sigma_r = Cmatrix.create (m - 1) (m - 1) } in
   List.iter
-    (fun d ->
-      with_env "GNRFET_DOMAINS" (string_of_int d) (fun () ->
-          let t_par = Rgf_block.transmission_sweep ~parallel:true ~egrid device_of in
-          exact_array (Printf.sprintf "block sweep GNRFET_DOMAINS=%d" d) t_seq t_par))
-    [ 1; 5 ]
+    (fun (name, bad) ->
+      check_raises_invalid (name ^ ": transmission") (fun () ->
+          ignore (Rgf_block.transmission bad e));
+      check_raises_invalid (name ^ ": spectra") (fun () ->
+          ignore (Rgf_block.spectra bad e)))
+    [
+      ("surplus couplings", surplus);
+      ("non-square block", non_square);
+      ("mis-sized self-energy", bad_sigma);
+    ]
 
 let test_dimer_surface_closed_form () =
   (* Regression for the removed ?tol/?max_iter: the returned root must
@@ -588,15 +474,8 @@ let block_suite =
       test_block_spectra_transmission_consistent;
     Alcotest.test_case "block equilibrium half-filling" `Quick
       test_block_equilibrium_half_filling;
-    Alcotest.test_case "fast path vs naive: random devices" `Quick
-      test_fast_matches_naive_random;
-    Alcotest.test_case "fast path vs naive: ideal A-GNR" `Quick
-      test_fast_matches_naive_gnr;
-    Alcotest.test_case "block workspace resizes" `Quick test_block_workspace_resizes;
-    Alcotest.test_case "block sweep matches pointwise" `Quick
-      test_block_sweep_matches_pointwise;
-    Alcotest.test_case "block sweep parallel exact" `Quick
-      test_block_sweep_parallel_exact;
+    Alcotest.test_case "block rejects malformed devices" `Quick
+      test_block_rejects_malformed_devices;
     Alcotest.test_case "dimer surface closed form" `Quick
       test_dimer_surface_closed_form;
     Alcotest.test_case "sancho-rubio stalls typed" `Quick

@@ -109,6 +109,18 @@ let test_rng_split () =
   let a = Rng.float r and b = Rng.float r2 in
   Alcotest.(check bool) "split stream differs" true (a <> b)
 
+let test_rng_splitmix64_vector () =
+  (* The published splitmix64 reference outputs for seed 0: pins the Rng
+     stream (and every seeded study built on it) and the shared
+     Fault.splitmix64 mixer it delegates to. *)
+  let expected = [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ] in
+  let r = Rng.create 0 in
+  List.iteri
+    (fun i v ->
+      Alcotest.(check int64) (Printf.sprintf "Rng.int64 output %d" i) v (Rng.int64 r))
+    expected;
+  Alcotest.(check int64) "Fault.splitmix64 0" (List.hd expected) (Fault.splitmix64 0L)
+
 let test_integrate_polynomials () =
   let f x = (3. *. x *. x) +. (2. *. x) +. 1. in
   (* Exact integral on [0,2] = 8 + 4 + 2 = 14. *)
@@ -203,6 +215,8 @@ let suite =
     Alcotest.test_case "rng ranges" `Quick test_rng_ranges;
     Alcotest.test_case "rng normal moments" `Quick test_rng_normal_moments;
     Alcotest.test_case "rng split" `Quick test_rng_split;
+    Alcotest.test_case "rng splitmix64 reference vector" `Quick
+      test_rng_splitmix64_vector;
     Alcotest.test_case "integrate polynomials" `Quick test_integrate_polynomials;
     Alcotest.test_case "integrate samples" `Quick test_integrate_samples;
     Alcotest.test_case "roots" `Quick test_roots;

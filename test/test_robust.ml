@@ -332,24 +332,9 @@ let test_cache_corruption_matrix () =
   Alcotest.(check bool) "injected-fault file renamed" true
     (Sys.file_exists (path ^ ".corrupt"));
   Sys.remove (path ^ ".corrupt");
-  (* 5. A legacy Marshal file (gnrtbl absent) still reads via the
-     fallback — a disk hit that is not an mmap hit. *)
-  Table_cache.clear_memory ();
-  let key = Table_cache.key ~grid:micro_grid tiny in
-  let oc = open_out_bin (Table_cache.legacy_path key) in
-  Marshal.to_channel oc (key, t0) [];
-  close_out oc;
-  let mmap_before = read_counter "table_cache.mmap_hits" in
-  (match Table_cache.lookup ~grid:micro_grid ~obs tiny with
-  | Some t ->
-    approx "legacy fallback round-trips" t0.Iv_table.current.(1).(1)
-      t.Iv_table.current.(1).(1)
-  | None -> Alcotest.fail "expected a legacy-fallback disk hit");
-  Alcotest.(check int) "legacy hit is not an mmap hit" mmap_before
-    (read_counter "table_cache.mmap_hits");
-  Sys.remove (Table_cache.legacy_path key);
-  (* 6. And an intact gnrtbl file still round-trips, via the mapping. *)
+  (* 5. And an intact gnrtbl file still round-trips, via the mapping. *)
   reseed ();
+  let mmap_before = read_counter "table_cache.mmap_hits" in
   match Table_cache.lookup ~grid:micro_grid ~obs tiny with
   | Some t ->
     approx "intact file round-trips" t0.Iv_table.current.(1).(1)

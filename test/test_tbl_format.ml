@@ -283,7 +283,7 @@ let test_corruption_matrix () =
       if reason <> expected then
         Alcotest.failf "%s: probe_disk expected %s, got %s" label
           (reason_str expected) (reason_str reason)
-    | Table_cache.Table _ | Table_cache.Legacy _ ->
+    | Table_cache.Table _ ->
       Alcotest.failf "%s: probe_disk accepted a mutated file" label
     | Table_cache.Absent | Table_cache.Stale ->
       Alcotest.failf "%s: probe_disk missed the corruption" label
@@ -581,14 +581,26 @@ let test_probe_disk_outcomes () =
   (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
   | Table_cache.Table t -> check_table_bits "probe Table" table t
   | _ -> Alcotest.fail "matching gnrtbl must probe as Table");
-  (* Legacy Marshal fallback (gnrtbl absent) -> Legacy. *)
+  (* A pre-gnrtbl Marshal [<digest>.table] next to a missing gnrtbl is
+     not read: Absent, left in place, no corruption counted. *)
   Sys.remove (Table_cache.gnrtbl_path key);
-  let oc = open_out_bin (Table_cache.legacy_path key) in
+  let marshal_path =
+    Filename.chop_suffix (Table_cache.gnrtbl_path key) ".gnrtbl" ^ ".table"
+  in
+  let oc = open_out_bin marshal_path in
   Marshal.to_channel oc (key, table) [];
   close_out oc;
-  match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
-  | Table_cache.Legacy t -> check_table_bits "probe Legacy" table t
-  | _ -> Alcotest.fail "legacy Marshal file must probe as Legacy"
+  Alcotest.(check bool) "Marshal file -> Absent" true
+    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~obs tiny));
+  Alcotest.(check bool) "Marshal file left in place" true
+    (Sys.file_exists marshal_path);
+  let corrupt_counts =
+    List.filter
+      (fun (name, v) ->
+        v > 0 && String.starts_with ~prefix:"table_cache.corrupt" name)
+      (Obs.snapshot ~obs ()).Obs.snap_counters
+  in
+  Alcotest.(check int) "no corrupt counter bumped" 0 (List.length corrupt_counts)
 
 let suite =
   [

@@ -168,10 +168,9 @@ let rules =
       help =
         "Cmatrix.mul/inverse/adjoint/add/sub allocate a fresh matrix per \
          call; inside a per-energy or per-block loop in lib/negf this turns \
-         the sweep into a GC benchmark.  Run on the Zdense workspace \
-         kernels (gemm_into/solve_into/inverse_into/...) instead, or \
-         suppress explicitly where a naive reference oracle is kept on \
-         purpose.";
+         the sweep into a GC benchmark.  Hoist the allocation out of the \
+         loop or work in preallocated storage instead, or suppress \
+         explicitly where a naive reference oracle is kept on purpose.";
     };
     {
       id = "parse-error";

@@ -157,12 +157,12 @@ let check_failwith ctx e =
       | _ -> ())
     | _ -> ()
 
-(* PR 7 moved the block-RGF hot paths onto the Zdense in-place kernel
-   layer; any allocating Cmatrix call left inside a loop in a NEGF
-   module is either a regression or a deliberately-kept naive reference
-   (which should carry an inline suppression).  The gate is a "negf"
-   path segment so the fixture corpus under lint_fixtures/negf/ is
-   covered by the same predicate as lib/negf. *)
+(* Every Cmatrix arithmetic call allocates a fresh matrix, so one inside
+   a loop in a NEGF module is either a regression or a deliberately-kept
+   naive reference such as Rgf_block (which should carry an inline
+   suppression).  The gate is a "negf" path segment so the fixture
+   corpus under lint_fixtures/negf/ is covered by the same predicate as
+   lib/negf. *)
 
 let hot_alloc_fns = [ "mul"; "inverse"; "adjoint"; "add"; "sub" ]
 
@@ -177,9 +177,9 @@ let check_hot_alloc ctx e =
       when List.mem fn hot_alloc_fns ->
       ctx.report e.pexp_loc "hot-alloc"
         (Printf.sprintf
-           "allocating `Cmatrix.%s` inside a loop in a NEGF hot path; run on the \
-            Zdense workspace kernels (`gemm_into`/`solve_into`/..., docs/PERF.md) \
-            or suppress where a naive reference oracle is kept on purpose"
+           "allocating `Cmatrix.%s` inside a loop in a NEGF hot path; hoist it \
+            out of the loop or work in preallocated storage, or suppress where a \
+            naive reference oracle is kept on purpose"
            fn)
     | _ -> ()
 
