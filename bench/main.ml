@@ -65,9 +65,7 @@ let serve_sweep () =
   let grid =
     { Iv_table.vg_min = 0.; vg_max = 0.4; n_vg = 3; vd_max = 0.3; n_vd = 2 }
   in
-  let config =
-    { Serve.default_config with Serve.ctx = Ctx.make ~obs ~grid () }
-  in
+  let config = { Serve.default_config with Serve.ctx = Ctx.make ~obs () } in
   let server = Serve.create ~config () in
   Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   let p =
@@ -82,7 +80,7 @@ let serve_sweep () =
     Serve_protocol.request_to_line
       {
         Serve_protocol.id = Some 1;
-        op = Serve_protocol.Table { params = p; grid = None };
+        op = Serve_protocol.Table { params = p; grid = Some grid };
       }
   in
   let go = Mutex.create () in
@@ -227,7 +225,8 @@ let all_kernels : (string * (unit -> float)) list =
         in
         let o =
           Fault.with_spec "scf.charge#1" (fun () ->
-              Robust.Scf.solve_robust ~parallel:false p ~vg:0.4 ~vd:0.3)
+              Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ()) p
+                ~vg:0.4 ~vd:0.3)
         in
         match o.Scf_robust.solution with
         | Some s -> s.Scf.current

@@ -26,7 +26,7 @@ type spec = {
   charges : float list;
   gammas : float list;
   ops : (float * float) list;  (* (vdd, vt) *)
-  grid : Ctx.grid_spec option;
+  grid : Iv_table.grid_spec option;
 }
 
 let validate spec =
@@ -213,7 +213,7 @@ let params_of_sample s =
 (* ------------------------------------------------------------------ *)
 (* Executors: how a sample's device table is obtained                  *)
 
-type executor = Params.t -> Ctx.grid_spec option -> Iv_table.t
+type executor = Params.t -> Iv_table.grid_spec option -> Iv_table.t
 
 let c_fallbacks = Obs.Counter.make "campaign.serve_fallbacks"
 

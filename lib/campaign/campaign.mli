@@ -33,7 +33,7 @@ type spec = {
   charges : float list;  (** impurity charge axis, units of |q| *)
   gammas : float list;  (** contact broadening axis, eV *)
   ops : (float * float) list;  (** (VDD, VT) operating-point axis, V *)
-  grid : Ctx.grid_spec option;  (** table bias grid (None = default) *)
+  grid : Iv_table.grid_spec option;  (** table bias grid (None = default) *)
 }
 
 val validate : spec -> (spec, string) result
@@ -73,7 +73,7 @@ val params_of_sample : sample -> Params.t
 
 (** {2 Executors} *)
 
-type executor = Params.t -> Ctx.grid_spec option -> Iv_table.t
+type executor = Params.t -> Iv_table.grid_spec option -> Iv_table.t
 (** How a sample's device table is obtained.  May raise typed solver
     errors (quarantining the sample) or typed client errors. *)
 

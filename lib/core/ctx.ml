@@ -1,12 +1,4 @@
-type grid_spec = {
-  vg_min : float;
-  vg_max : float;
-  n_vg : int;
-  vd_max : float;
-  n_vd : int;
-}
-
-type t = { parallel : bool; obs : Obs.t; grid : grid_spec option }
+type t = { parallel : bool; obs : Obs.t }
 
 (* Read the environment once, at module initialization.  GNRFET_DOMAINS
    <= 1 means the pool is sequential whatever [parallel] says, so
@@ -19,28 +11,8 @@ let default =
     | Some s -> ( match int_of_string_opt (String.trim s) with Some d -> d > 1 | None -> true)
     | None -> true
   in
-  { parallel; obs = Obs.global; grid = None }
+  { parallel; obs = Obs.global }
 
-(* The constructor is the one place the label pair exists without ?ctx:
-   it builds the bundle.  gnrlint: allow ctx-labels *)
-let make ?parallel ?obs ?grid () =
-  {
-    parallel = Option.value parallel ~default:default.parallel;
-    obs = Option.value obs ~default:default.obs;
-    grid = (match grid with Some _ -> grid | None -> default.grid);
-  }
+let make ?(parallel = default.parallel) ?(obs = default.obs) () = { parallel; obs }
 
 let sequential t = { t with parallel = false }
-
-let with_obs t obs = { t with obs }
-
-let with_grid t grid = { t with grid = Some grid }
-
-(* Precedence: explicit legacy label > ctx field > default field. *)
-let resolve ?ctx ?parallel ?obs ?grid () =
-  let base = Option.value ctx ~default in
-  {
-    parallel = Option.value parallel ~default:base.parallel;
-    obs = Option.value obs ~default:base.obs;
-    grid = (match grid with Some _ -> grid | None -> base.grid);
-  }

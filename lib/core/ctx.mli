@@ -1,9 +1,8 @@
 (** Execution context for the solver stack.
 
-    The cross-cutting knobs that used to be threaded through the solver
-    entry points as ad-hoc optional labels — [?parallel] (PR 2),
-    [?obs] (PR 3) and the table [?grid] — bundled into one value that a
-    caller builds once and passes everywhere:
+    The cross-cutting execution knobs — whether to fan work out over the
+    domain pool, and which metric registry to report to — bundled into
+    one value that a caller builds once and passes everywhere:
 
     {[
       let ctx = Ctx.make ~parallel:false ~obs () in
@@ -12,32 +11,14 @@
       ...
     ]}
 
-    Every reworked entry point ({!Observables.current},
+    Every solver entry point ({!Observables.current},
     {!Observables.site_charge}, {!Observables.transmission_spectrum},
     {!Scf.solve}, {!Scf_robust.solve_robust}, {!Iv_table.generate},
-    {!Table_cache.lookup}/[get]/[get_many], the serve layer) takes
-    [?ctx:Ctx.t] and keeps the legacy labels as thin deprecated
-    wrappers; an explicitly passed legacy label always wins over the
-    corresponding [ctx] field, so no existing call site changes
-    behavior.  New code should pass [?ctx] only — the gnrlint
-    [ctx-labels] rule flags fresh [?parallel]/[?obs] label pairs that
-    bypass it (docs/LINT.md).
-
-    The resolution is pure bookkeeping: for any fixed knob values the
-    [?ctx] and legacy-label entry points run the exact same solver code,
-    so results are bit-for-bit identical (test/test_ctx.ml pins this
-    down, including under [GNRFET_DOMAINS=5]).  See docs/API.md. *)
-
-type grid_spec = {
-  vg_min : float;
-  vg_max : float;
-  n_vg : int;
-  vd_max : float;
-  n_vd : int;
-}
-(** Bias-grid specification for table generation.  This is the canonical
-    definition; {!Iv_table.grid_spec} re-exports it (same record, same
-    fields) so existing [Iv_table.grid_spec] code keeps compiling. *)
+    {!Table_cache.probe_disk}/[lookup]/[get]/[get_many], the serve
+    layer) takes [?ctx:Ctx.t], default {!default}; it is the only way
+    to pass these knobs.  Neither knob changes a number: sequential and
+    parallel runs, and obs on and off, are bit-for-bit identical.
+    See docs/API.md. *)
 
 type t = {
   parallel : bool;
@@ -47,35 +28,18 @@ type t = {
           parallel fan-out so nesting does not oversubscribe the
           cores (docs/PERF.md). *)
   obs : Obs.t;  (** metric registry receiving counters/timers/spans *)
-  grid : grid_spec option;
-      (** bias grid for table generation; [None] means
-          [Iv_table.default_grid].  Ignored by entry points that do not
-          generate tables. *)
 }
 
 val default : t
-(** The context every entry point resolves against when neither [?ctx]
-    nor a legacy label is given.  Computed once at module
-    initialization: [parallel] is [true] unless [GNRFET_DOMAINS] is set
-    to [0]/[1] at startup (in which case the pool is sequential anyway),
-    [obs] is {!Obs.global} (whose enabled state read [GNRFET_OBS] once),
-    [grid] is [None]. *)
+(** The context every entry point uses when [?ctx] is omitted.
+    Computed once at module initialization: [parallel] is [true] unless
+    [GNRFET_DOMAINS] is set to [0]/[1] at startup (in which case the
+    pool is sequential anyway), and [obs] is {!Obs.global} (whose
+    enabled state read [GNRFET_OBS] once). *)
 
-(* The constructor builds the bundle.  gnrlint: allow ctx-labels *)
-val make : ?parallel:bool -> ?obs:Obs.t -> ?grid:grid_spec -> unit -> t
+val make : ?parallel:bool -> ?obs:Obs.t -> unit -> t
 (** {!default} with the given fields overridden. *)
 
 val sequential : t -> t
 (** [{ctx with parallel = false}]: the inner-loop context to pass from
     under an outer device-level fan-out. *)
-
-val with_obs : t -> Obs.t -> t
-
-val with_grid : t -> grid_spec -> t
-
-val resolve : ?ctx:t -> ?parallel:bool -> ?obs:Obs.t -> ?grid:grid_spec -> unit -> t
-(** Merge a call site's arguments into one effective context: start from
-    [ctx] (default {!default}) and let each explicitly passed legacy
-    label override the corresponding field.  This is the single
-    precedence rule every reworked entry point uses — legacy label >
-    [ctx] field > {!default}. *)

@@ -7,10 +7,7 @@ type t = {
   failed_points : (int * int) list;
 }
 
-(* The canonical definition moved to Ctx (so the execution context can
-   carry a grid without depending on this library); re-exported here so
-   Iv_table.grid_spec keeps working everywhere. *)
-type grid_spec = Ctx.grid_spec = {
+type grid_spec = {
   vg_min : float;
   vg_max : float;
   n_vg : int;
@@ -54,12 +51,8 @@ let patch_failed ~failed ~vg ~current ~charge =
       patch charge)
     failed
 
-let generate ?grid ?parallel ?obs ?ctx p =
-  (* Legacy labels win over the ctx fields; an absent grid falls back to
-     ctx.grid and then default_grid. *)
-  let c = Ctx.resolve ?ctx ?parallel ?obs ?grid () in
-  let grid = Option.value c.Ctx.grid ~default:default_grid in
-  let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
+let generate ?(grid = default_grid) ?(ctx = Ctx.default) p =
+  let obs = ctx.Ctx.obs in
   Obs.Span.run ~obs "iv_table.generate" @@ fun () ->
   Obs.Counter.incr (Obs.Counter.make ~obs "iv_table.generates");
   let c_quarantined = Obs.Counter.make ~obs "robust.iv_table.quarantined" in
@@ -85,7 +78,7 @@ let generate ?grid ?parallel ?obs ?ctx p =
         (fun ig vgv ->
           let outcome =
             Scf_robust.solve_robust ?init:!init ?neighbor:!last_converged
-              ~parallel ~obs p ~vg:vgv ~vd:vdv
+              ~ctx p ~vg:vgv ~vd:vdv
           in
           match outcome.Scf_robust.solution with
           | Some s ->

@@ -19,16 +19,16 @@ type t = {
           impossible.  See docs/ROBUST.md. *)
 }
 
-type grid_spec = Ctx.grid_spec = {
+type grid_spec = {
   vg_min : float;
   vg_max : float;
   n_vg : int;
   vd_max : float;
   n_vd : int;
 }
-(** Re-export of {!Ctx.grid_spec} (the canonical definition, so an
-    execution context can carry a grid); the two names are
-    interchangeable. *)
+(** Bias grid of a table: [n_vg] gate biases evenly spaced over
+    [\[vg_min, vg_max\]] × [n_vd] drain biases evenly spaced over
+    [\[0, vd_max\]]. *)
 
 val default_grid : grid_spec
 (** VG ∈ [-0.25, 1.05] (25 mV steps, fine enough to preserve the
@@ -38,8 +38,13 @@ val default_grid : grid_spec
     stored for VD >= 0; negative VDS is handled by the circuit model
     through source/drain exchange symmetry). *)
 
-val generate :
-  ?grid:grid_spec -> ?parallel:bool -> ?obs:Obs.t -> ?ctx:Ctx.t -> Params.t -> t
+val grid_key : grid_spec -> string
+(** The grid signature ["vg<min>:<max>:<n>-vd<max>:<n>"] (numbers in
+    [%g]/[%d]) that table keys end with.  {!Table_cache.key} uses it,
+    and the on-disk cache is addressed by a digest of that key, so the
+    format must not change. *)
+
+val generate : ?grid:grid_spec -> ?ctx:Ctx.t -> Params.t -> t
 (** Run the self-consistent solver over the grid (warm-starting each VG
     sweep from the previous bias point).  Each point goes through the
     {!Scf_robust} escalation ladder in continuation order: the first rung
@@ -47,16 +52,13 @@ val generate :
     bit-for-bit identical to pre-ladder behavior), and unrecoverable
     points are quarantined into [failed_points] (counted in
     [robust.iv_table.quarantined]) and interpolated from converged
-    neighbors instead of aborting the sweep.  [parallel] (default true)
-    is forwarded to {!Scf.solve}: callers fanning several devices out
-    across the domain pool ({!Table_cache.get_many}) pass
-    [~parallel:false] so the inner energy loop stays sequential under the
-    outer fan-out.  [obs] (default {!Obs.global}) is forwarded too; each
+    neighbors instead of aborting the sweep.  [grid] defaults to
+    {!default_grid}.  [ctx] (default {!Ctx.default}) is forwarded to
+    {!Scf.solve}: callers fanning several devices out across the domain
+    pool ({!Table_cache.get_many}) pass a sequential context so the
+    inner energy loop stays sequential under the outer fan-out.  Each
     generation runs inside an [iv_table.generate] span and bumps
-    [iv_table.generates] (see docs/OBS.md).  [ctx] bundles all three
-    knobs ([grid] falls back to [ctx.grid], then {!default_grid}); an
-    explicitly passed legacy label wins over the corresponding [ctx]
-    field ({!Ctx.resolve}, docs/API.md). *)
+    [iv_table.generates] in [ctx.obs] (see docs/OBS.md). *)
 
 val current_at : t -> vg:float -> vd:float -> float
 (** Bilinear interpolation; requires [vd >= 0] (the circuit layer owns the

@@ -76,10 +76,8 @@ let chains_for p =
   Array.map (fun m -> (m, sigma)) ms.Modespace.modes
 
 let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
-    ?parallel ?obs ?ctx p ~vg ~vd =
-  (* Legacy labels win over the ctx fields; see Ctx.resolve. *)
-  let c = Ctx.resolve ?ctx ?parallel ?obs () in
-  let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
+    ?(ctx = Ctx.default) p ~vg ~vd =
+  let obs = ctx.Ctx.obs in
   Obs.Span.run ~obs "scf.solve" @@ fun () ->
   let c_solves = Obs.Counter.make ~obs "scf.solves" in
   let c_iters = Obs.Counter.make ~obs "scf.iterations" in
@@ -128,7 +126,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         in
         let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
         let q =
-          Observables.site_charge ~eta:1.5e-3 ~parallel ~obs ~bias ~egrid
+          Observables.site_charge ~eta:1.5e-3 ~ctx ~bias ~egrid
             ~midgap:onsite
             (fun _ -> chain)
         in
@@ -199,15 +197,14 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
     | `Anderson -> 0.5
     | `Anderson_damped alpha | `Linear alpha -> alpha
   in
-  let rec iterate u it best =
+  (* [best] is the lowest-residual (u, q, res) so far; earlier iterates
+     win ties. *)
+  let rec iterate u it ((_, _, best_r) as best) =
     let p0 = !poisson_calls in
     let q = charge_of u in
     let u_implied = poisson_of q in
     let res = Vec.max_abs_diff u_implied u in
-    let best = match best with
-      | Some (_, _, r) when r <= res -> best
-      | _ -> Some (u, q, res)
-    in
+    let best = if best_r <= res then best else (u, q, res) in
     if res < !best_res *. 0.98 then begin
       best_res := res;
       stall := 0
@@ -231,7 +228,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
     in
     if res <= tol || it >= max_iter then begin
       record 0.;
-      let u, q, res = match best with Some b -> b | None -> assert false in
+      let u, q, res = best in
       (u, q, it, res)
     end
     else begin
@@ -244,7 +241,9 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
       iterate u' (it + 1) best
     end
   in
-  let u, q, iterations, residual = iterate u0 0 None in
+  (* NaN compares false, so the first step always replaces this
+     placeholder. *)
+  let u, q, iterations, residual = iterate u0 0 (u0, [||], Float.nan) in
   (* Typed convergence status (docs/ROBUST.md): [residual] is the best
      update norm over the run, and any iterate at or below [tol]
      terminates the loop, so [residual <= tol] is exactly "converged".
@@ -268,7 +267,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         in
         let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
         acc
-        +. Observables.current ~eta:1.5e-3 ~parallel ~obs ~bias ~egrid
+        +. Observables.current ~eta:1.5e-3 ~ctx ~bias ~egrid
              (fun _ -> chain))
       0. modes
   in

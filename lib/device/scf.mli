@@ -59,8 +59,6 @@ val solve :
   ?max_iter:int ->
   ?init:float array ->
   ?mixing:[ `Anderson | `Anderson_damped of float | `Linear of float ] ->
-  ?parallel:bool ->
-  ?obs:Obs.t ->
   ?ctx:Ctx.t ->
   Params.t ->
   vg:float ->
@@ -76,21 +74,16 @@ val solve :
     [`Anderson_damped alpha] is Anderson restarted with heavier damping —
     the second escalation rung; [`Linear alpha] is the plain
     under-relaxation baseline used by the convergence ablation).
-    [parallel] (default true) runs the per-energy NEGF loop across the
-    domain pool; outer device-level fan-outs (table generation) pass
-    [~parallel:false] so nesting does not oversubscribe the cores.  The
-    solution is bit-for-bit identical either way (the energy reduction
-    is deterministic; see docs/PERF.md).
+    [ctx] (default {!Ctx.default}): [ctx.parallel] runs the per-energy
+    NEGF loop across the domain pool; outer device-level fan-outs
+    (table generation) pass a sequential context so nesting does not
+    oversubscribe the cores.  The solution is bit-for-bit identical
+    either way (the energy reduction is deterministic; see
+    docs/PERF.md).
 
     {b Observability.}  Each call runs inside an [scf.solve] span and
     bumps [scf.solves], [scf.iterations] (plus the iteration histogram),
-    [scf.charge_evals] and [scf.poisson_solves] in [?obs] (default
-    {!Obs.global}); the NEGF and Poisson layers underneath report their
-    own metrics.  All no-ops while the registry is disabled; the
-    {!trace} field is collected regardless.  See docs/OBS.md.
-
-    {b Contexts.}  [?ctx:Ctx.t] bundles the [parallel]/[obs] knobs; an
-    explicitly passed legacy label wins over the corresponding [ctx]
-    field ({!Ctx.resolve}), and for fixed knob values the two entry
-    styles are bit-for-bit identical (test/test_ctx.ml).  Prefer [?ctx]
-    in new code; see docs/API.md. *)
+    [scf.charge_evals] and [scf.poisson_solves] in [ctx.obs]; the NEGF
+    and Poisson layers underneath report their own metrics.  All no-ops
+    while the registry is disabled; the {!trace} field is collected
+    regardless.  See docs/OBS.md. *)

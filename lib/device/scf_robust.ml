@@ -17,34 +17,31 @@ type outcome = {
 (* Matches the Scf.solve default; the slow-linear rungs scale it. *)
 let default_max_iter = 120
 
-let solve_robust ?tol ?max_iter ?init ?neighbor ?parallel ?obs ?ctx p ~vg
+let solve_robust ?tol ?max_iter ?init ?neighbor ?(ctx = Ctx.default) p ~vg
     ~vd =
-  (* The ladder's own counters need a resolved registry; the rung calls
-     below forward ?parallel/?obs/?ctx unresolved so Scf.solve applies
-     the exact same Ctx.resolve a direct caller would get. *)
-  let robs = (Ctx.resolve ?ctx ?parallel ?obs ()).Ctx.obs in
-  let c_retries = Obs.Counter.make ~obs:robs "robust.scf.retries" in
-  let c_escalations = Obs.Counter.make ~obs:robs "robust.scf.escalations" in
-  let c_recovered = Obs.Counter.make ~obs:robs "robust.scf.recovered" in
-  let c_unrecovered = Obs.Counter.make ~obs:robs "robust.scf.unrecovered" in
+  let obs = ctx.Ctx.obs in
+  let c_retries = Obs.Counter.make ~obs "robust.scf.retries" in
+  let c_escalations = Obs.Counter.make ~obs "robust.scf.escalations" in
+  let c_recovered = Obs.Counter.make ~obs "robust.scf.recovered" in
+  let c_unrecovered = Obs.Counter.make ~obs "robust.scf.unrecovered" in
   let budget = 3 * Option.value max_iter ~default:default_max_iter in
   (* Rung 1 must be the exact call a direct Scf.solve user would make:
-     optional arguments pass through unresolved so Scf's own defaults
+     optional arguments pass through as given so Scf's own defaults
      apply and a converging point is bit-for-bit unchanged by the
      wrapper. *)
   let rungs =
     [
       ( Anderson,
         fun ~warm ->
-          Scf.solve ?tol ?max_iter ?init:warm ?parallel ?obs ?ctx p ~vg ~vd );
+          Scf.solve ?tol ?max_iter ?init:warm ~ctx p ~vg ~vd );
       ( Damped_restart,
         fun ~warm ->
           Scf.solve ?tol ?max_iter ?init:warm
-            ~mixing:(`Anderson_damped 0.2) ?parallel ?obs ?ctx p ~vg ~vd );
+            ~mixing:(`Anderson_damped 0.2) ~ctx p ~vg ~vd );
       ( Linear_slow,
         fun ~warm ->
           Scf.solve ?tol ~max_iter:budget ?init:warm ~mixing:(`Linear 0.1)
-            ?parallel ?obs ?ctx p ~vg ~vd );
+            ~ctx p ~vg ~vd );
     ]
     @
     match neighbor with
@@ -54,7 +51,7 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?parallel ?obs ?ctx p ~vg
         ( Neighbor_continuation,
           fun ~warm:_ ->
             Scf.solve ?tol ~max_iter:budget ~init:nb ~mixing:(`Linear 0.1)
-              ?parallel ?obs ?ctx p ~vg ~vd );
+              ~ctx p ~vg ~vd );
       ]
   in
   let best = ref None in

@@ -51,19 +51,18 @@ val solve_robust :
   ?max_iter:int ->
   ?init:float array ->
   ?neighbor:float array ->
-  ?parallel:bool ->
-  ?obs:Obs.t ->
   ?ctx:Ctx.t ->
   Params.t ->
   vg:float ->
   vd:float ->
   outcome
-(** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter]/[parallel]/
-    [obs]/[ctx] default exactly as in {!Scf.solve} (the first rung {e is}
-    that call — the optional knobs are forwarded unresolved, so
-    [Ctx.resolve] precedence applies once, inside [Scf.solve]).  Raised failures ([Fault.Injected], [Sparse.No_convergence],
-    solver [Failure]) are recorded per attempt and trigger the next
-    rung; [Invalid_argument] (caller bugs) propagates. *)
+(** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter]/[ctx] default
+    exactly as in {!Scf.solve} (the first rung {e is} that call, with
+    the optional knobs forwarded as given); [ctx.obs] also receives the
+    ladder counters.  Raised failures ([Fault.Injected],
+    [Sparse.No_convergence], solver [Failure]) are recorded per attempt
+    and trigger the next rung; [Invalid_argument] (caller bugs)
+    propagates. *)
 
 val error_of_outcome : outcome -> Robust_error.t option
 (** [None] when the outcome converged; otherwise the typed failure for

@@ -14,15 +14,8 @@ let clear_memory () =
    [failed_points]); the on-disk byte layout is versioned separately by
    the gnrtbl header (Tbl_format.version), so a gnrtbl layout bump
    retires files via Bad_version instead of a key change. *)
-let full_key ?grid p =
-  let g = match grid with Some g -> g | None -> Iv_table.default_grid in
-  "v2|" ^ Params.cache_key p ^ "|"
-  ^ Printf.sprintf "vg%g:%g:%d-vd%g:%d" g.Iv_table.vg_min g.vg_max g.n_vg
-      g.vd_max g.n_vd
-
-let key ?grid ?ctx p =
-  let c = Ctx.resolve ?ctx ?grid () in
-  full_key ?grid:c.Ctx.grid p
+let key ?(grid = Iv_table.default_grid) p =
+  "v2|" ^ Params.cache_key p ^ "|" ^ Iv_table.grid_key grid
 
 (* Tables are stored as [<digest>.gnrtbl] (Tbl_format, docs/FORMAT.md). *)
 let gnrtbl_path key =
@@ -87,9 +80,8 @@ let probe_key ?obs key =
     | exception (Unix.Unix_error _ | Sys_error _) ->
       Absent (* raced deletion or unreadable: a plain miss, not corrupt *)
 
-let probe_disk ?grid ?obs ?ctx p =
-  let c = Ctx.resolve ?ctx ?obs ?grid () in
-  probe_key ~obs:c.Ctx.obs (full_key ?grid:c.Ctx.grid p)
+let probe_disk ?grid ?(ctx = Ctx.default) p =
+  probe_key ~obs:ctx.Ctx.obs (key ?grid p)
 
 (* Writes are atomic (tmp + rename) and best-effort — a cache store
    failure must never kill the computation that produced the table — but
@@ -136,10 +128,9 @@ let store_file ?obs key table =
    mapped gnrtbl path, so [table_cache.mmap_hits] always equals
    [table_cache.disk_hits]; it is kept because daemon [stats] readers
    consume it. *)
-let lookup ?grid ?obs ?ctx p =
-  let c = Ctx.resolve ?ctx ?obs ?grid () in
-  let obs = c.Ctx.obs in
-  let key = full_key ?grid:c.Ctx.grid p in
+let lookup ?grid ?(ctx = Ctx.default) p =
+  let obs = ctx.Ctx.obs in
+  let key = key ?grid p in
   match Mutex.protect memory_mutex (fun () -> Hashtbl.find_opt memory key) with
   | Some t ->
     Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.memory_hits");
@@ -156,23 +147,21 @@ let lookup ?grid ?obs ?ctx p =
       None
   end
 
-let get ?grid ?obs ?ctx p =
-  let c = Ctx.resolve ?ctx ?obs ?grid () in
-  let obs = c.Ctx.obs in
-  let key = full_key ?grid:c.Ctx.grid p in
-  match lookup ~ctx:c p with
+let get ?grid ?(ctx = Ctx.default) p =
+  let obs = ctx.Ctx.obs in
+  let key = key ?grid p in
+  match lookup ?grid ~ctx p with
   | Some t -> t
   | None ->
     Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.generates");
-    let t = Iv_table.generate ~ctx:c p in
+    let t = Iv_table.generate ?grid ~ctx p in
     Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
     store_file ~obs key t;
     t
 
-let get_many ?grid ?obs ?ctx ps =
-  let c = Ctx.resolve ?ctx ?obs ?grid () in
-  let obs = c.Ctx.obs in
-  let missing = List.filter (fun p -> Option.is_none (lookup ~ctx:c p)) ps in
+let get_many ?grid ?(ctx = Ctx.default) ps =
+  let obs = ctx.Ctx.obs in
+  let missing = List.filter (fun p -> Option.is_none (lookup ?grid ~ctx p)) ps in
   (* A batch may name the same device twice (duplicate Params in the
      request list): generate each unique key exactly once, counting the
      dropped duplicates in [table_cache.deduped].  Output order is
@@ -183,7 +172,7 @@ let get_many ?grid ?obs ?ctx ps =
     let c_deduped = Obs.Counter.make ~obs "table_cache.deduped" in
     List.filter
       (fun p ->
-        let k = full_key ?grid:c.Ctx.grid p in
+        let k = key ?grid p in
         if Hashtbl.mem seen k then begin
           Obs.Counter.incr c_deduped;
           false
@@ -198,9 +187,9 @@ let get_many ?grid ?obs ?ctx ps =
     (* Persist each table as soon as it is generated so an interrupted
        batch keeps its completed work. *)
     let generate_and_store ctx p =
-      let key = full_key ?grid:ctx.Ctx.grid p in
+      let key = key ?grid p in
       Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.generates");
-      let t = Iv_table.generate ~ctx p in
+      let t = Iv_table.generate ?grid ~ctx p in
       Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
       store_file ~obs key t;
       ()
@@ -211,12 +200,12 @@ let get_many ?grid ?obs ?ctx ps =
        oversubscribe the cores. *)
     if
       List.compare_length_with missing 1 > 0
-      && c.Ctx.parallel
+      && ctx.Ctx.parallel
       && Parallel.num_domains () > 1
     then
       ignore
-        (Parallel.map (generate_and_store (Ctx.sequential c))
+        (Parallel.map (generate_and_store (Ctx.sequential ctx))
            (Array.of_list missing))
-    else List.iter (generate_and_store c) missing
+    else List.iter (generate_and_store ctx) missing
   end;
-  List.map (fun p -> get ~ctx:c p) ps
+  List.map (fun p -> get ?grid ~ctx p) ps

@@ -13,11 +13,12 @@
 
 val cache_dir : unit -> string
 
-val key : ?grid:Iv_table.grid_spec -> ?ctx:Ctx.t -> Params.t -> string
-(** The full content key a [(p, grid)] request is cached under (device
-    cache key + key-format version + grid signature).  The serve
-    layer's LRU and single-flight maps key on this, so their identity
-    is exactly the cache's. *)
+val key : ?grid:Iv_table.grid_spec -> Params.t -> string
+(** The full content key a [(p, grid)] request is cached under
+    (key-format version + device cache key + {!Iv_table.grid_key};
+    [grid] defaults to {!Iv_table.default_grid}).  The serve layer's
+    LRU and single-flight maps key on this, so their identity is
+    exactly the cache's. *)
 
 val gnrtbl_path : string -> string
 (** On-disk path of the [gnrtbl] file for a full {!key} (exists or
@@ -33,8 +34,7 @@ type disk_outcome =
           reason counted — see {!lookup} *)
 
 val probe_disk :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> ?ctx:Ctx.t -> Params.t ->
-  disk_outcome
+  ?grid:Iv_table.grid_spec -> ?ctx:Ctx.t -> Params.t -> disk_outcome
 (** The disk half of {!lookup}, with the outcome made explicit:
     corruption surfaces as the typed checksum-precise reason the
     [gnrtbl] validator raised instead of being collapsed into [None].
@@ -44,13 +44,13 @@ val probe_disk :
     not touch the in-memory cache or the hit/miss counters. *)
 
 val lookup :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> ?ctx:Ctx.t -> Params.t ->
-  Iv_table.t option
+  ?grid:Iv_table.grid_spec -> ?ctx:Ctx.t -> Params.t -> Iv_table.t option
 (** Load from memory or disk; [None] when absent, stale or corrupt.
     Every call bumps exactly one of [table_cache.memory_hits],
-    [table_cache.disk_hits] or [table_cache.misses] in [?obs] (default
-    {!Obs.global}); every disk hit also bumps [table_cache.mmap_hits]
-    (all disk hits are mapped [gnrtbl] reads).  See docs/OBS.md.
+    [table_cache.disk_hits] or [table_cache.misses] in [ctx.obs]
+    ([ctx] defaults to {!Ctx.default}); every disk hit also bumps
+    [table_cache.mmap_hits] (all disk hits are mapped [gnrtbl] reads).
+    See docs/OBS.md.
 
     {b Corruption hardening} (docs/ROBUST.md): a [gnrtbl] file that
     fails validation is quarantined — renamed to [<name>.corrupt],
@@ -63,8 +63,7 @@ val lookup :
     never raises.  A file whose stored key does not match reads as a
     plain miss without quarantine. *)
 
-val get :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> ?ctx:Ctx.t -> Params.t -> Iv_table.t
+val get : ?grid:Iv_table.grid_spec -> ?ctx:Ctx.t -> Params.t -> Iv_table.t
 (** Load or generate (and persist). Thread through all experiment code.
     A generation bumps [table_cache.generates] on top of the {!lookup}
     miss.  Persisting writes [gnrtbl] atomically (tmp file + rename)
@@ -72,8 +71,7 @@ val get :
     counts in [table_cache.store_failures]. *)
 
 val get_many :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> ?ctx:Ctx.t -> Params.t list ->
-  Iv_table.t list
+  ?grid:Iv_table.grid_spec -> ?ctx:Ctx.t -> Params.t list -> Iv_table.t list
 (** Like {!get} for a batch.  Two or more missing tables are generated in
     parallel across devices with the per-device energy loop forced
     sequential; a single missing table is generated with the energy-level
@@ -90,9 +88,6 @@ val get_many :
     duplicates resolve to memory hits when the result list — whose order
     always matches the request list — is assembled.
 
-    All three entry points also accept [?ctx:Ctx.t] bundling the
-    [grid]/[obs]/[parallel] knobs; explicitly passed legacy labels win
-    over the corresponding [ctx] fields ({!Ctx.resolve}, docs/API.md).
     [ctx.parallel = false] forces the whole batch sequential (devices
     and energy loops). *)
 

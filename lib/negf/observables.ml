@@ -10,7 +10,7 @@ let energy_grid ~lo ~hi ~de =
    the grid out over the persistent domain pool in fixed contiguous
    chunks and combine per-chunk partials in chunk order, so the result
    is bit-for-bit identical for every GNRFET_DOMAINS setting including
-   the sequential [parallel:false] path (see docs/PERF.md).  Chunked
+   the sequential [ctx.parallel = false] path (see docs/PERF.md).  Chunked
    trapezoid partials re-evaluate one boundary sample per chunk — a few
    extra RGF sweeps per grid, negligible against the win. *)
 
@@ -20,9 +20,8 @@ let domains_of parallel = if parallel then None else Some 1
    observable call (never per energy point) and per-chunk counter adds,
    so the energy loop itself stays allocation-free; energies/sec is the
    counter divided by the timer (docs/OBS.md). *)
-let transmission_spectrum ?eta ?parallel ?obs ?ctx ~egrid chain_at =
-  let c = Ctx.resolve ?ctx ?parallel ?obs () in
-  let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
+let transmission_spectrum ?eta ?(ctx = Ctx.default) ~egrid chain_at =
+  let { Ctx.parallel; obs } = ctx in
   let tm = Obs.Timer.make ~obs "negf.transmission_spectrum" in
   let c_energies = Obs.Counter.make ~obs "rgf.transmission_energies" in
   let t0 = Obs.Timer.start tm in
@@ -42,9 +41,8 @@ let transmission_spectrum ?eta ?parallel ?obs ?ctx ~egrid chain_at =
   Obs.Timer.stop tm t0;
   out
 
-let current ?eta ?parallel ?obs ?ctx ~bias ~egrid chain_at =
-  let c = Ctx.resolve ?ctx ?parallel ?obs () in
-  let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
+let current ?eta ?(ctx = Ctx.default) ~bias ~egrid chain_at =
+  let { Ctx.parallel; obs } = ctx in
   let tm = Obs.Timer.make ~obs "negf.current" in
   let c_energies = Obs.Counter.make ~obs "rgf.transmission_energies" in
   let t0 = Obs.Timer.start tm in
@@ -84,9 +82,8 @@ type charge_scratch = {
   mutable s_cur : float array;
 }
 
-let site_charge ?eta ?parallel ?obs ?ctx ~bias ~egrid ~midgap chain_at =
-  let c = Ctx.resolve ?ctx ?parallel ?obs () in
-  let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
+let site_charge ?eta ?(ctx = Ctx.default) ~bias ~egrid ~midgap chain_at =
+  let { Ctx.parallel; obs } = ctx in
   let tm = Obs.Timer.make ~obs "negf.site_charge" in
   let c_energies = Obs.Counter.make ~obs "rgf.spectra_energies" in
   let t0 = Obs.Timer.start tm in

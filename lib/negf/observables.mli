@@ -6,10 +6,11 @@
     contiguous chunks.  {b Determinism:} the chunk grid and the
     chunk-order combine depend only on the energy grid, never on the
     worker count, so results are bit-for-bit identical for every
-    [GNRFET_DOMAINS] setting and [?parallel:false] reproduces the
-    parallel result exactly (see docs/PERF.md).  Pass [~parallel:false]
-    from code that is already running under an outer parallel fan-out
-    (device-level table generation) to avoid oversubscription.
+    [GNRFET_DOMAINS] setting and [ctx.parallel = false] reproduces the
+    parallel result exactly (see docs/PERF.md).  Pass a sequential
+    [?ctx] ({!Ctx.sequential}) from code that is already running under
+    an outer parallel fan-out (device-level table generation) to avoid
+    oversubscription.
 
     {b Observability.}  Each observable times itself as one wall-clock
     interval ([negf.site_charge], [negf.current],
@@ -17,15 +18,13 @@
     ([rgf.spectra_energies] for the charge integration,
     [rgf.transmission_energies] for the current/spectrum sweeps), so
     energies-per-second falls out of the snapshot.  Metrics land in
-    [?obs] (default {!Obs.global}); counters are bumped once per chunk,
-    never per energy point, and everything is a no-op while the registry
-    is disabled.  See docs/OBS.md.
+    [ctx.obs]; counters are bumped once per chunk, never per energy
+    point, and everything is a no-op while the registry is disabled.
+    See docs/OBS.md.
 
-    {b Contexts.}  All three observables also accept [?ctx:Ctx.t]
-    bundling the [parallel]/[obs] knobs; an explicitly passed legacy
-    label wins over the corresponding [ctx] field ({!Ctx.resolve}).
-    Prefer [?ctx] in new code — the legacy labels are kept only so
-    existing call sites stay source-compatible (docs/API.md). *)
+    {b Contexts.}  All three observables take [?ctx:Ctx.t] (default
+    {!Ctx.default}), which carries the [parallel] and [obs] knobs
+    (docs/API.md). *)
 
 type bias = {
   mu_s : float;  (** source electro-chemical potential, eV *)
@@ -39,8 +38,6 @@ val energy_grid : lo:float -> hi:float -> de:float -> float array
 
 val current :
   ?eta:float ->
-  ?parallel:bool ->
-  ?obs:Obs.t ->
   ?ctx:Ctx.t ->
   bias:bias ->
   egrid:float array ->
@@ -51,13 +48,11 @@ val current :
     The chain is requested per energy point so energy-dependent contact
     self-energies are handled exactly (wide-band contacts may ignore the
     argument).  Positive current flows source to drain when
-    [mu_s > mu_d].  [parallel] (default true) chunks the trapezoid
-    reduction over the energy grid. *)
+    [mu_s > mu_d].  [ctx.parallel] chunks the trapezoid reduction over
+    the energy grid across the domain pool. *)
 
 val site_charge :
   ?eta:float ->
-  ?parallel:bool ->
-  ?obs:Obs.t ->
   ?ctx:Ctx.t ->
   bias:bias ->
   egrid:float array ->
@@ -73,8 +68,6 @@ val site_charge :
 
 val transmission_spectrum :
   ?eta:float ->
-  ?parallel:bool ->
-  ?obs:Obs.t ->
   ?ctx:Ctx.t ->
   egrid:float array ->
   (float -> Rgf.chain) ->

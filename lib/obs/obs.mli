@@ -15,14 +15,14 @@
 
     {b Registries.}  [global] is the process-wide registry used by the
     static instrumentation in the numerics/NEGF/Poisson/circuit layers.
-    Code seams that PR 2 threaded [?parallel] through ({!Scf.solve} →
-    {!Iv_table.generate} → {!Table_cache.get_many}) also accept an
-    [?obs] registry (default [global]) so a caller can collect an
-    isolated snapshot.  The default enabled state of [global] comes from
-    the [GNRFET_OBS] environment variable: unset, ["0"], ["false"] or
-    ["off"] mean disabled (the test-suite default); anything else means
-    enabled.  bench/ and the CLI turn it on explicitly unless
-    [GNRFET_OBS=0].
+    The solver entry points ({!Scf.solve} → {!Iv_table.generate} →
+    {!Table_cache.get_many}) report to the [obs] field of their
+    [?ctx:Ctx.t] execution context (default [global]) so a caller can
+    collect an isolated snapshot.  The default enabled state of
+    [global] comes from the [GNRFET_OBS] environment variable: unset,
+    ["0"], ["false"] or ["off"] mean disabled (the test-suite default);
+    anything else means enabled.  bench/ and the CLI turn it on
+    explicitly unless [GNRFET_OBS=0].
 
     {b Determinism.}  Counter and histogram contents are deterministic
     functions of the work performed; timer values are wall-clock and

@@ -171,7 +171,7 @@ let generate_via_queue t ~ctx ~grid p =
 
 let table_for t ~grid p =
   let ctx = t.config.ctx in
-  let key = Table_cache.key ?grid ~ctx p in
+  let key = Table_cache.key ?grid p in
   let cached =
     Mutex.protect t.lru_mu (fun () -> Lru.find t.lru key)
   in

@@ -23,7 +23,8 @@ type config = {
       (** hint attached to busy rejections (default 250) *)
   ctx : Ctx.t;
       (** execution context for generations; [ctx.obs] also receives the
-          server's own [serve.*] metrics *)
+          server's own [serve.*] metrics.  The bias grid is not part of
+          it: each request names its own (docs/SERVE.md). *)
 }
 
 val default_config : config

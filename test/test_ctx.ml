@@ -1,152 +1,17 @@
-(* PR 5 Ctx satellite: the bundled execution context must be an exact
-   re-expression of the legacy ?parallel/?obs/?grid labels — same
-   resolution precedence, and bit-for-bit identical solver output
-   through every reworked entry point (docs/API.md). *)
-
-open Support
-
-let tiny = tiny_device ()
-
-let with_env key value f =
-  let old = Sys.getenv_opt key in
-  Unix.putenv key value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
-    f
-
-(* --- resolution precedence ------------------------------------------- *)
-
-let grid_a =
-  { Ctx.vg_min = -0.1; vg_max = 0.8; n_vg = 10; vd_max = 0.6; n_vd = 5 }
-
-let grid_b =
-  { Ctx.vg_min = 0.; vg_max = 0.5; n_vg = 4; vd_max = 0.4; n_vd = 3 }
-
-let test_resolve_precedence () =
-  let obs_a = Obs.create () and obs_b = Obs.create () in
-  (* No knobs at all: the process default. *)
-  let c = Ctx.resolve () in
-  Alcotest.(check bool) "default parallel" Ctx.default.Ctx.parallel c.Ctx.parallel;
-  Alcotest.(check bool) "default obs is global" true (c.Ctx.obs == Obs.global);
-  Alcotest.(check bool) "default grid is None" true (c.Ctx.grid = None);
-  (* Ctx fields win over the default. *)
-  let base = Ctx.make ~parallel:false ~obs:obs_a ~grid:grid_a () in
-  let c = Ctx.resolve ~ctx:base () in
-  Alcotest.(check bool) "ctx parallel" false c.Ctx.parallel;
-  Alcotest.(check bool) "ctx obs" true (c.Ctx.obs == obs_a);
-  Alcotest.(check bool) "ctx grid" true (c.Ctx.grid = Some grid_a);
-  (* Explicit legacy labels win over the ctx fields. *)
-  let c = Ctx.resolve ~ctx:base ~parallel:true ~obs:obs_b ~grid:grid_b () in
-  Alcotest.(check bool) "label parallel wins" true c.Ctx.parallel;
-  Alcotest.(check bool) "label obs wins" true (c.Ctx.obs == obs_b);
-  Alcotest.(check bool) "label grid wins" true (c.Ctx.grid = Some grid_b);
-  (* Partial labels leave the other ctx fields intact. *)
-  let c = Ctx.resolve ~ctx:base ~parallel:true () in
-  Alcotest.(check bool) "untouched obs stays ctx's" true (c.Ctx.obs == obs_a);
-  Alcotest.(check bool) "untouched grid stays ctx's" true (c.Ctx.grid = Some grid_a)
+(* The execution context: [make] overrides fields of [default] and
+   [sequential] flips only [parallel] (docs/API.md). *)
 
 let test_ctx_builders () =
-  let c = Ctx.make ~parallel:true ~grid:grid_a () in
+  let d = Ctx.make () in
+  Alcotest.(check bool) "make () keeps default parallel" Ctx.default.Ctx.parallel
+    d.Ctx.parallel;
+  Alcotest.(check bool) "make () keeps global obs" true (d.Ctx.obs == Obs.global);
+  let o = Obs.create () in
+  let c = Ctx.make ~parallel:true ~obs:o () in
+  Alcotest.(check bool) "make parallel" true c.Ctx.parallel;
+  Alcotest.(check bool) "make obs" true (c.Ctx.obs == o);
   let s = Ctx.sequential c in
   Alcotest.(check bool) "sequential flips parallel" false s.Ctx.parallel;
-  Alcotest.(check bool) "sequential keeps grid" true (s.Ctx.grid = Some grid_a);
-  let o = Obs.create () in
-  Alcotest.(check bool) "with_obs" true ((Ctx.with_obs c o).Ctx.obs == o);
-  Alcotest.(check bool) "with_grid" true
-    ((Ctx.with_grid c grid_b).Ctx.grid = Some grid_b)
+  Alcotest.(check bool) "sequential keeps obs" true (s.Ctx.obs == o)
 
-(* --- bit-identity through the reworked entry points ------------------ *)
-
-let check_same_solution label (a : Scf.solution) (b : Scf.solution) =
-  Alcotest.(check int) (label ^ ": iterations") a.Scf.iterations b.Scf.iterations;
-  Alcotest.(check bool) (label ^ ": current bit-for-bit") true
-    (a.Scf.current = b.Scf.current);
-  Alcotest.(check bool) (label ^ ": charge bit-for-bit") true
-    (a.Scf.charge = b.Scf.charge);
-  Array.iteri
-    (fun i u ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: potential site %d" label i)
-        true
-        (u = a.Scf.potential.(i)))
-    b.Scf.potential
-
-let test_scf_ctx_equals_legacy () =
-  skip_if_fault_armed [ "scf.charge"; "scf.poisson" ];
-  let legacy = Scf.solve ~parallel:true tiny ~vg:0.4 ~vd:0.3 in
-  check_same_solution "ctx parallel"
-    legacy
-    (Scf.solve ~ctx:(Ctx.make ~parallel:true ()) tiny ~vg:0.4 ~vd:0.3);
-  check_same_solution "bare ctx (defaults)" legacy
-    (Scf.solve ~ctx:Ctx.default tiny ~vg:0.4 ~vd:0.3);
-  check_same_solution "no knobs at all" legacy (Scf.solve tiny ~vg:0.4 ~vd:0.3);
-  let seq = Scf.solve ~parallel:false tiny ~vg:0.4 ~vd:0.3 in
-  check_same_solution "ctx sequential" seq
-    (Scf.solve ~ctx:(Ctx.sequential Ctx.default) tiny ~vg:0.4 ~vd:0.3);
-  (* Label beats ctx: a sequential ctx overridden back to parallel. *)
-  check_same_solution "label overrides ctx" legacy
-    (Scf.solve ~parallel:true ~ctx:(Ctx.sequential Ctx.default) tiny ~vg:0.4
-       ~vd:0.3);
-  with_env "GNRFET_DOMAINS" "5" (fun () ->
-      check_same_solution "GNRFET_DOMAINS=5" legacy
-        (Scf.solve ~ctx:(Ctx.make ~parallel:true ()) tiny ~vg:0.4 ~vd:0.3))
-
-let flat_chain ?(n = 30) ?(t1 = 1.6) ?(t2 = 1.3) ?(onsite = 0.) () =
-  let chain_onsite = Array.make n onsite in
-  let hopping = Array.init (n - 1) (fun i -> if i mod 2 = 0 then t1 else t2) in
-  let sigma e =
-    let gs = Self_energy.dimer_surface ~t1 ~t2 ~onsite e in
-    Complex.mul { Complex.re = t2 *. t2; im = 0. } gs
-  in
-  fun e ->
-    { Rgf.onsite = chain_onsite; hopping; sigma_l = sigma e; sigma_r = sigma e }
-
-let test_observables_ctx_equals_legacy () =
-  let chain = flat_chain ~n:20 () in
-  let egrid = Observables.energy_grid ~lo:(-0.7) ~hi:0.4 ~de:0.002 in
-  let bias = { Observables.mu_s = 0.; mu_d = -0.3; kt = 0.0259 } in
-  let legacy = Observables.current ~parallel:true ~bias ~egrid chain in
-  let via_ctx =
-    Observables.current ~ctx:(Ctx.make ~parallel:true ()) ~bias ~egrid chain
-  in
-  Alcotest.(check bool) "current bit-for-bit" true (legacy = via_ctx);
-  with_env "GNRFET_DOMAINS" "5" (fun () ->
-      let d5 = Observables.current ~ctx:Ctx.default ~bias ~egrid chain in
-      Alcotest.(check bool) "GNRFET_DOMAINS=5 bit-for-bit" true (legacy = d5));
-  let t_legacy = Observables.transmission_spectrum ~parallel:false ~egrid chain in
-  let t_ctx =
-    Observables.transmission_spectrum
-      ~ctx:(Ctx.sequential Ctx.default)
-      ~egrid chain
-  in
-  Alcotest.(check bool) "transmission bit-for-bit" true (t_legacy = t_ctx)
-
-(* --- obs and grid routed through ctx --------------------------------- *)
-
-let test_generate_reads_ctx_grid_and_obs () =
-  skip_if_fault_armed [ "scf.charge"; "scf.poisson" ];
-  let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs ~grid:grid_b () in
-  let t = Iv_table.generate ~ctx tiny in
-  Alcotest.(check int) "grid from ctx: n_vg" grid_b.Ctx.n_vg
-    (Array.length t.Iv_table.vg);
-  Alcotest.(check int) "grid from ctx: n_vd" grid_b.Ctx.n_vd
-    (Array.length t.Iv_table.vd);
-  Alcotest.(check int) "generation counted in ctx obs" 1
-    (Obs.counter_value ~obs "iv_table.generates");
-  (* Explicit ~grid label wins over the ctx grid. *)
-  let t2 = Iv_table.generate ~ctx ~grid:grid_a tiny in
-  Alcotest.(check int) "label grid wins: n_vg" grid_a.Ctx.n_vg
-    (Array.length t2.Iv_table.vg)
-
-let suite =
-  [
-    Alcotest.test_case "resolve precedence" `Quick test_resolve_precedence;
-    Alcotest.test_case "builders" `Quick test_ctx_builders;
-    Alcotest.test_case "Scf.solve: ctx == legacy (bit-for-bit)" `Quick
-      test_scf_ctx_equals_legacy;
-    Alcotest.test_case "Observables: ctx == legacy (bit-for-bit)" `Quick
-      test_observables_ctx_equals_legacy;
-    Alcotest.test_case "Iv_table.generate reads ctx grid/obs" `Quick
-      test_generate_reads_ctx_grid_and_obs;
-  ]
+let suite = [ Alcotest.test_case "builders" `Quick test_ctx_builders ]

@@ -5,10 +5,11 @@
    convergence trace (Scf.solution.trace) is checked three ways:
 
    - run-to-run: two solves in one process produce bit-identical traces;
-   - sequential vs parallel: the trace, converged potential, current and
-     iteration count are bit-for-bit identical with the energy loop
-     sequential, on the default pool, and with GNRFET_DOMAINS=5 (the
-     PR 2 determinism contract, now observable per iteration);
+   - sequential vs parallel: the trace, converged potential, current,
+     total charge and iteration count are bit-for-bit identical with the
+     energy loop sequential, on the default pool, and with
+     GNRFET_DOMAINS=5 (the determinism contract, observable per
+     iteration);
    - against the golden files in test/golden/: iteration counts, step
      structure, mixing factors and Poisson-solve counts exactly; update
      norms to 1e-6 relative (libm differences across platforms move the
@@ -79,6 +80,8 @@ let check_solution_equal label (a : Scf.solution) (b : Scf.solution) =
   Alcotest.(check int) (label ^ ": iterations") a.Scf.iterations b.Scf.iterations;
   Alcotest.(check bool) (label ^ ": current bit-for-bit") true
     (Float.equal a.Scf.current b.Scf.current);
+  Alcotest.(check bool) (label ^ ": total charge bit-for-bit") true
+    (Float.equal a.Scf.charge b.Scf.charge);
   Array.iteri
     (fun i u ->
       Alcotest.(check bool)
@@ -137,8 +140,8 @@ let test_run_to_run () =
   skip_under_scf_faults ();
   List.iter
     (fun (name, p, _) ->
-      let a = Scf.solve ~parallel:false p ~vg ~vd in
-      let b = Scf.solve ~parallel:false p ~vg ~vd in
+      let a = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
+      let b = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
       check_solution_equal (name ^ " run-to-run") a b;
       check_trace_shape name a;
       check_monotone_tail name a)
@@ -148,13 +151,13 @@ let test_sequential_vs_parallel () =
   skip_under_scf_faults ();
   List.iter
     (fun (name, p, _) ->
-      let seq = Scf.solve ~parallel:false p ~vg ~vd in
+      let seq = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
       check_solution_equal (name ^ " seq-vs-par")
         seq
-        (Scf.solve ~parallel:true p ~vg ~vd);
+        (Scf.solve ~ctx:(Ctx.make ~parallel:true ()) p ~vg ~vd);
       with_env "GNRFET_DOMAINS" "5" (fun () ->
           check_solution_equal (name ^ " seq-vs-par domains=5") seq
-            (Scf.solve ~parallel:true p ~vg ~vd)))
+            (Scf.solve ~ctx:(Ctx.make ~parallel:true ()) p ~vg ~vd)))
     golden_cases
 
 let test_against_golden_files () =
@@ -162,7 +165,7 @@ let test_against_golden_files () =
   List.iter
     (fun (name, p, path) ->
       let g = parse_golden path in
-      let s = Scf.solve ~parallel:false p ~vg ~vd in
+      let s = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
       Alcotest.(check int) (name ^ ": golden iteration count") g.g_iterations
         s.Scf.iterations;
       Alcotest.(check int)

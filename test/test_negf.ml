@@ -234,32 +234,32 @@ let exact_array name a b =
 (* The determinism contract: the parallel energy loop must reproduce the
    sequential path exactly (not approximately), for any worker count. *)
 
+let seq = Ctx.make ~parallel:false ()
+
+let par = Ctx.make ~parallel:true ()
+
 let test_site_charge_parallel_exact () =
   let chain = flat_chain ~n:20 () in
   let egrid = Observables.energy_grid ~lo:(-3.4) ~hi:3.4 ~de:0.01 in
   let midgap = (chain 0.).Rgf.onsite in
-  let q_seq =
-    Observables.site_charge ~parallel:false ~bias ~egrid ~midgap chain
-  in
-  let q_par = Observables.site_charge ~parallel:true ~bias ~egrid ~midgap chain in
+  let q_seq = Observables.site_charge ~ctx:seq ~bias ~egrid ~midgap chain in
+  let q_par = Observables.site_charge ~ctx:par ~bias ~egrid ~midgap chain in
   exact_array "site_charge parallel vs sequential" q_seq q_par;
   List.iter
     (fun d ->
       with_env "GNRFET_DOMAINS" (string_of_int d) (fun () ->
-          let q =
-            Observables.site_charge ~parallel:true ~bias ~egrid ~midgap chain
-          in
+          let q = Observables.site_charge ~ctx:par ~bias ~egrid ~midgap chain in
           exact_array (Printf.sprintf "site_charge GNRFET_DOMAINS=%d" d) q_seq q))
     [ 1; 3; 7 ]
 
 let test_current_parallel_exact () =
   let chain = flat_chain ~n:20 () in
   let egrid = Observables.energy_grid ~lo:(-0.7) ~hi:0.4 ~de:0.004 in
-  let i_seq = Observables.current ~parallel:false ~bias ~egrid chain in
+  let i_seq = Observables.current ~ctx:seq ~bias ~egrid chain in
   List.iter
     (fun d ->
       with_env "GNRFET_DOMAINS" (string_of_int d) (fun () ->
-          let i = Observables.current ~parallel:true ~bias ~egrid chain in
+          let i = Observables.current ~ctx:par ~bias ~egrid chain in
           Alcotest.(check bool)
             (Printf.sprintf "current bit-for-bit under %d domains" d)
             true (i = i_seq)))
@@ -268,9 +268,9 @@ let test_current_parallel_exact () =
 let test_transmission_spectrum_parallel_exact () =
   let chain = flat_chain ~n:16 () in
   let egrid = Observables.energy_grid ~lo:(-2.) ~hi:2. ~de:0.01 in
-  let t_seq = Observables.transmission_spectrum ~parallel:false ~egrid chain in
+  let t_seq = Observables.transmission_spectrum ~ctx:seq ~egrid chain in
   with_env "GNRFET_DOMAINS" "5" (fun () ->
-      let t_par = Observables.transmission_spectrum ~parallel:true ~egrid chain in
+      let t_par = Observables.transmission_spectrum ~ctx:par ~egrid chain in
       exact_array "transmission_spectrum parallel vs sequential" t_seq t_par)
 
 let test_spectra_into_matches_spectra () =

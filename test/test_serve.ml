@@ -239,21 +239,23 @@ let test_response_roundtrip () =
 
 let make_server ?(lru = 32) ?(queue = 8) ?(workers = 2) () =
   let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs ~grid:micro_grid () in
   let config =
     {
       Serve.default_config with
       Serve.lru_capacity = lru;
       queue_capacity = queue;
       workers;
-      ctx;
+      ctx = Ctx.make ~obs ();
     }
   in
   (Serve.create ~config (), obs)
 
 let table_line ?(id = 1) ?(params = tiny) () =
   Serve_protocol.request_to_line
-    { Serve_protocol.id = Some id; op = Serve_protocol.Table { params; grid = None } }
+    {
+      Serve_protocol.id = Some id;
+      op = Serve_protocol.Table { params; grid = Some micro_grid };
+    }
 
 let expect_ok line =
   match Serve_protocol.parse_response line with
@@ -293,9 +295,15 @@ let test_serve_single_flight_acceptance () =
       ignore (expect_ok r))
     responses;
   (match first with
-  | Sjson.Obj fields ->
+  | Sjson.Obj fields -> (
     Alcotest.(check bool) "result carries the table key" true
-      (List.mem_assoc "key" fields)
+      (List.mem_assoc "key" fields);
+    (* The daemon has no grid of its own: the request's grid is used. *)
+    match Option.bind (List.assoc_opt "vg" fields) Sjson.to_list with
+    | Some vg ->
+      Alcotest.(check int) "vg follows the request grid" micro_grid.Iv_table.n_vg
+        (List.length vg)
+    | None -> Alcotest.fail "table result has no vg array")
   | _ -> Alcotest.fail "table result is not an object");
   (* The acceptance criterion: one generation, everyone else coalesced. *)
   Alcotest.(check int) "table_cache.generates" 1

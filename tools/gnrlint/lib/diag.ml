@@ -104,16 +104,6 @@ let rules =
          documentation) is explicit.";
     };
     {
-      id = "ctx-labels";
-      version = 1;
-      severity = Warning;
-      summary = "?parallel/?obs label pair without a ?ctx bundle";
-      help =
-        "Entry points taking both ?parallel and ?obs must also take ?ctx \
-         and resolve with Ctx.resolve so callers can pass one \
-         execution-context bundle (docs/API.md).";
-    };
-    {
       id = "domain-race";
       version = 1;
       severity = Error;

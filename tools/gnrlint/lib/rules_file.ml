@@ -191,41 +191,6 @@ let check_case_assert_false ctx c =
        type, or raise a named exception with context)"
   | _ -> ()
 
-(* PR 5 made Ctx.t the canonical way to thread execution knobs: any
-   entry point taking both ?parallel and ?obs must also take ?ctx so
-   callers can pass one bundle instead of re-threading every label
-   (docs/API.md). *)
-
-let ctx_label_set = [ "parallel"; "obs" ]
-
-let check_ctx_label_names ctx loc labels =
-  let has l = List.mem l labels in
-  if List.for_all has ctx_label_set && not (has "ctx") then
-    ctx.report loc "ctx-labels"
-      "takes both ?parallel and ?obs but no ?ctx; accept ?ctx:Ctx.t and resolve \
-       with Ctx.resolve so callers can pass one execution-context bundle \
-       (docs/API.md)"
-
-let check_ctx_labels_binding ctx vb =
-  let rec labels acc e =
-    match e.pexp_desc with
-    | Pexp_fun (Optional l, _, _, body) -> labels (l :: acc) body
-    | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> labels acc body
-    | _ -> acc
-  in
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var _ -> check_ctx_label_names ctx vb.pvb_pat.ppat_loc (labels [] vb.pvb_expr)
-  | _ -> ()
-
-let check_ctx_labels_value_description ctx vd =
-  let rec labels acc t =
-    match t.ptyp_desc with
-    | Ptyp_arrow (Optional l, _, rest) -> labels (l :: acc) rest
-    | Ptyp_arrow (_, _, rest) -> labels acc rest
-    | _ -> acc
-  in
-  check_ctx_label_names ctx vd.pval_loc (labels [] vd.pval_type)
-
 let make_iterator ctx =
   let expr self e =
     check_float_eq ctx e;
@@ -264,15 +229,7 @@ let make_iterator ctx =
     check_case_assert_false ctx c;
     default_iterator.case self c
   in
-  let value_binding self vb =
-    check_ctx_labels_binding ctx vb;
-    default_iterator.value_binding self vb
-  in
-  let value_description self vd =
-    check_ctx_labels_value_description ctx vd;
-    default_iterator.value_description self vd
-  in
-  { default_iterator with expr; case; value_binding; value_description }
+  { default_iterator with expr; case }
 
 let lint ~report (file : Src.file) =
   let ctx = { file = file.Src.path; report; guard_depth = 0; loop_depth = 0 } in
