@@ -165,11 +165,15 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
   let zero_charge = poisson_of (Array.make n 0.) in
   let response =
     let probe = 1e-21 in
-    Array.init n (fun i ->
-        let sc = Array.make n 0. in
-        sc.(i) <- probe;
-        let u = poisson_of sc in
-        Float.abs (u.(i) -. zero_charge.(i)) /. probe)
+    (* One Poisson solve per site, answered by a single [Stack2d.probe]
+       call; each still counts (and can fault) as one solve. *)
+    for _ = 1 to n do
+      Fault.fail fault_poisson;
+      incr poisson_calls;
+      Obs.Counter.incr c_poisson
+    done;
+    let u = Stack2d.probe stack ~bc ~sheet_charge:(probe /. (dx *. w_eff)) in
+    Array.init n (fun i -> Float.abs (u.(i) -. zero_charge.(i)) /. probe)
   in
   let precondition u q u_implied =
     Array.init n (fun i ->

@@ -24,13 +24,12 @@ let inv_re zr zi = let d = (zr *. zr) +. (zi *. zi) in zr /. d
 
 let inv_im zr zi = let d = (zr *. zr) +. (zi *. zi) in -.zi /. d
 
-(* Preallocated per-worker scratch: [spectra] allocates ten length-n
+(* Preallocated per-worker scratch: [spectra] allocates six length-n
    arrays per energy point, which dominates the allocation rate of an
    SCF sweep (thousands of energies per charge evaluation).  A workspace
-   holds the Green's-function sweeps, the first/last-column propagations
-   and the output diagonals, grown geometrically on demand; the arrays
-   may be longer than the current chain, so every kernel below indexes
-   strictly through [0, n).
+   holds the Green's-function sweeps and the output diagonals, grown
+   geometrically on demand; the arrays may be longer than the current
+   chain, so every kernel below indexes strictly through [0, n).
 
    The workspace also caches the last chain vetted by [check] (physical
    equality): per-energy calls on the same chain — the common case, an
@@ -42,10 +41,6 @@ type workspace = {
   mutable gli : float array;
   mutable grr : float array;
   mutable gri : float array;
-  mutable c0r : float array;
-  mutable c0i : float array;
-  mutable cnr : float array;
-  mutable cni : float array;
   mutable wa1 : float array;
   mutable wa2 : float array;
   mutable validated : chain option;
@@ -58,10 +53,6 @@ let workspace ?(hint = 0) () =
     gli = mk ();
     grr = mk ();
     gri = mk ();
-    c0r = mk ();
-    c0i = mk ();
-    cnr = mk ();
-    cni = mk ();
     wa1 = mk ();
     wa2 = mk ();
     validated = None;
@@ -78,10 +69,6 @@ let ensure_capacity ws n =
     ws.gli <- Array.make cap 0.;
     ws.grr <- Array.make cap 0.;
     ws.gri <- Array.make cap 0.;
-    ws.c0r <- Array.make cap 0.;
-    ws.c0i <- Array.make cap 0.;
-    ws.cnr <- Array.make cap 0.;
-    ws.cni <- Array.make cap 0.;
     ws.wa1 <- Array.make cap 0.;
     ws.wa2 <- Array.make cap 0.
   end
@@ -96,80 +83,88 @@ let check_cached ws chain =
     n
 
 (* Core spectra kernel writing into caller-provided scratch (each array
-   at least length [n]); returns the coherent transmission. *)
-let spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~c0r ~c0i ~cnr ~cni ~a1 ~a2 chain e =
+   at least length [n]); returns the coherent transmission.
+
+   The left-connected sweep (gL_i, site 0 upward) and the right-connected
+   sweep (gR_i, site n-1 downward) are independent chains of one complex
+   inversion per site, so one loop runs both: step [s] advances gL at
+   site [s] and gR at site [n-1-s], and the two division chains overlap
+   in the pipeline.  The column propagations pair up the same way, with
+   the spectral diagonals folded in.  Every element goes through the
+   same floating-point operations, in the same order, as in two separate
+   loops. *)
+let spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~a1 ~a2 chain e =
   let u = chain.onsite and h = chain.hopping in
   let slr = chain.sigma_l.Complex.re and sli = chain.sigma_l.Complex.im in
   let srr = chain.sigma_r.Complex.re and sri = chain.sigma_r.Complex.im in
-  (* Left-connected Green's functions gL_i. *)
-  let zr0 = e -. u.(0) -. slr and zi0 = eta -. sli in
-  glr.(0) <- inv_re zr0 zi0;
-  gli.(0) <- inv_im zr0 zi0;
-  for i = 1 to n - 1 do
-    let t2 = h.(i - 1) *. h.(i - 1) in
-    let zr = e -. u.(i) -. (t2 *. glr.(i - 1)) in
-    let zi = eta -. (t2 *. gli.(i - 1)) in
-    let zr = if i = n - 1 then zr -. srr else zr in
-    let zi = if i = n - 1 then zi -. sri else zi in
-    glr.(i) <- inv_re zr zi;
-    gli.(i) <- inv_im zr zi
+  let last = n - 1 in
+  (* Ends: gL_0 carries sigma_l, gR_{n-1} carries sigma_r. *)
+  let zr = e -. u.(0) -. slr and zi = eta -. sli in
+  let d = (zr *. zr) +. (zi *. zi) in
+  glr.(0) <- zr /. d;
+  gli.(0) <- -.zi /. d;
+  let zr = e -. u.(last) -. srr and zi = eta -. sri in
+  let d = (zr *. zr) +. (zi *. zi) in
+  grr.(last) <- zr /. d;
+  gri.(last) <- -.zi /. d;
+  (* Step [s] of both sweeps; the far contact's self-energy enters at the
+     last step (gL_{n-1} gets sigma_r, gR_0 gets sigma_l). *)
+  for s = 1 to last do
+    let i = s and j = last - s in
+    let tl = h.(i - 1) *. h.(i - 1) and tr = h.(j) *. h.(j) in
+    let zlr = e -. u.(i) -. (tl *. glr.(i - 1)) in
+    let zli = eta -. (tl *. gli.(i - 1)) in
+    let zrr = e -. u.(j) -. (tr *. grr.(j + 1)) in
+    let zri = eta -. (tr *. gri.(j + 1)) in
+    let zlr = if s = last then zlr -. srr else zlr in
+    let zli = if s = last then zli -. sri else zli in
+    let zrr = if s = last then zrr -. slr else zrr in
+    let zri = if s = last then zri -. sli else zri in
+    let dl = (zlr *. zlr) +. (zli *. zli) in
+    let dr = (zrr *. zrr) +. (zri *. zri) in
+    glr.(i) <- zlr /. dl;
+    gli.(i) <- -.zli /. dl;
+    grr.(j) <- zrr /. dr;
+    gri.(j) <- -.zri /. dr
   done;
-  (* Right-connected Green's functions gR_i. *)
-  let zrn = e -. u.(n - 1) -. srr and zin = eta -. sri in
-  grr.(n - 1) <- inv_re zrn zin;
-  gri.(n - 1) <- inv_im zrn zin;
-  for i = n - 2 downto 0 do
-    let t2 = h.(i) *. h.(i) in
-    let zr = e -. u.(i) -. (t2 *. grr.(i + 1)) in
-    let zi = eta -. (t2 *. gri.(i + 1)) in
-    let zr = if i = 0 then zr -. slr else zr in
-    let zi = if i = 0 then zi -. sli else zi in
-    grr.(i) <- inv_re zr zi;
-    gri.(i) <- inv_im zr zi
-  done;
-  (* First column of the full G: G_{i,0} = gR_i * h_{i-1} * G_{i-1,0},
-     G_{0,0} fully-connected (gR_0 already includes sigma_l). *)
-  c0r.(0) <- grr.(0);
-  c0i.(0) <- gri.(0);
-  for i = 1 to n - 1 do
-    let ar = grr.(i) *. h.(i - 1) and ai = gri.(i) *. h.(i - 1) in
-    c0r.(i) <- (ar *. c0r.(i - 1)) -. (ai *. c0i.(i - 1));
-    c0i.(i) <- (ar *. c0i.(i - 1)) +. (ai *. c0r.(i - 1))
-  done;
-  (* Last column: G_{i,n-1} = gL_i * h_i * G_{i+1,n-1}, with the fully
-     connected G_{n-1,n-1} = gL_{n-1} (left sweep already has sigma_r). *)
-  cnr.(n - 1) <- glr.(n - 1);
-  cni.(n - 1) <- gli.(n - 1);
-  for i = n - 2 downto 0 do
-    let ar = glr.(i) *. h.(i) and ai = gli.(i) *. h.(i) in
-    cnr.(i) <- (ar *. cnr.(i + 1)) -. (ai *. cni.(i + 1));
-    cni.(i) <- (ar *. cni.(i + 1)) +. (ai *. cnr.(i + 1))
-  done;
+  (* First column of the full G, G_{i,0} = gR_i h_{i-1} G_{i-1,0} from the
+     fully connected G_{0,0} = gR_0, and last column,
+     G_{j,n-1} = gL_j h_j G_{j+1,n-1} from G_{n-1,n-1} = gL_{n-1}; each
+     element feeds its spectral diagonal as soon as it is known. *)
   let gamma_l = gamma_of_sigma chain.sigma_l in
   let gamma_r = gamma_of_sigma chain.sigma_r in
-  for i = 0 to n - 1 do
-    a1.(i) <- gamma_l *. ((c0r.(i) *. c0r.(i)) +. (c0i.(i) *. c0i.(i)));
-    a2.(i) <- gamma_r *. ((cnr.(i) *. cnr.(i)) +. (cni.(i) *. cni.(i)))
+  let c0r = ref grr.(0) and c0i = ref gri.(0) in
+  let cnr = ref glr.(last) and cni = ref gli.(last) in
+  a1.(0) <- gamma_l *. ((!c0r *. !c0r) +. (!c0i *. !c0i));
+  a2.(last) <- gamma_r *. ((!cnr *. !cnr) +. (!cni *. !cni));
+  for s = 1 to last do
+    let i = s and j = last - s in
+    let ar = grr.(i) *. h.(i - 1) and ai = gri.(i) *. h.(i - 1) in
+    let br = glr.(j) *. h.(j) and bi = gli.(j) *. h.(j) in
+    let pr = (ar *. !c0r) -. (ai *. !c0i) and pi = (ar *. !c0i) +. (ai *. !c0r) in
+    let qr = (br *. !cnr) -. (bi *. !cni) and qi = (br *. !cni) +. (bi *. !cnr) in
+    c0r := pr;
+    c0i := pi;
+    cnr := qr;
+    cni := qi;
+    a1.(i) <- gamma_l *. ((pr *. pr) +. (pi *. pi));
+    a2.(j) <- gamma_r *. ((qr *. qr) +. (qi *. qi))
   done;
-  let g0n2 = (cnr.(0) *. cnr.(0)) +. (cni.(0) *. cni.(0)) in
+  (* After the last step the last-column element is G_{0,n-1}. *)
+  let g0n2 = (!cnr *. !cnr) +. (!cni *. !cni) in
   gamma_l *. gamma_r *. g0n2
 
 let spectra_into ?(eta = 1e-6) ws chain e =
   let n = check_cached ws chain in
   spectra_core ~eta ~n ~glr:ws.glr ~gli:ws.gli ~grr:ws.grr ~gri:ws.gri
-    ~c0r:ws.c0r ~c0i:ws.c0i ~cnr:ws.cnr ~cni:ws.cni ~a1:ws.wa1 ~a2:ws.wa2
-    chain e
+    ~a1:ws.wa1 ~a2:ws.wa2 chain e
 
 let spectra ?(eta = 1e-6) chain e =
   let n = check chain in
   let glr = Array.make n 0. and gli = Array.make n 0. in
   let grr = Array.make n 0. and gri = Array.make n 0. in
-  let c0r = Array.make n 0. and c0i = Array.make n 0. in
-  let cnr = Array.make n 0. and cni = Array.make n 0. in
   let a1 = Array.make n 0. and a2 = Array.make n 0. in
-  let t_coh =
-    spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~c0r ~c0i ~cnr ~cni ~a1 ~a2 chain e
-  in
+  let t_coh = spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~a1 ~a2 chain e in
   { t_coh; a1; a2 }
 
 (* Single left sweep, propagating the (0, i) matrix element product:

@@ -34,15 +34,14 @@ val spectra : ?eta:float -> chain -> float -> spectra
 
 (** {2 Allocation-free workspace paths}
 
-    [spectra] allocates ten length-n arrays per energy point; the
+    [spectra] allocates six length-n arrays per energy point; the
     energy-parallel observables instead give each worker one {!workspace}
     and reuse it across its whole energy chunk. *)
 
 type workspace
-(** Preallocated RGF scratch (Green's-function sweeps, column
-    propagations, spectral diagonals).  Grows on demand; safe to reuse
-    across chains of different lengths.  Not thread-safe: one workspace
-    per worker. *)
+(** Preallocated RGF scratch (Green's-function sweeps, spectral
+    diagonals).  Grows on demand; safe to reuse across chains of
+    different lengths.  Not thread-safe: one workspace per worker. *)
 
 val workspace : ?hint:int -> unit -> workspace
 (** Fresh workspace, optionally pre-sized for chains of [hint] sites. *)

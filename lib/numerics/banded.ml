@@ -56,28 +56,52 @@ let factorize t =
   done;
   t.factorized <- true
 
-let solve t b =
-  if not t.factorized then invalid_arg "Banded.solve: not factorized";
-  if Array.length b <> t.n then invalid_arg "Banded.solve: dimension mismatch";
-  let n = t.n and kl = t.kl in
-  let x = Array.copy b in
-  for i = 0 to n - 1 do
-    let jmin = max 0 (i - kl) in
+(* The two triangular sweeps index [t.data] directly: row [i] of the
+   band starts at [i * (2kl+1)] and holds column [j] at offset
+   [kl + j - i], so [A(i,j)] sits at [i * 2kl + kl + j].  An out-of-line
+   accessor would box every band element it returns. *)
+let forward t x ~from =
+  let n = t.n and kl = t.kl and data = t.data in
+  for i = from to n - 1 do
+    let row = (i * 2 * kl) + kl in
     let acc = ref x.(i) in
-    for j = jmin to i - 1 do
-      acc := !acc -. (raw_get t i j *. x.(j))
+    for j = max 0 (i - kl) to i - 1 do
+      acc := !acc -. (data.(row + j) *. x.(j))
     done;
     x.(i) <- !acc
-  done;
-  for i = n - 1 downto 0 do
-    let jmax = min (n - 1) (i + kl) in
+  done
+
+let backward t x ~from =
+  let n = t.n and kl = t.kl and data = t.data in
+  for i = n - 1 downto from do
+    let row = (i * 2 * kl) + kl in
     let acc = ref x.(i) in
-    for j = i + 1 to jmax do
-      acc := !acc -. (raw_get t i j *. x.(j))
+    for j = i + 1 to min (n - 1) (i + kl) do
+      acc := !acc -. (data.(row + j) *. x.(j))
     done;
-    x.(i) <- !acc /. raw_get t i i
-  done;
+    x.(i) <- !acc /. data.(row + i)
+  done
+
+let check_solve t name len =
+  if not t.factorized then invalid_arg (name ^ ": not factorized");
+  if len <> t.n then invalid_arg (name ^ ": dimension mismatch")
+
+let solve t b =
+  check_solve t "Banded.solve" (Array.length b);
+  let x = Array.copy b in
+  forward t x ~from:0;
+  backward t x ~from:0;
   x
+
+let solve_tail t x ~from =
+  check_solve t "Banded.solve_tail" (Array.length x);
+  if from < 0 || from >= t.n then invalid_arg "Banded.solve_tail: row out of range";
+  forward t x ~from;
+  backward t x ~from
+
+let forward_in_place t x =
+  check_solve t "Banded.forward_in_place" (Array.length x);
+  forward t x ~from:0
 
 let solve_fresh t b =
   let c = { t with data = Array.copy t.data; factorized = false } in

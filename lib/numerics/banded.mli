@@ -28,5 +28,19 @@ val factorize : t -> unit
 val solve : t -> float array -> float array
 (** Solve with a previously {!factorize}d matrix. *)
 
+val forward_in_place : t -> float array -> unit
+(** [forward_in_place t x] overwrites the right-hand side [x] with its
+    forward substitute (the unit-lower-triangular half of {!solve}). *)
+
+val solve_tail : t -> float array -> from:int -> unit
+(** [solve_tail t x ~from] finishes a solve in place from row [from]:
+    rows below [from] of [x] must hold the forward substitute of a
+    right-hand side [b] (see {!forward_in_place}) and rows from [from]
+    on must hold [b] itself.  On return rows [from .. n-1] hold the
+    solution, bit for bit what {!solve} returns for those rows; rows
+    below [from] are left as they were.  A right-hand side that differs
+    from a previously swept one only at and after row [from] thus
+    re-solves in the cost of the rows from [from] on. *)
+
 val solve_fresh : t -> float array -> float array
 (** Copy, factorize and solve — keeps [t] reusable for re-assembly. *)

@@ -1,24 +1,39 @@
 (* Cyclic Jacobi rotations: robust and adequate for the <=72x72 Bloch
-   Hamiltonians we diagonalize. *)
-let symmetric a =
+   Hamiltonians we diagonalize.
+
+   The sweeps index the row-major [Matrix.data] arrays directly: an
+   out-of-line [Matrix.get]/[Matrix.set] boxes the float it passes, and
+   the rotations touch O(n) elements each. *)
+
+(* Rotate a fresh symmetrized copy [w] of [a] to diagonal form and
+   return it: its diagonal holds the eigenvalues.  When [v] is given
+   (row-major n x n data, initially the identity) the rotations are
+   accumulated into it as well. *)
+let jacobi a v =
   let n, m = Matrix.dims a in
   if n <> m then invalid_arg "Eigen.symmetric: non-square";
-  let w = Matrix.init n n (fun i j -> 0.5 *. (Matrix.get a i j +. Matrix.get a j i)) in
-  let v = Matrix.identity n in
+  let ad = a.Matrix.data in
+  let w = Matrix.create n n in
+  let wd = w.Matrix.data in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      wd.((i * n) + j) <- 0.5 *. (ad.((i * n) + j) +. ad.((j * n) + i))
+    done
+  done;
   let off_diag_norm () =
     let acc = ref 0. in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let v = Matrix.get w i j in
+        let v = wd.((i * n) + j) in
         acc := !acc +. (v *. v)
       done
     done;
     sqrt !acc
   in
   let rotate p q =
-    let apq = Matrix.get w p q in
+    let apq = wd.((p * n) + q) in
     if Float.abs apq > Tol.negligible then begin
-      let app = Matrix.get w p p and aqq = Matrix.get w q q in
+      let app = wd.((p * n) + p) and aqq = wd.((q * n) + q) in
       let theta = (aqq -. app) /. (2. *. apq) in
       let t =
         let s = if theta >= 0. then 1. else -1. in
@@ -27,20 +42,26 @@ let symmetric a =
       let c = 1. /. sqrt ((t *. t) +. 1.) in
       let s = t *. c in
       for k = 0 to n - 1 do
-        let akp = Matrix.get w k p and akq = Matrix.get w k q in
-        Matrix.set w k p ((c *. akp) -. (s *. akq));
-        Matrix.set w k q ((s *. akp) +. (c *. akq))
+        let kp = (k * n) + p and kq = (k * n) + q in
+        let akp = wd.(kp) and akq = wd.(kq) in
+        wd.(kp) <- (c *. akp) -. (s *. akq);
+        wd.(kq) <- (s *. akp) +. (c *. akq)
       done;
       for k = 0 to n - 1 do
-        let apk = Matrix.get w p k and aqk = Matrix.get w q k in
-        Matrix.set w p k ((c *. apk) -. (s *. aqk));
-        Matrix.set w q k ((s *. apk) +. (c *. aqk))
+        let pk = (p * n) + k and qk = (q * n) + k in
+        let apk = wd.(pk) and aqk = wd.(qk) in
+        wd.(pk) <- (c *. apk) -. (s *. aqk);
+        wd.(qk) <- (s *. apk) +. (c *. aqk)
       done;
-      for k = 0 to n - 1 do
-        let vkp = Matrix.get v k p and vkq = Matrix.get v k q in
-        Matrix.set v k p ((c *. vkp) -. (s *. vkq));
-        Matrix.set v k q ((s *. vkp) +. (c *. vkq))
-      done
+      match v with
+      | None -> ()
+      | Some vd ->
+        for k = 0 to n - 1 do
+          let kp = (k * n) + p and kq = (k * n) + q in
+          let vkp = vd.(kp) and vkq = vd.(kq) in
+          vd.(kp) <- (c *. vkp) -. (s *. vkq);
+          vd.(kq) <- (s *. vkp) +. (c *. vkq)
+        done
     end
   in
   let max_sweeps = 64 in
@@ -55,26 +76,40 @@ let symmetric a =
     end
   in
   sweeps 0;
+  w
+
+(* Diagonal indices of [w] in ascending eigenvalue order. *)
+let ascending w =
+  let n, _ = Matrix.dims w in
+  let wd = w.Matrix.data in
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare (Matrix.get w i i) (Matrix.get w j j)) order;
-  let values = Array.map (fun i -> Matrix.get w i i) order in
-  let vectors = Matrix.init n n (fun i j -> Matrix.get v i order.(j)) in
+  Array.sort (fun i j -> Float.compare wd.((i * n) + i) wd.((j * n) + j)) order;
+  order
+
+let symmetric a =
+  let n, _ = Matrix.dims a in
+  let v = Matrix.identity n in
+  let vd = v.Matrix.data in
+  let w = jacobi a (Some vd) in
+  let order = ascending w in
+  let values = Array.map (fun i -> w.Matrix.data.((i * n) + i)) order in
+  let vectors = Matrix.init n n (fun i j -> vd.((i * n) + order.(j))) in
   (values, vectors)
 
-let symmetric_values a = fst (symmetric a)
+let symmetric_values a =
+  let n, _ = Matrix.dims a in
+  let w = jacobi a None in
+  Array.map (fun i -> w.Matrix.data.((i * n) + i)) (ascending w)
 
 let hermitian_values h =
   let n, m = Cmatrix.dims h in
   if n <> m then invalid_arg "Eigen.hermitian_values: non-square";
+  let re = h.Cmatrix.re and im = h.Cmatrix.im in
   let embed =
     Matrix.init (2 * n) (2 * n) (fun i j ->
         let bi = i / n and bj = j / n in
-        let z = Cmatrix.get h (i mod n) (j mod n) in
-        match (bi, bj) with
-        | 0, 0 | 1, 1 -> z.Complex.re
-        | 0, 1 -> -.z.Complex.im
-        | 1, 0 -> z.Complex.im
-        | _ -> assert false)
+        let k = ((i mod n) * n) + (j mod n) in
+        if bi = bj then re.(k) else if bi = 0 then -.im.(k) else im.(k))
   in
   let all = symmetric_values embed in
   (* Each eigenvalue of the Hermitian matrix appears exactly twice. *)

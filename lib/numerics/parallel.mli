@@ -26,9 +26,13 @@
     the registry is disabled; see docs/OBS.md. *)
 
 val num_domains : unit -> int
-(** Worker count: [max 1 (recommended_domain_count () - 1)], overridable
-    with the [GNRFET_DOMAINS] environment variable (read on every call,
-    so tests and benchmarks can toggle it at runtime). *)
+(** Pool width: the number of slots a run uses {e including the calling
+    domain}, which runs slot 0 itself, so a width of [w] keeps [w - 1]
+    pool domains busy.  Default [max 1 (recommended_domain_count () - 1)]
+    — 1, i.e. sequential, on a 2-vCPU host (docs/PERF.md says why that
+    default stays) — overridable with the [GNRFET_DOMAINS] environment
+    variable (read on every call, so tests and benchmarks can toggle it
+    at runtime). *)
 
 val default_chunk : int
 (** Chunk width used by {!map_reduce} and {!parallel_for} when [?chunk]

@@ -2,16 +2,19 @@ type contact_style = Plane | Point
 
 type dirichlet = D_left | D_right | D_bottom | D_top
 
+(* A Dirichlet neighbour of unknown [unknown] across a face of
+   conductance [cond]: its known potential moves to the right-hand side. *)
+type rhs_entry = { unknown : int; side : dirichlet; cond : float }
+
 type t = {
   xs : float array;
   zs : float array;
   sheet_row : int;
-  style : contact_style;
   unknown_of : int array array; (* node -> unknown index, or -1 *)
   dirichlet_of : dirichlet option array array;
   matrix : Banded.t; (* factorized *)
-  cond_east : float array array; (* (nx-1) x nz *)
-  cond_north : float array array; (* nx x (nz-1) *)
+  dirichlet_rhs : rhs_entry array; (* in assembly order *)
+  sheet_width : float array; (* x-cell width of interior node i+1 *)
   n_unknowns : int;
 }
 
@@ -73,27 +76,26 @@ let make ?(contact_style = Point) ~xs ~zs ~eps_r ~sheet_row () =
     done
   done;
   let n_unknowns = !count in
-  (* i-major with j fastest: neighbour offsets bounded by nz. *)
+  (* i-major with j fastest: neighbour offsets bounded by nz.  The
+     Dirichlet right-hand-side stencil is recorded in the same pass, so
+     [solve] replays it in exactly this order. *)
   let m = Banded.create ~n:n_unknowns ~bandwidth:nz in
+  let rhs = ref [] in
   for i = 0 to nx - 1 do
     for j = 1 to nz - 2 do
       let k = unknown_of.(i).(j) in
       if k >= 0 then begin
-        let stamp neighbour cond =
-          match neighbour with
-          | None -> () (* outside the domain: Neumann, zero flux *)
-          | Some (i', j') ->
-            Banded.add_to m k k cond;
-            let k' = unknown_of.(i').(j') in
-            if k' >= 0 then Banded.add_to m k k' (-.cond)
-          (* Dirichlet neighbours contribute to the RHS in [solve]. *)
+        let stamp i' j' cond =
+          Banded.add_to m k k cond;
+          match dirichlet_of.(i').(j') with
+          | Some side -> rhs := { unknown = k; side; cond } :: !rhs
+          | None -> Banded.add_to m k unknown_of.(i').(j') (-.cond)
         in
-        stamp (if i > 0 then Some (i - 1, j) else None)
-          (if i > 0 then cond_east.(i - 1).(j) else 0.);
-        stamp (if i < nx - 1 then Some (i + 1, j) else None)
-          (if i < nx - 1 then cond_east.(i).(j) else 0.);
-        stamp (Some (i, j - 1)) cond_north.(i).(j - 1);
-        stamp (Some (i, j + 1)) cond_north.(i).(j)
+        (* Outside the domain (no west/east neighbour): Neumann, zero flux. *)
+        if i > 0 then stamp (i - 1) j cond_east.(i - 1).(j);
+        if i < nx - 1 then stamp (i + 1) j cond_east.(i).(j);
+        stamp i (j - 1) cond_north.(i).(j - 1);
+        stamp i (j + 1) cond_north.(i).(j)
       end
     done
   done;
@@ -102,12 +104,11 @@ let make ?(contact_style = Point) ~xs ~zs ~eps_r ~sheet_row () =
     xs;
     zs;
     sheet_row;
-    style = contact_style;
     unknown_of;
     dirichlet_of;
     matrix = m;
-    cond_east;
-    cond_north;
+    dirichlet_rhs = Array.of_list (List.rev !rhs);
+    sheet_width = Array.init (nx - 2) (fun i -> cell_size xs (i + 1));
     n_unknowns;
   }
 
@@ -122,6 +123,19 @@ let dirichlet_value bc = function
 let obs_solves = Obs.Counter.make "stack2d.solves"
 let obs_solve_time = Obs.Timer.make "stack2d.solve"
 
+(* Right-hand side of a zero-charge solve: the Dirichlet stencil added
+   into [rhs] entry by entry, in assembly order. *)
+let add_dirichlet t bc rhs =
+  let entries = t.dirichlet_rhs in
+  for e = 0 to Array.length entries - 1 do
+    let { unknown = k; side; cond } = entries.(e) in
+    rhs.(k) <- rhs.(k) +. (cond *. dirichlet_value bc side)
+  done
+
+(* Sheet-row unknown of interior x node [i + 1] (the sheet row is
+   interior, so it is never Dirichlet there). *)
+let sheet_unknown t i = t.unknown_of.(i + 1).(t.sheet_row)
+
 let solve t ~bc ~sheet_charge =
   Obs.Counter.incr obs_solves;
   let t0 = Obs.Timer.start obs_solve_time in
@@ -135,47 +149,50 @@ let solve t ~bc ~sheet_charge =
   let rhs = Array.make t.n_unknowns 0. in
   (* Sheet charge: div(eps grad u) = rho discretizes to
      (sum c) u_c - sum c u_nb = -rho_cell. *)
-  for i = 1 to nx - 2 do
-    let k = t.unknown_of.(i).(t.sheet_row) in
-    if k >= 0 then begin
-      let dx = cell_size t.xs i in
-      rhs.(k) <- rhs.(k) -. (sheet_charge.(i - 1) *. dx)
-    end
+  for i = 0 to nx - 3 do
+    let k = sheet_unknown t i in
+    rhs.(k) <- rhs.(k) -. (sheet_charge.(i) *. t.sheet_width.(i))
   done;
-  (* Dirichlet neighbour contributions. *)
+  add_dirichlet t bc rhs;
+  let x = Banded.solve t.matrix rhs in
+  let u = Array.make_matrix nx nz 0. in
   for i = 0 to nx - 1 do
-    for j = 1 to nz - 2 do
-      let k = t.unknown_of.(i).(j) in
-      if k >= 0 then begin
-        let bump neighbour cond =
-          match neighbour with
-          | None -> ()
-          | Some (i', j') -> begin
-            match t.dirichlet_of.(i').(j') with
-            | Some d -> rhs.(k) <- rhs.(k) +. (cond *. dirichlet_value bc d)
-            | None -> ()
-          end
-        in
-        bump (if i > 0 then Some (i - 1, j) else None)
-          (if i > 0 then t.cond_east.(i - 1).(j) else 0.);
-        bump (if i < nx - 1 then Some (i + 1, j) else None)
-          (if i < nx - 1 then t.cond_east.(i).(j) else 0.);
-        bump (Some (i, j - 1)) t.cond_north.(i).(j - 1);
-        bump (Some (i, j + 1)) t.cond_north.(i).(j)
-      end
+    let col = u.(i) and dir = t.dirichlet_of.(i) and unk = t.unknown_of.(i) in
+    for j = 0 to nz - 1 do
+      match dir.(j) with
+      | Some d -> col.(j) <- dirichlet_value bc d
+      | None -> col.(j) <- x.(unk.(j))
     done
   done;
-  let x = Banded.solve t.matrix rhs in
-  let u =
-    Array.init nx (fun i ->
-        Array.init nz (fun j ->
-            match t.dirichlet_of.(i).(j) with
-            | Some d -> dirichlet_value bc d
-            | None ->
-              let k = t.unknown_of.(i).(j) in
-              if k >= 0 then x.(k) else 0.))
-  in
   u
+
+let probe t ~bc ~sheet_charge =
+  let n = nx t - 2 in
+  Obs.Counter.add obs_solves n;
+  let t0 = Obs.Timer.start obs_solve_time in
+  Fun.protect ~finally:(fun () -> Obs.Timer.stop obs_solve_time t0) @@ fun () ->
+  (* The zero-charge right-hand side and its forward substitute are
+     shared by every probe: a one-hot charge at unknown [k] changes only
+     row [k] of the right-hand side, so rows before [k] keep the shared
+     forward substitute and only rows from [k] on are re-solved. *)
+  let rhs0 = Array.make t.n_unknowns 0. in
+  add_dirichlet t bc rhs0;
+  let y0 = Array.copy rhs0 in
+  Banded.forward_in_place t.matrix y0;
+  let x = Array.make t.n_unknowns 0. in
+  Array.init n (fun i ->
+      let k = sheet_unknown t i in
+      Array.blit y0 0 x 0 k;
+      Array.blit rhs0 k x k (t.n_unknowns - k);
+      (* Row [k] exactly as [solve] assembles it: the sheet term first,
+         then the Dirichlet stencil in assembly order. *)
+      x.(k) <- 0. -. (sheet_charge *. t.sheet_width.(i));
+      Array.iter
+        (fun { unknown; side; cond } ->
+          if unknown = k then x.(k) <- x.(k) +. (cond *. dirichlet_value bc side))
+        t.dirichlet_rhs;
+      Banded.solve_tail t.matrix x ~from:k;
+      x.(k))
 
 let plane_potential t u =
   let nx = nx t in

@@ -51,6 +51,17 @@ val solve : t -> bc:bc -> sheet_charge:float array -> float array array
     {!Obs.global} (a direct factorized solve, so there is no iteration
     metric; see docs/OBS.md). *)
 
+val probe : t -> bc:bc -> sheet_charge:float -> float array
+(** [probe t ~bc ~sheet_charge:s] answers [nx - 2] one-hot solves at once:
+    element [i] is the sheet-row potential at interior x node [i+1] when
+    that node alone carries the sheet density [s], i.e.
+    [(plane_potential t (solve t ~bc ~sheet_charge:c)).(i)] with
+    [c.(i) = s] and zeros elsewhere, bit for bit.  It shares the
+    zero-charge forward sweep across the probes and re-solves only the
+    rows from each probed unknown on.  Bumps [stack2d.solves] by
+    [nx - 2] and records the whole call as one [stack2d.solve] timer
+    sample. *)
+
 val plane_potential : t -> float array array -> float array
 (** Potential along the sheet row at the interior x nodes (length
     [nx - 2]): the channel mid-gap profile fed back to the NEGF solver. *)

@@ -81,3 +81,24 @@ let tiny_device ?(gnr_index = 12) () =
     energy_step = 8e-3;
     energy_margin = 0.3;
   }
+
+(* Bit-for-bit comparison of two float arrays: same length and
+   [Float.equal] at every index (the oracle checks for rewritten
+   kernels, where a last-bit drift is a failure). *)
+let check_bits name expected actual =
+  Alcotest.(check int) (name ^ ": length") (Array.length expected)
+    (Array.length actual);
+  Array.iteri
+    (fun i v ->
+      if not (Float.equal v actual.(i)) then
+        Alcotest.failf "%s: index %d differs: expected %h, got %h" name i v
+          actual.(i))
+    expected
+
+(* Minor-heap words allocated by one call of [f], measured after a
+   warm-up call so one-time set-up does not count (allocation guards). *)
+let minor_words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0

@@ -482,4 +482,109 @@ let block_suite =
       test_sancho_rubio_stalls_typed;
   ]
 
-let suite = suite @ block_suite
+(* The two-pass spectra kernel the fused sweep replaced, kept verbatim
+   as the bit-for-bit oracle: left-connected sweep, right-connected
+   sweep, first column, last column, then the spectral diagonals. *)
+let sequential_spectra ~eta (chain : Rgf.chain) e =
+  let n = Array.length chain.Rgf.onsite in
+  let inv_re zr zi = let d = (zr *. zr) +. (zi *. zi) in zr /. d in
+  let inv_im zr zi = let d = (zr *. zr) +. (zi *. zi) in -.zi /. d in
+  let glr = Array.make n 0. and gli = Array.make n 0. in
+  let grr = Array.make n 0. and gri = Array.make n 0. in
+  let c0r = Array.make n 0. and c0i = Array.make n 0. in
+  let cnr = Array.make n 0. and cni = Array.make n 0. in
+  let a1 = Array.make n 0. and a2 = Array.make n 0. in
+  let u = chain.Rgf.onsite and h = chain.Rgf.hopping in
+  let slr = chain.Rgf.sigma_l.Complex.re and sli = chain.Rgf.sigma_l.Complex.im in
+  let srr = chain.Rgf.sigma_r.Complex.re and sri = chain.Rgf.sigma_r.Complex.im in
+  let zr0 = e -. u.(0) -. slr and zi0 = eta -. sli in
+  glr.(0) <- inv_re zr0 zi0;
+  gli.(0) <- inv_im zr0 zi0;
+  for i = 1 to n - 1 do
+    let t2 = h.(i - 1) *. h.(i - 1) in
+    let zr = e -. u.(i) -. (t2 *. glr.(i - 1)) in
+    let zi = eta -. (t2 *. gli.(i - 1)) in
+    let zr = if i = n - 1 then zr -. srr else zr in
+    let zi = if i = n - 1 then zi -. sri else zi in
+    glr.(i) <- inv_re zr zi;
+    gli.(i) <- inv_im zr zi
+  done;
+  let zrn = e -. u.(n - 1) -. srr and zin = eta -. sri in
+  grr.(n - 1) <- inv_re zrn zin;
+  gri.(n - 1) <- inv_im zrn zin;
+  for i = n - 2 downto 0 do
+    let t2 = h.(i) *. h.(i) in
+    let zr = e -. u.(i) -. (t2 *. grr.(i + 1)) in
+    let zi = eta -. (t2 *. gri.(i + 1)) in
+    let zr = if i = 0 then zr -. slr else zr in
+    let zi = if i = 0 then zi -. sli else zi in
+    grr.(i) <- inv_re zr zi;
+    gri.(i) <- inv_im zr zi
+  done;
+  c0r.(0) <- grr.(0);
+  c0i.(0) <- gri.(0);
+  for i = 1 to n - 1 do
+    let ar = grr.(i) *. h.(i - 1) and ai = gri.(i) *. h.(i - 1) in
+    c0r.(i) <- (ar *. c0r.(i - 1)) -. (ai *. c0i.(i - 1));
+    c0i.(i) <- (ar *. c0i.(i - 1)) +. (ai *. c0r.(i - 1))
+  done;
+  cnr.(n - 1) <- glr.(n - 1);
+  cni.(n - 1) <- gli.(n - 1);
+  for i = n - 2 downto 0 do
+    let ar = glr.(i) *. h.(i) and ai = gli.(i) *. h.(i) in
+    cnr.(i) <- (ar *. cnr.(i + 1)) -. (ai *. cni.(i + 1));
+    cni.(i) <- (ar *. cni.(i + 1)) +. (ai *. cnr.(i + 1))
+  done;
+  let gamma_l = Rgf.gamma_of_sigma chain.Rgf.sigma_l in
+  let gamma_r = Rgf.gamma_of_sigma chain.Rgf.sigma_r in
+  for i = 0 to n - 1 do
+    a1.(i) <- gamma_l *. ((c0r.(i) *. c0r.(i)) +. (c0i.(i) *. c0i.(i)));
+    a2.(i) <- gamma_r *. ((cnr.(i) *. cnr.(i)) +. (cni.(i) *. cni.(i)))
+  done;
+  let g0n2 = (cnr.(0) *. cnr.(0)) +. (cni.(0) *. cni.(0)) in
+  (gamma_l *. gamma_r *. g0n2, a1, a2)
+
+let test_spectra_matches_sequential_oracle () =
+  let rng = Rng.create 15 in
+  let ws = Rgf.workspace () in
+  let sigma () =
+    { Complex.re = Rng.uniform rng (-0.5) 0.5; im = -.Rng.uniform rng 0.01 1. }
+  in
+  List.iter
+    (fun n ->
+      for trial = 0 to 5 do
+        (* Mode-space-like chains: alternating hoppings, a random
+           potential profile and distinct contact self-energies. *)
+        let chain =
+          {
+            Rgf.onsite = Array.init n (fun _ -> Rng.uniform rng (-1.) 1.);
+            hopping = Array.init (n - 1) (fun _ -> Rng.uniform rng 0.5 3.);
+            sigma_l = sigma ();
+            sigma_r = sigma ();
+          }
+        in
+        List.iter
+          (fun eta ->
+            for _ = 1 to 4 do
+              let e = Rng.uniform rng (-3.) 3. in
+              let name = Printf.sprintf "n=%d trial %d eta=%g e=%h" n trial eta e in
+              let t_ref, a1_ref, a2_ref = sequential_spectra ~eta chain e in
+              let s = Rgf.spectra ~eta chain e in
+              check_bits (name ^ " spectra t_coh") [| t_ref |] [| s.Rgf.t_coh |];
+              check_bits (name ^ " spectra a1") a1_ref s.Rgf.a1;
+              check_bits (name ^ " spectra a2") a2_ref s.Rgf.a2;
+              let t_ws = Rgf.spectra_into ~eta ws chain e in
+              check_bits (name ^ " spectra_into t_coh") [| t_ref |] [| t_ws |];
+              check_bits (name ^ " spectra_into a1") a1_ref (Array.sub (Rgf.a1 ws) 0 n);
+              check_bits (name ^ " spectra_into a2") a2_ref (Array.sub (Rgf.a2 ws) 0 n)
+            done)
+          [ 1e-6; 1.5e-3 ]
+      done)
+    [ 2; 3; 4; 5; 7; 70; 71 ]
+
+let suite =
+  suite @ block_suite
+  @ [
+      Alcotest.test_case "spectra bit-identical to two-pass oracle" `Quick
+        test_spectra_matches_sequential_oracle;
+    ]

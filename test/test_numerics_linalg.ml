@@ -241,6 +241,133 @@ let test_sparse_builder_duplicates () =
   let d = Sparse.diagonal m in
   approx "duplicates sum" 3. d.(0)
 
+(* A seeded, strictly diagonally dominant band matrix (unfactorized). *)
+let band_system rng ~n ~kl =
+  let m = Banded.create ~n ~bandwidth:kl in
+  for i = 0 to n - 1 do
+    for j = max 0 (i - kl) to min (n - 1) (i + kl) do
+      Banded.set m i j
+        (if i = j then (2. *. float_of_int kl) +. Rng.uniform rng 0.5 1.5
+         else Rng.uniform rng (-1.) 1.)
+    done
+  done;
+  m
+
+(* The substitution loops [Banded.solve] replaced, kept as the
+   bit-for-bit oracle: every band element read through an accessor. *)
+let accessor_solve m ~n ~kl b =
+  let x = Array.copy b in
+  for i = 0 to n - 1 do
+    let acc = ref x.(i) in
+    for j = max 0 (i - kl) to i - 1 do
+      acc := !acc -. (Banded.get m i j *. x.(j))
+    done;
+    x.(i) <- !acc
+  done;
+  for i = n - 1 downto 0 do
+    let acc = ref x.(i) in
+    for j = i + 1 to min (n - 1) (i + kl) do
+      acc := !acc -. (Banded.get m i j *. x.(j))
+    done;
+    x.(i) <- !acc /. Banded.get m i i
+  done;
+  x
+
+let test_banded_solve_bit_identical () =
+  let rng = Rng.create 15 in
+  List.iter
+    (fun (n, kl) ->
+      let m = band_system rng ~n ~kl in
+      Banded.factorize m;
+      for _ = 1 to 3 do
+        let b = Array.init n (fun _ -> Rng.uniform rng (-2.) 2.) in
+        check_bits
+          (Printf.sprintf "n=%d kl=%d" n kl)
+          (accessor_solve m ~n ~kl b) (Banded.solve m b)
+      done)
+    [ (1, 0); (2, 1); (9, 4); (40, 3); (790, 13) ]
+
+let test_banded_solve_tail () =
+  (* A right-hand side that changes only from row [from] on re-solves
+     exactly: rows below [from] carry the old forward substitute. *)
+  let rng = Rng.create 16 in
+  let n = 120 and kl = 7 in
+  let m = band_system rng ~n ~kl in
+  Banded.factorize m;
+  let b = Array.init n (fun _ -> Rng.uniform rng (-2.) 2.) in
+  let y = Array.copy b in
+  Banded.forward_in_place m y;
+  List.iter
+    (fun from ->
+      let b' = Array.mapi (fun i v -> if i < from then v else Rng.uniform rng (-2.) 2.) b in
+      let x = Array.append (Array.sub y 0 from) (Array.sub b' from (n - from)) in
+      Banded.solve_tail m x ~from;
+      check_bits
+        (Printf.sprintf "tail from %d" from)
+        (Array.sub (Banded.solve m b') from (n - from))
+        (Array.sub x from (n - from));
+      check_bits (Printf.sprintf "rows below %d untouched" from) (Array.sub y 0 from)
+        (Array.sub x 0 from))
+    [ 0; 1; 6; 7; 8; 60; 112; 119 ];
+  check_raises_invalid "row out of range" (fun () ->
+      Banded.solve_tail m (Array.copy b) ~from:n)
+
+let test_eigen_values_bit_identical () =
+  let rng = Rng.create 17 in
+  List.iter
+    (fun n ->
+      (* Asymmetric input: both paths symmetrize it on entry. *)
+      let a = Matrix.init n n (fun _ _ -> Rng.uniform rng (-1.) 1.) in
+      check_bits
+        (Printf.sprintf "n=%d" n)
+        (fst (Eigen.symmetric a))
+        (Eigen.symmetric_values a))
+    [ 1; 2; 5; 12; 48 ];
+  (* Degenerate spectrum: the Hermitian embedding doubles every value. *)
+  let tb = Tight_binding.make 12 in
+  List.iter
+    (fun k ->
+      let h = Tight_binding.bloch tb k in
+      let rows, _ = Cmatrix.dims h in
+      let embed =
+        Matrix.init (2 * rows) (2 * rows) (fun i j ->
+            let z = Cmatrix.get h (i mod rows) (j mod rows) in
+            if i / rows = j / rows then z.Complex.re
+            else if i / rows = 0 then -.z.Complex.im
+            else z.Complex.im)
+      in
+      let all = fst (Eigen.symmetric embed) in
+      check_bits
+        (Printf.sprintf "hermitian k=%g" k)
+        (Array.init rows (fun i -> 0.5 *. (all.(2 * i) +. all.((2 * i) + 1))))
+        (Eigen.hermitian_values h))
+    [ 0.; 0.7; Float.pi ]
+
+(* Allocation guards: each bound is 4x the kernel's measured minor-heap
+   allocation.  The default 15 nm device's Poisson system has
+   (sites + 2) x 11 nodes less the two point contacts, half-bandwidth 13:
+   there [Banded.solve] measured 0 minor words (its 790-float result is
+   allocated directly in the major heap). *)
+let test_banded_solve_allocation () =
+  let nx = Array.length (Scf.site_positions (Params.default ())) + 2 in
+  let n = (nx * 11) - 2 and kl = 13 in
+  let rng = Rng.create 18 in
+  let m = band_system rng ~n ~kl in
+  Banded.factorize m;
+  let b = Array.init n (fun _ -> Rng.uniform rng (-2.) 2.) in
+  let words = minor_words (fun () -> ignore (Banded.solve m b)) in
+  if words > 0. then
+    Alcotest.failf "Banded.solve allocated %.0f minor words (bound 0)" words
+
+let test_hermitian_values_allocation () =
+  (* Measured 51,254 minor words, nearly all of it the once-per-sweep
+     convergence test and the embedding's construction. *)
+  let h = Tight_binding.bloch (Tight_binding.make 12) 0.7 in
+  let words = minor_words (fun () -> ignore (Eigen.hermitian_values h)) in
+  if words > 4. *. 51_254. then
+    Alcotest.failf "Eigen.hermitian_values allocated %.0f minor words (bound %.0f)"
+      words (4. *. 51_254.)
+
 let suite =
   [
     Alcotest.test_case "matrix basics" `Quick test_matrix_basics;
@@ -263,4 +390,11 @@ let suite =
     Alcotest.test_case "sparse typed no-convergence" `Quick
       test_sparse_no_convergence_typed;
     Alcotest.test_case "sparse builder duplicates" `Quick test_sparse_builder_duplicates;
+    Alcotest.test_case "banded solve bit-identical" `Quick test_banded_solve_bit_identical;
+    Alcotest.test_case "banded solve_tail" `Quick test_banded_solve_tail;
+    Alcotest.test_case "eigen values-only bit-identical" `Quick
+      test_eigen_values_bit_identical;
+    Alcotest.test_case "banded solve allocation" `Quick test_banded_solve_allocation;
+    Alcotest.test_case "hermitian_values allocation" `Quick
+      test_hermitian_values_allocation;
   ]

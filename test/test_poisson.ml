@@ -9,6 +9,16 @@ let stack ?(style = Stack2d.Plane) ?(nx = 21) ?(nz = 11) () =
   Stack2d.make ~contact_style:style ~xs ~zs ~eps_r:(fun _ _ -> 3.9)
     ~sheet_row:(nz / 2) ()
 
+(* The Poisson stack [Scf.solve] builds for the default 15 nm device. *)
+let default_device_stack () =
+  let p = Params.default () in
+  let xs = Array.concat [ [| 0. |]; Scf.site_positions p; [| p.Params.channel_length |] ] in
+  let tox = p.Params.oxide_thickness in
+  Stack2d.make ~contact_style:p.Params.contact_style ~xs
+    ~zs:(Vec.linspace (-.tox) tox 13)
+    ~eps_r:(fun _ _ -> p.Params.oxide_eps_r)
+    ~sheet_row:6 ()
+
 let no_charge t = Array.make (Stack2d.nx t - 2) 0.
 
 let test_uniform_dirichlet () =
@@ -142,6 +152,50 @@ let test_impurity_decay () =
   Alcotest.(check bool) "peak near the impurity" true
     (Float.abs ((float_of_int k /. 39. *. 15e-9) -. imp.Impurity.position) < 1.2e-9)
 
+let test_probe_matches_one_hot_solves () =
+  (* [Stack2d.probe] must answer every one-hot solve bit for bit, on both
+     contact styles and with every boundary value distinct and nonzero. *)
+  let bc = { Stack2d.left = 0.05; right = -0.4; bottom = -0.7; top = -0.65 } in
+  let s = 2.7e-3 in
+  List.iter
+    (fun (name, t) ->
+      let n = Stack2d.nx t - 2 in
+      let one_hot =
+        Array.init n (fun i ->
+            let sc = Array.make n 0. in
+            sc.(i) <- s;
+            (Stack2d.plane_potential t (Stack2d.solve t ~bc ~sheet_charge:sc)).(i))
+      in
+      check_bits name one_hot (Stack2d.probe t ~bc ~sheet_charge:s))
+    [
+      ("plane", stack ());
+      ("point", stack ~style:Stack2d.Point ());
+      ("point, default device", default_device_stack ());
+    ]
+
+let test_probe_counts_solves () =
+  let t = stack () in
+  let bc = { Stack2d.left = 0.; right = -0.1; bottom = 0.2; top = 0.2 } in
+  let old = Obs.enabled Obs.global in
+  Obs.set_enabled Obs.global true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
+  let before = Obs.counter_value "stack2d.solves" in
+  ignore (Stack2d.probe t ~bc ~sheet_charge:1e-3);
+  Alcotest.(check int) "one stack2d.solves per probe" (Stack2d.nx t - 2)
+    (Obs.counter_value "stack2d.solves" - before)
+
+let test_solve_allocation () =
+  (* Allocation guard: one default-device solve measured 1,095 minor
+     words (1,099 with obs on), nearly all of it the returned node grid;
+     the bound is 4x that. *)
+  let t = default_device_stack () in
+  let bc = { Stack2d.left = 0.; right = -0.3; bottom = -0.5; top = -0.5 } in
+  let sheet_charge = Array.init (Stack2d.nx t - 2) (fun i -> 1e-3 *. float_of_int i) in
+  let words = minor_words (fun () -> ignore (Stack2d.solve t ~bc ~sheet_charge)) in
+  if words > 4. *. 1_099. then
+    Alcotest.failf "Stack2d.solve allocated %.0f minor words (bound %.0f)" words
+      (4. *. 1_099.)
+
 let suite =
   [
     Alcotest.test_case "uniform dirichlet" `Quick test_uniform_dirichlet;
@@ -154,4 +208,8 @@ let suite =
     Alcotest.test_case "poisson3d point charge" `Quick test_poisson3d_point_charge;
     Alcotest.test_case "impurity signs" `Quick test_impurity_signs;
     Alcotest.test_case "impurity decay" `Quick test_impurity_decay;
+    Alcotest.test_case "probe matches one-hot solves" `Quick
+      test_probe_matches_one_hot_solves;
+    Alcotest.test_case "probe counts solves" `Quick test_probe_counts_solves;
+    Alcotest.test_case "solve allocation" `Quick test_solve_allocation;
   ]
