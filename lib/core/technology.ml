@@ -68,5 +68,3 @@ let cmos_rows ?(stages = 15) () =
           })
         [ 0.8; 0.6; 0.4 ])
     Node.all
-
-let edp_improvement ~gnrfet ~cmos = cmos.edp /. gnrfet.edp

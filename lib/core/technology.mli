@@ -21,8 +21,3 @@ val gnrfet_operating_points :
 val cmos_rows : ?stages:int -> unit -> row list
 (** The nine scaled-CMOS rows (3 nodes × 3 supplies), measured with the
     same inverter-characterization methodology as the GNRFET rows. *)
-
-val cmos_pair : Node.t -> Cells.pair
-
-val edp_improvement : gnrfet:row -> cmos:row -> float
-(** The headline "40–168X" EDP ratio. *)

@@ -1,5 +1,3 @@
-type spec = { sigma : float; corr_sites : int }
-
 (* Exponentially correlated Gaussian sequence: AR(1) with the stationary
    variance normalized back to sigma^2. *)
 let correlated_sequence rng ~sigma ~corr_sites n =
@@ -13,14 +11,6 @@ let correlated_sequence rng ~sigma ~corr_sites n =
     prev := (rho *. !prev) +. Rng.gaussian rng ~mean:0. ~sigma:drive
   done;
   xs
-
-let perturb rng spec (chain : Rgf.chain) =
-  let nb = Array.length chain.Rgf.hopping in
-  let xi = correlated_sequence rng ~sigma:spec.sigma ~corr_sites:spec.corr_sites nb in
-  {
-    chain with
-    Rgf.hopping = Array.mapi (fun i t -> t *. (1. +. xi.(i))) chain.Rgf.hopping;
-  }
 
 type study = {
   sigma : float;

@@ -10,15 +10,6 @@
     amplitude [sigma] and exponential correlation length [corr_sites]
     (roughly the roughness island length in units of half unit cells). *)
 
-type spec = {
-  sigma : float;  (** relative hopping disorder amplitude (e.g. 0.02) *)
-  corr_sites : int;  (** correlation length in chain sites (>= 1) *)
-}
-
-val perturb : Rng.t -> spec -> Rgf.chain -> Rgf.chain
-(** Fresh disorder realization applied to a chain's hoppings (on-site
-    energies and self-energies untouched). *)
-
 type study = {
   sigma : float;
   mean_transmission : float;  (** band-average T over the realizations *)

@@ -22,8 +22,8 @@ val key : ?grid:Iv_table.grid_spec -> Params.t -> string
 
 val gnrtbl_path : string -> string
 (** On-disk path of the [gnrtbl] file for a full {!key} (exists or
-    not); bench and test harnesses use it to read and corrupt files
-    directly. *)
+    not); the perfbench and test harnesses use it to write, read and
+    corrupt files directly. *)
 
 type disk_outcome =
   | Table of Iv_table.t  (** [gnrtbl] hit: mapped, validated, converted *)

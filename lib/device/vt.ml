@@ -12,11 +12,12 @@ let extract_from_curve ~vg ~id =
   if g_star <= 0. then invalid_arg "Vt.extract_from_curve: non-increasing branch";
   v_star -. (Interp.spline_eval sp v_star /. g_star)
 
-let extract ?(vd = 0.05) ?(vg_max = 0.75) ?(n = 16) p =
-  (* Sweep the electron branch: from the ambipolar minimum (~VD/2 shifted
-     by the gate offset) up to vg_max. *)
+let extract p =
+  (* Sweep the electron branch at VD = 0.05 V with 16 samples: from the
+     ambipolar minimum (~VD/2 shifted by the gate offset) up to 0.75 V. *)
+  let vd = 0.05 in
   let vg_min = (vd /. 2.) -. p.Params.gate_offset in
-  let vg = Vec.linspace vg_min vg_max n in
+  let vg = Vec.linspace vg_min 0.75 16 in
   let init = ref None in
   let id =
     Array.map

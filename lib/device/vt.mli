@@ -7,11 +7,11 @@ val extract_from_curve : vg:float array -> id:float array -> float
     VGstar - I(VGstar)/gm(VGstar), where VGstar maximizes the
     (spline-smoothed) transconductance.  Requires at least four samples. *)
 
-val extract : ?vd:float -> ?vg_max:float -> ?n:int -> Params.t -> float
-(** Run a low-VD sweep (default VD = 0.05 V, VG from the minimum-leakage
-    point up to [vg_max] = 0.75 V, [n] = 16 samples) and extract VT of the
-    n-branch.  The gate work-function offset of the device shifts the
-    result by the same amount, as the paper notes. *)
+val extract : Params.t -> float
+(** Run a low-VD sweep (VD = 0.05 V, 16 VG samples from the minimum-leakage
+    point up to 0.75 V) and extract VT of the n-branch.  The gate
+    work-function offset of the device shifts the result by the same
+    amount, as the paper notes. *)
 
 val extract_from_table : Iv_table.t -> float
 (** Extraction using the lowest positive VD row of an existing table. *)

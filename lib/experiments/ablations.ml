@@ -1,27 +1,24 @@
 type mode_count_result = { n_modes : int; ion : float; ioff : float }
 
-let mode_count ?(indices = [ 1; 2; 3 ]) () =
+let mode_count () =
   List.map
     (fun n_modes ->
       let p = { (Params.default ()) with Params.n_modes } in
       let ion = (Scf.solve p ~vg:0.75 ~vd:0.5).Scf.current in
       let ioff = (Scf.solve p ~vg:0.25 ~vd:0.5).Scf.current in
       { n_modes; ion; ioff })
-    indices
+    [ 1; 2; 3 ]
 
 type grid_result = { energy_step : float; ion : float; relative_error : float }
 
-let energy_grid ?(steps = [ 8e-3; 4e-3; 2e-3; 1e-3 ]) () =
+let energy_grid () =
   let ion_at de =
     let p = { (Params.default ()) with Params.energy_step = de } in
     (Scf.solve p ~vg:0.6 ~vd:0.5).Scf.current
   in
-  let results = List.map (fun de -> (de, ion_at de)) steps in
-  let reference =
-    match List.rev results with
-    | (_, i) :: _ -> i
-    | [] -> invalid_arg "Ablations.energy_grid: empty step list"
-  in
+  let results = List.map (fun de -> (de, ion_at de)) [ 8e-3; 4e-3; 2e-3; 1e-3 ] in
+  (* The finest step, swept last, is the reference. *)
+  let _, reference = List.hd (List.rev results) in
   List.map
     (fun (energy_step, ion) ->
       {
@@ -33,10 +30,10 @@ let energy_grid ?(steps = [ 8e-3; 4e-3; 2e-3; 1e-3 ]) () =
 
 type mixing_result = { scheme : string; iterations : int; converged : bool }
 
-let mixing ?(vg = 0.7) ?(vd = 0.5) () =
+let mixing () =
   let p = Params.default () in
   let run scheme mixing =
-    let s = Scf.solve ~mixing ~max_iter:200 p ~vg ~vd in
+    let s = Scf.solve ~mixing ~max_iter:200 p ~vg:0.7 ~vd:0.5 in
     { scheme; iterations = s.Scf.iterations; converged = s.Scf.residual <= 1e-3 }
   in
   [
@@ -58,7 +55,7 @@ let contact_style () =
 
 type table_density_result = { n_vg : int; snm : float; delay : float }
 
-let table_density ?(sizes = [ 14; 27; 53 ]) () =
+let table_density () =
   let p = Params.default () in
   List.map
     (fun n_vg ->
@@ -67,7 +64,7 @@ let table_density ?(sizes = [ 14; 27; 53 ]) () =
       let pair = Explore.pair_at table ~vt:0.13 in
       let m = Metrics.inverter_metrics ~pair ~vdd:0.4 () in
       { n_vg; snm = m.Metrics.snm; delay = m.Metrics.tp })
-    sizes
+    [ 14; 27; 53 ]
 
 type temperature_result = {
   temperature : float;
@@ -76,14 +73,14 @@ type temperature_result = {
   on_off : float;
 }
 
-let temperature ?(kelvins = [ 250.; 300.; 350.; 400. ]) () =
+let temperature () =
   List.map
     (fun temperature ->
       let p = { (Params.default ()) with Params.temperature } in
       let ion = (Scf.solve p ~vg:0.75 ~vd:0.5).Scf.current in
       let ioff = (Scf.solve p ~vg:0.25 ~vd:0.5).Scf.current in
       { temperature; ion; ioff; on_off = ion /. ioff })
-    kelvins
+    [ 250.; 300.; 350.; 400. ]
 
 let print_all ppf =
   Report.heading ppf "Ablation: mode-space depth";

@@ -1,7 +1,8 @@
 (** Ablation studies of the design choices DESIGN.md calls out: mode-space
-    depth, energy-grid resolution, SCF acceleration, contact geometry, and
-    bias-table density.  Each returns the measurements and a printed
-    comparison; the benchmark harness exposes them as ablation benches. *)
+    depth, energy-grid resolution, SCF acceleration, contact geometry,
+    temperature and bias-table density.  Each returns its measurements;
+    [print_all] runs them all and prints the comparisons
+    ([gnrfet_cli ablations]). *)
 
 type mode_count_result = {
   n_modes : int;
@@ -9,7 +10,7 @@ type mode_count_result = {
   ioff : float;  (** A at the ambipolar minimum *)
 }
 
-val mode_count : ?indices:int list -> unit -> mode_count_result list
+val mode_count : unit -> mode_count_result list
 (** Effect of keeping 1, 2 or 3 subbands in the mode-space reduction. *)
 
 type grid_result = {
@@ -18,7 +19,8 @@ type grid_result = {
   relative_error : float;  (** vs the finest grid in the sweep *)
 }
 
-val energy_grid : ?steps:float list -> unit -> grid_result list
+val energy_grid : unit -> grid_result list
+(** Ion at VG = 0.6 V, VD = 0.5 V for energy steps of 8, 4, 2 and 1 meV. *)
 
 type mixing_result = {
   scheme : string;
@@ -26,9 +28,9 @@ type mixing_result = {
   converged : bool;
 }
 
-val mixing : ?vg:float -> ?vd:float -> unit -> mixing_result list
-(** Anderson acceleration vs plain under-relaxation at a representative
-    strongly-inverted bias point. *)
+val mixing : unit -> mixing_result list
+(** Anderson acceleration vs plain under-relaxation (factors 0.3 and 0.1)
+    at the strongly-inverted bias point VG = 0.7 V, VD = 0.5 V. *)
 
 type contact_result = {
   style : string;
@@ -45,9 +47,10 @@ type table_density_result = {
   delay : float;  (** s *)
 }
 
-val table_density : ?sizes:int list -> unit -> table_density_result list
-(** How the bias-table VG density changes circuit-level answers (bilinear
-    interpolation smears transconductance on coarse grids). *)
+val table_density : unit -> table_density_result list
+(** How the bias-table VG density (14, 27 and 53 points) changes
+    circuit-level answers (bilinear interpolation smears transconductance
+    on coarse grids). *)
 
 type temperature_result = {
   temperature : float;  (** K *)
@@ -56,9 +59,10 @@ type temperature_result = {
   on_off : float;
 }
 
-val temperature : ?kelvins:float list -> unit -> temperature_result list
-(** Thermionic sensitivity: the ambipolar leakage floor grows
-    exponentially with temperature while the on-current barely moves. *)
+val temperature : unit -> temperature_result list
+(** Thermionic sensitivity at 250, 300, 350 and 400 K: the ambipolar
+    leakage floor grows exponentially with temperature while the
+    on-current barely moves. *)
 
 val print_all : Format.formatter -> unit
 (** Run every ablation and print the comparisons. *)

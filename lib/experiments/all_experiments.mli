@@ -1,5 +1,5 @@
 (** Run every table/figure reproduction and print the full report — the
-    entry point used by [bin/repro.exe] and the benchmark harness. *)
+    entry point used by [bin/repro.exe] and [gnrfet_cli experiment]. *)
 
 type id =
   | Fig2a

@@ -51,8 +51,3 @@ let print ppf r =
     r.min_leak_vg;
   Format.fprintf ppf "min-leak(0.75V)/min-leak(0.25V) = %.1fx (exponential VD dependence)@."
     r.vd_leak_ratio
-
-let bench_kernel () =
-  let p = Params.default () in
-  let c = sweep p ~vd:0.5 ~n_vg:5 in
-  Vec.sum c.id

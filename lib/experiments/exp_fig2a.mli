@@ -17,7 +17,3 @@ type result = {
 val run : ?n_vg:int -> unit -> result
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float
-(** Reduced-size kernel for the benchmark harness (a short SCF I–V
-    sweep); returns a current so the work cannot be optimized away. *)

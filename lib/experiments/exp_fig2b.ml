@@ -49,5 +49,3 @@ let print ppf r =
   Format.fprintf ppf "VT shift = %.3f V vs offset %.2g V (paper: equal)@."
     (r.vt_no_offset -. r.vt_with_offset)
     r.offset
-
-let bench_kernel () = Vt.extract ~n:6 (Params.default ())

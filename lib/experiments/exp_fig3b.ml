@@ -64,11 +64,3 @@ let print ppf r =
     (String.concat ", "
        (List.map (fun (l, pls) -> Printf.sprintf "%.3g(%d)" l (List.length pls))
           r.snm_contours))
-
-let bench_kernel () =
-  let table = Table_cache.get (Params.default ()) in
-  let s =
-    Explore.surface ~vdds:(Vec.linspace 0.3 0.5 2) ~vts:(Vec.linspace 0.1 0.2 2)
-      table
-  in
-  (Explore.min_edp s).Explore.value

@@ -15,5 +15,3 @@ val run : ?nv:int -> unit -> result
 (** [nv] grid points per axis (default 13). *)
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float

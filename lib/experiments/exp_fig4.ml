@@ -58,7 +58,3 @@ let print ppf r =
       c9.on_off
       (c18.cg_on /. c9.cg_on)
   | None, _ | _, None -> ())
-
-let bench_kernel () =
-  let table = Table_cache.get (Params.default ()) in
-  Iv_table.current_at table ~vg:0.75 ~vd

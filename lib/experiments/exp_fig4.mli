@@ -18,5 +18,3 @@ type result = { curves : width_curve list }
 val run : unit -> result
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float

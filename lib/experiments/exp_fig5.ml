@@ -57,8 +57,3 @@ let print ppf r =
   Format.fprintf ppf "Ion(ideal)/Ion(-2q) = %.1fX (paper: ~6X)@." r.ion_ratio_neg2q;
   Format.fprintf ppf "Ion(ideal)/Ion(+2q) = %.1fX (paper: much smaller than -2q)@."
     r.ion_ratio_pos2q
-
-let bench_kernel () =
-  let p = params_of (-2.) in
-  let sol = Scf.solve p ~vg:0.25 ~vd:0.5 in
-  Vec.maximum (Scf.conduction_band_profile p sol)

@@ -21,5 +21,3 @@ type result = {
 val run : unit -> result
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float

@@ -42,7 +42,3 @@ let print ppf r =
   Format.fprintf ppf
     "mean shifts vs nominal: f %+.1f%% (paper: -10%%), Pdyn %+.1f%% (paper: ~0%%), Pstat %+.1f%% (paper: +23%%)@."
     r.freq_mean_shift_pct r.pdyn_mean_shift_pct r.pstat_mean_shift_pct
-
-let bench_kernel () =
-  let mc = Montecarlo.run ~samples:50 ~seed:7 () in
-  Vec.mean (Array.map (fun s -> s.Montecarlo.frequency) mc.Montecarlo.samples)

@@ -15,5 +15,3 @@ type result = {
 val run : ?samples:int -> ?seed:int -> unit -> result
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float

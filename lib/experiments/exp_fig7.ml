@@ -37,10 +37,3 @@ let print ppf r =
   Format.fprintf ppf
     "worst-case SNM: %.3f V (near-zero, paper: eye collapses); Pstat ratio = %.1fX (paper: >5X)@."
     r.all.Variation.snm r.static_power_ratio
-
-let bench_kernel () =
-  let s =
-    Variation.latch ~n_spec:Variation.nominal_spec
-      ~p_spec:Variation.nominal_spec ~all_four:false ()
-  in
-  s.Variation.snm

@@ -12,5 +12,3 @@ type result = {
 val run : ?op:Variation.op_point -> unit -> result
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float

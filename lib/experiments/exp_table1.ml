@@ -59,9 +59,3 @@ let print ppf r =
   | Some (lo, hi) ->
     Format.fprintf ppf "CMOS-optimum / GNRFET-B EDP ratio: %.0fX - %.0fX (paper: 40-168X)@."
       lo hi
-
-let bench_kernel () =
-  let node = Node.n22 in
-  let pair = Technology.cmos_pair node in
-  let m = Metrics.inverter_metrics ~pair ~vdd:0.8 () in
-  Metrics.edp m ~stages:15

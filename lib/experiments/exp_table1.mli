@@ -14,5 +14,3 @@ type result = {
 val run : ?surface:Explore.surface -> unit -> result
 
 val print : Format.formatter -> result -> unit
-
-val bench_kernel : unit -> float

@@ -62,40 +62,3 @@ let print ppf { which; table = t } =
   print_matrix ppf t "SNM" (fun e ->
       pct_cell ~nominal:nom.Metrics.snm e.Variation.one.Metrics.snm
         e.Variation.all.Metrics.snm)
-
-let worst_case_summary { which = _; table = t } =
-  let nom = t.Variation.nominal in
-  let fold f =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc e -> Float.max acc (f e)) acc row)
-      neg_infinity t.Variation.entries
-  in
-  let delay =
-    fold (fun e -> Variation.pct ~nominal:nom.Metrics.tp e.Variation.all.Metrics.tp)
-  in
-  let pstat =
-    fold (fun e ->
-        Variation.pct ~nominal:nom.Metrics.p_static e.Variation.all.Metrics.p_static)
-  in
-  let pdyn =
-    fold (fun e ->
-        Variation.pct ~nominal:nom.Metrics.e_switch e.Variation.all.Metrics.e_switch)
-  in
-  let snm_drop =
-    fold (fun e ->
-        -.Variation.pct ~nominal:nom.Metrics.snm e.Variation.all.Metrics.snm)
-  in
-  Printf.sprintf
-    "worst all-four: delay %+.0f%%, Pstat %+.0f%%, Pdyn %+.0f%%, SNM %.0f%% drop"
-    delay pstat pdyn snm_drop
-
-let bench_kernel () =
-  let op = Variation.point_b in
-  let pair =
-    Variation.pair_for ~op
-      ~n_spec:{ Variation.gnr_index = 9; charge = 0. }
-      ~p_spec:Variation.nominal_spec ~all_four:false ()
-  in
-  let m = Metrics.inverter_metrics ~pair ~vdd:op.Variation.vdd () in
-  m.Metrics.tp

@@ -9,8 +9,3 @@ type result = { which : which; table : Variation.table }
 val run : ?op:Variation.op_point -> which -> result
 
 val print : Format.formatter -> result -> unit
-
-val worst_case_summary : result -> string
-(** One-line summary of the worst degradations (for EXPERIMENTS.md). *)
-
-val bench_kernel : unit -> float

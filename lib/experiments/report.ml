@@ -7,9 +7,6 @@ let series ppf ~name ~xs ~ys =
     (fun i x -> Format.fprintf ppf "  %10.4g  %12.5g@." x ys.(i))
     xs
 
-let pct_pair ppf (one, all) =
-  Format.fprintf ppf "%.0f,%.0f" one all
-
 let prefixes =
   [ (1e12, "T"); (1e9, "G"); (1e6, "M"); (1e3, "k"); (1., "");
     (1e-3, "m"); (1e-6, "u"); (1e-9, "n"); (1e-12, "p"); (1e-15, "f");

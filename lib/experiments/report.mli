@@ -7,9 +7,5 @@ val series :
   Format.formatter -> name:string -> xs:float array -> ys:float array -> unit
 (** Print a two-column numeric series. *)
 
-val pct_pair : Format.formatter -> float * float -> unit
-(** The paper's "a,b" percent convention (one GNR affected, all four
-    affected), rounded to integers. *)
-
 val si : float -> string
 (** Engineering notation with an SI prefix (e.g. ["3.42 G"]). *)

@@ -16,17 +16,6 @@ let make ?(hopping = Const.t_pz) ?(edge_delta = Const.edge_bond_relaxation) n =
     (Lattice.neighbours_to_next_cell n);
   { n; h00; h01 }
 
-let of_bonds ~n ~size ~hopping ~within ~next =
-  let h00 = Matrix.create size size in
-  let h01 = Matrix.create size size in
-  List.iter
-    (fun (i, j) ->
-      Matrix.set h00 i j (-.hopping);
-      Matrix.set h00 j i (-.hopping))
-    within;
-  List.iter (fun (i, j) -> Matrix.set h01 i j (-.hopping)) next;
-  { n; h00; h01 }
-
 let bloch tb ka =
   let size, _ = Matrix.dims tb.h00 in
   let phase = { Complex.re = cos ka; im = sin ka } in

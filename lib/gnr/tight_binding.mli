@@ -15,16 +15,6 @@ val make : ?hopping:float -> ?edge_delta:float -> int -> t
 (** [make n] builds the Hamiltonian blocks for index [n] (defaults:
     [Const.t_pz], [Const.edge_bond_relaxation]). *)
 
-val of_bonds :
-  n:int ->
-  size:int ->
-  hopping:float ->
-  within:(int * int) list ->
-  next:(int * int) list ->
-  t
-(** Generic constructor from explicit bond lists (used by {!Zigzag} and
-    the test fixtures): uniform hopping [-t] on every listed bond. *)
-
 val bloch : t -> float -> Cmatrix.t
 (** [bloch tb ka] is [H00 + H01 e^{i ka} + H01^T e^{-i ka}] with [ka] the
     dimensionless Bloch phase in [\[-pi, pi\]]. *)

@@ -26,11 +26,6 @@ let get m i j =
   let k = (i * m.cols) + j in
   { Complex.re = m.re.(k); im = m.im.(k) }
 
-let set m i j z =
-  let k = (i * m.cols) + j in
-  m.re.(k) <- z.Complex.re;
-  m.im.(k) <- z.Complex.im
-
 let of_real r =
   let rows, cols = Matrix.dims r in
   init rows cols (fun i j -> { Complex.re = Matrix.get r i j; im = 0. })
@@ -188,14 +183,3 @@ let frobenius_diff a b =
     acc := !acc +. (dr *. dr) +. (di *. di)
   done;
   sqrt !acc
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.cols - 1 do
-      let z = get m i j in
-      if j > 0 then Format.fprintf ppf "  ";
-      Format.fprintf ppf "%.3g%+.3gi" z.Complex.re z.Complex.im
-    done;
-    Format.fprintf ppf "]@."
-  done

@@ -20,8 +20,6 @@ val dims : t -> int * int
 
 val get : t -> int -> int -> Complex.t
 
-val set : t -> int -> int -> Complex.t -> unit
-
 val of_real : Matrix.t -> t
 
 val scale : Complex.t -> t -> t
@@ -48,5 +46,3 @@ val max_abs : t -> float
 
 val frobenius_diff : t -> t -> float
 (** Frobenius norm of the difference; matrices must share dimensions. *)
-
-val pp : Format.formatter -> t -> unit

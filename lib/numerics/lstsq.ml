@@ -10,23 +10,3 @@ let solve a b =
     Matrix.add_to ata i i reg
   done;
   Matrix.solve ata (Matrix.mul_vec at b)
-
-let polyfit ~degree ~xs ~ys =
-  if degree < 0 then invalid_arg "Lstsq.polyfit: negative degree";
-  let n = Array.length xs in
-  if Array.length ys <> n then invalid_arg "Lstsq.polyfit: length mismatch";
-  if n < degree + 1 then invalid_arg "Lstsq.polyfit: too few points";
-  let a = Matrix.init n (degree + 1) (fun i j -> xs.(i) ** float_of_int j) in
-  solve a ys
-
-let polyval coeffs x =
-  let acc = ref 0. in
-  for i = Array.length coeffs - 1 downto 0 do
-    acc := (!acc *. x) +. coeffs.(i)
-  done;
-  !acc
-
-let line_fit ~xs ~ys =
-  match polyfit ~degree:1 ~xs ~ys with
-  | [| c0; c1 |] -> (c0, c1)
-  | _ -> assert false

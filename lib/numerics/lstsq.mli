@@ -1,15 +1,6 @@
-(** Small linear least squares (normal equations) and polynomial fitting. *)
+(** Small linear least squares via the normal equations. *)
 
 val solve : Matrix.t -> float array -> float array
 (** [solve a b] minimizes ||a x - b||2 for an overdetermined [a] via the
-    normal equations; adequate for the well-conditioned low-order fits used
-    here (threshold extraction, Anderson mixing). *)
-
-val polyfit : degree:int -> xs:float array -> ys:float array -> float array
-(** Least-squares polynomial coefficients, constant term first. *)
-
-val polyval : float array -> float -> float
-(** Evaluate a polynomial given coefficients, constant term first. *)
-
-val line_fit : xs:float array -> ys:float array -> float * float
-(** [(intercept, slope)] of the least-squares line. *)
+    normal equations; adequate for the small, well-conditioned systems
+    of Anderson mixing ({!Mixing}), its one caller. *)

@@ -58,14 +58,10 @@ let mul_vec m x =
       done;
       !acc)
 
-let scale a m = { m with data = Array.map (fun v -> a *. v) m.data }
-
 let elementwise op a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg "Matrix: dimension mismatch";
   { a with data = Array.init (Array.length a.data) (fun k -> op a.data.(k) b.data.(k)) }
-
-let add a b = elementwise ( +. ) a b
 
 let sub a b = elementwise ( -. ) a b
 
@@ -151,13 +147,3 @@ let inverse m =
   out
 
 let max_abs m = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. m.data
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done;
-    Format.fprintf ppf "]@."
-  done

@@ -32,10 +32,6 @@ val mul : t -> t -> t
 
 val mul_vec : t -> float array -> float array
 
-val scale : float -> t -> t
-
-val add : t -> t -> t
-
 val sub : t -> t -> t
 
 type lu
@@ -53,5 +49,3 @@ val solve : t -> float array -> float array
 val inverse : t -> t
 
 val max_abs : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -69,10 +69,6 @@ let bin_centers h =
   let w = (h.hi -. h.lo) /. float_of_int bins in
   Array.init bins (fun i -> h.lo +. (w *. (float_of_int i +. 0.5)))
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g std=%.6g min=%.6g median=%.6g max=%.6g"
-    s.n s.mean s.std s.min s.median s.max
-
 let pp_histogram ?(width = 40) ppf h =
   let centers = bin_centers h in
   let peak = Array.fold_left max 1 h.counts in

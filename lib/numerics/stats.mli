@@ -28,7 +28,5 @@ val histogram : bins:int -> float array -> histogram
 
 val bin_centers : histogram -> float array
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val pp_histogram : ?width:int -> Format.formatter -> histogram -> unit
 (** ASCII rendering with at most [width] (default 40) marks per bar. *)

@@ -8,8 +8,6 @@ let linspace a b n =
 
 let init = Array.init
 
-let copy = Array.copy
-
 let fill_with dst src =
   if Array.length dst <> Array.length src then
     invalid_arg "Vec.fill_with: length mismatch";
@@ -81,12 +79,3 @@ let argmax x = arg_extremum ( > ) x
 let map2 f x y =
   if Array.length x <> Array.length y then invalid_arg "Vec.map2: length mismatch";
   Array.init (Array.length x) (fun i -> f x.(i) y.(i))
-
-let pp ppf x =
-  Format.fprintf ppf "[|";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%g" v)
-    x;
-  Format.fprintf ppf "|]"

@@ -7,8 +7,6 @@ val linspace : float -> float -> int -> float array
 val init : int -> (int -> float) -> float array
 (** Alias of [Array.init] with the argument order used throughout. *)
 
-val copy : float array -> float array
-
 val fill_with : float array -> float array -> unit
 (** [fill_with dst src] copies [src] into [dst] (same length required). *)
 
@@ -51,6 +49,3 @@ val argmax : float array -> int
 (** Index of the largest element (first occurrence). *)
 
 val map2 : (float -> float -> float) -> float array -> float array -> float array
-
-val pp : Format.formatter -> float array -> unit
-(** Short debug printer, ["[|a; b; ...|]"]. *)

@@ -21,8 +21,8 @@
     collect an isolated snapshot.  The default enabled state of
     [global] comes from the [GNRFET_OBS] environment variable: unset,
     ["0"], ["false"] or ["off"] mean disabled (the test-suite default);
-    anything else means enabled.  bench/ and the CLI turn it on
-    explicitly unless [GNRFET_OBS=0].
+    anything else means enabled.  The CLI turns it on explicitly
+    unless [GNRFET_OBS=0].
 
     {b Determinism.}  Counter and histogram contents are deterministic
     functions of the work performed; timer values are wall-clock and

@@ -7,9 +7,6 @@
 val q : float
 (** Elementary charge, C. *)
 
-val kb : float
-(** Boltzmann constant, J/K. *)
-
 val kb_ev : float
 (** Boltzmann constant, eV/K. *)
 

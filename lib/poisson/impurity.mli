@@ -6,8 +6,10 @@
     that its field is screened by the gates (pitch > oxide thickness).  We
     model the potential seen by the channel as a Yukawa-screened Coulomb
     term added to the chain on-site energies (the self-consistent loop then
-    provides the free-carrier response); DESIGN.md records this
-    substitution and the 3D solver cross-check. *)
+    provides the free-carrier response); DESIGN.md §3 records this
+    substitution.  The fitted screening length and permittivity have not
+    been cross-checked against a 3D solve of the point charge in the
+    double-gate box ({!Poisson3d}); that check is still open. *)
 
 type t = {
   charge : float;  (** in units of |q|; negative = electron-repelling *)
@@ -16,12 +18,13 @@ type t = {
 }
 
 val paper_default : charge:float -> t
-(** Impurity at 0.4 nm from the GNR surface, 1.5 nm from the source
+(** Impurity at 0.4 nm from the GNR surface, 2.0 nm from the source
     contact (inside the source Schottky junction region, where the paper
     notes the effect is strongest). *)
 
 val screening_length : float
-(** Gate screening length (m): the oxide thickness, 1.5 nm. *)
+(** Gate screening length (m), 2.5 nm: a fitted value, longer than the
+    1.5 nm oxide (EXPERIMENTS.md, calibration constants). *)
 
 val effective_eps_r : float
 (** Effective relative permittivity seen by the impurity (oxide plus

@@ -68,8 +68,3 @@ let add t key value =
           Some victim.key
         | None -> None (* cap >= 1 and length >= 2: unreachable *)
       end
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.first <- None;
-  t.last <- None

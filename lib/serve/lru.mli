@@ -21,5 +21,3 @@ val find : 'a t -> string -> 'a option
 val add : 'a t -> string -> 'a -> string option
 (** Insert or replace (either way the entry becomes most recent).
     Returns the key evicted to make room, if any. *)
-
-val clear : 'a t -> unit

@@ -296,8 +296,6 @@ let parse s =
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
-let keys = function Obj fields -> List.map fst fields | _ -> []
-
 let to_float = function Num v -> Some v | _ -> None
 
 let to_int = function

@@ -1,7 +1,7 @@
 (** Minimal JSON for the serve protocol.
 
-    The container image carries no JSON dependency (bench/obs hand-roll
-    their emitters), so the newline-delimited serve protocol
+    The container image carries no JSON dependency (obs hand-rolls its
+    emitter), so the newline-delimited serve protocol
     (docs/SERVE.md) gets a small self-contained value type, parser and
     printer here.  The parser accepts strict JSON (RFC 8259: UTF-8
     input, [\uXXXX] escapes decoded to UTF-8, no trailing garbage); the
@@ -28,9 +28,6 @@ val to_string : t -> string
 
 val member : string -> t -> t option
 (** Field of an [Obj] ([None] on missing field or non-object). *)
-
-val keys : t -> string list
-(** Field names of an [Obj] (empty otherwise). *)
 
 val to_float : t -> float option
 

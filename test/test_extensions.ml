@@ -1,6 +1,5 @@
-(* Tests for the extension modules: analytic band formulas, zigzag
-   ribbons, edge roughness, the SPICE deck front-end, NAND/NOR cells and
-   CSV export. *)
+(* Tests for the extension modules: analytic band formulas, edge
+   roughness, the SPICE deck front-end, NAND/NOR cells and CSV export. *)
 
 open Support
 
@@ -36,33 +35,6 @@ let test_dirac_estimate_tracks () =
 let test_fermi_velocity () =
   let vf = Analytic.fermi_velocity () in
   Alcotest.(check bool) "about 0.9e6 m/s" true (vf > 0.7e6 && vf < 1.1e6)
-
-let test_zigzag_metallic () =
-  List.iter
-    (fun n ->
-      let gap = Bands.band_gap (Bands.compute ~nk:65 (Zigzag.hamiltonian n)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "Z-GNR N=%d gapless" n)
-        true (gap < 0.02))
-    [ 4; 6; 8 ]
-
-let test_zigzag_edge_band_flat () =
-  (* Near ka = pi the lowest conduction band of a Z-GNR is the flat edge
-     band pinned at E ~ 0. *)
-  let b = Bands.compute ~nk:65 (Zigzag.hamiltonian 6) in
-  let last = b.Bands.energies.(Array.length b.Bands.energies - 1) in
-  let min_abs = Array.fold_left (fun acc e -> Float.min acc (Float.abs e)) infinity last in
-  Alcotest.(check bool) "edge state at E~0 at k=pi" true (min_abs < 1e-3)
-
-let test_zigzag_geometry () =
-  Alcotest.(check int) "atoms" 12 (Zigzag.atoms_per_cell 6);
-  approx ~eps:1e-15 "period" Const.a_graphene Zigzag.period;
-  let bonds =
-    List.length (Zigzag.neighbours_within_cell 6)
-    + List.length (Zigzag.neighbours_to_next_cell 6)
-  in
-  (* 3N - 1 bonds per cell for a zigzag ribbon of N chains. *)
-  Alcotest.(check int) "bond count" 17 bonds
 
 let test_roughness_monotone () =
   let study sigma =
@@ -213,9 +185,6 @@ let suite =
     Alcotest.test_case "3q+2 gapless (uncorrected)" `Quick test_analytic_family_zero;
     Alcotest.test_case "dirac estimate" `Quick test_dirac_estimate_tracks;
     Alcotest.test_case "fermi velocity" `Quick test_fermi_velocity;
-    Alcotest.test_case "zigzag metallic" `Quick test_zigzag_metallic;
-    Alcotest.test_case "zigzag flat edge band" `Quick test_zigzag_edge_band_flat;
-    Alcotest.test_case "zigzag geometry" `Quick test_zigzag_geometry;
     Alcotest.test_case "roughness monotone" `Quick test_roughness_monotone;
     Alcotest.test_case "roughness deterministic" `Quick test_roughness_deterministic;
     Alcotest.test_case "spice values" `Quick test_spice_values;

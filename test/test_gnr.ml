@@ -15,7 +15,7 @@ let test_fermi () =
 let test_fermi_derivative_normalization () =
   let kt = 0.0259 in
   let f e = Fermi.derivative ~mu:0. ~kt e in
-  let integral = Integrate.simpson ~f ~a:(-1.) ~b:1. ~n:4000 in
+  let integral = simpson ~f ~a:(-1.) ~b:1. ~n:4000 in
   approx ~eps:1e-6 "-df/dE integrates to 1" 1. integral
 
 let test_fermi_window () =

@@ -20,6 +20,7 @@ let () =
       ("cmos", Test_cmos.suite);
       ("core", Test_core.suite);
       ("extensions", Test_extensions.suite);
+      ("experiments", Test_experiments.suite);
       ("properties", Test_properties.suite);
       ("integration", Test_integration.suite);
       ("lint", Test_lint.suite);

@@ -1,4 +1,4 @@
-(* Unit and property tests for Vec, Stats, Rng, Integrate, Roots, Lstsq. *)
+(* Unit and property tests for Vec, Stats, Rng, Lstsq, Mixing, Parallel. *)
 
 open Support
 
@@ -121,57 +121,16 @@ let test_rng_splitmix64_vector () =
     expected;
   Alcotest.(check int64) "Fault.splitmix64 0" (List.hd expected) (Fault.splitmix64 0L)
 
-let test_integrate_polynomials () =
-  let f x = (3. *. x *. x) +. (2. *. x) +. 1. in
-  (* Exact integral on [0,2] = 8 + 4 + 2 = 14. *)
-  approx ~eps:1e-10 "simpson cubic-exact" 14. (Integrate.simpson ~f ~a:0. ~b:2. ~n:4);
-  approx ~eps:1e-3 "trapezoid" 14. (Integrate.trapezoid ~f ~a:0. ~b:2. ~n:200);
-  approx ~eps:1e-8 "adaptive" 14. (Integrate.adaptive_simpson ~f ~a:0. ~b:2. ());
-  approx ~eps:1e-8 "adaptive sin" 2.
-    (Integrate.adaptive_simpson ~f:sin ~a:0. ~b:Float.pi ())
-
-let test_integrate_samples () =
-  let xs = [| 0.; 1.; 3. |] and ys = [| 0.; 2.; 6. |] in
-  (* Piecewise linear: 1 + 8 = 9. *)
-  approx "samples" 9. (Integrate.trapezoid_samples ~xs ~ys);
-  check_raises_invalid "decreasing axis" (fun () ->
-      Integrate.trapezoid_samples ~xs:[| 1.; 0. |] ~ys:[| 0.; 0. |])
-
-let test_roots () =
-  let f x = cos x in
-  let r1 = Roots.bisection ~f ~a:1. ~b:2. () in
-  approx ~eps:1e-9 "bisection pi/2" (Float.pi /. 2.) r1;
-  let r2 = Roots.brent ~f ~a:1. ~b:2. () in
-  approx ~eps:1e-9 "brent pi/2" (Float.pi /. 2.) r2;
-  check_raises_invalid "no bracket" (fun () -> Roots.brent ~f ~a:0.1 ~b:0.2 ());
-  match Roots.bracket_scan ~f ~a:0. ~b:3. ~n:30 with
-  | Some (lo, hi) ->
-    Alcotest.(check bool) "bracket contains root" true
-      (lo <= Float.pi /. 2. && Float.pi /. 2. <= hi)
-  | None -> Alcotest.fail "bracket_scan missed the root"
-
-let prop_brent_polynomial =
-  qtest "brent finds polynomial roots" QCheck.(float_range 0.3 3.)
-    (fun root ->
-      let f x = (x -. root) *. ((x *. x) +. 1.) in
-      let found = Roots.brent ~f ~a:0. ~b:4. () in
-      Float.abs (found -. root) < 1e-8)
-
-let test_lstsq_line () =
-  let xs = [| 0.; 1.; 2.; 3. |] in
-  let ys = Array.map (fun x -> (2.5 *. x) -. 1.25 ) xs in
-  let intercept, slope = Lstsq.line_fit ~xs ~ys in
-  approx ~eps:1e-8 "slope" 2.5 slope;
-  approx ~eps:1e-8 "intercept" (-1.25) intercept
-
-let test_lstsq_polyfit () =
+let test_lstsq_solve () =
+  (* The 9-point Vandermonde system of 1 + 2x + 3x^2: the normal-equations
+     kernel behind Anderson mixing recovers the exact coefficients. *)
   let xs = Vec.linspace (-1.) 1. 9 in
+  let a = Matrix.init 9 3 (fun i j -> xs.(i) ** float_of_int j) in
   let ys = Array.map (fun x -> 1. +. (2. *. x) +. (3. *. x *. x)) xs in
-  let c = Lstsq.polyfit ~degree:2 ~xs ~ys in
+  let c = Lstsq.solve a ys in
   approx ~eps:1e-8 "c0" 1. c.(0);
   approx ~eps:1e-8 "c1" 2. c.(1);
-  approx ~eps:1e-8 "c2" 3. c.(2);
-  approx ~eps:1e-8 "polyval" 6. (Lstsq.polyval c 1.)
+  approx ~eps:1e-8 "c2" 3. c.(2)
 
 let test_mixing_linear () =
   let m = Mixing.linear ~alpha:0.5 in
@@ -217,12 +176,7 @@ let suite =
     Alcotest.test_case "rng split" `Quick test_rng_split;
     Alcotest.test_case "rng splitmix64 reference vector" `Quick
       test_rng_splitmix64_vector;
-    Alcotest.test_case "integrate polynomials" `Quick test_integrate_polynomials;
-    Alcotest.test_case "integrate samples" `Quick test_integrate_samples;
-    Alcotest.test_case "roots" `Quick test_roots;
-    prop_brent_polynomial;
-    Alcotest.test_case "least-squares line" `Quick test_lstsq_line;
-    Alcotest.test_case "polyfit" `Quick test_lstsq_polyfit;
+    Alcotest.test_case "least-squares solve" `Quick test_lstsq_solve;
     Alcotest.test_case "mixing linear" `Quick test_mixing_linear;
     Alcotest.test_case "mixing anderson" `Quick test_mixing_anderson_converges;
     Alcotest.test_case "parallel map" `Quick test_parallel_map;
