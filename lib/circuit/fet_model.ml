@@ -16,11 +16,3 @@ let parallel name models =
     cgs = (fun ~vgs ~vds -> sum (fun m -> m.cgs) ~vgs ~vds);
     cgd = (fun ~vgs ~vds -> sum (fun m -> m.cgd) ~vgs ~vds);
   }
-
-let scale name k m =
-  {
-    name;
-    id = (fun ~vgs ~vds -> k *. m.id ~vgs ~vds);
-    cgs = (fun ~vgs ~vds -> k *. m.cgs ~vgs ~vds);
-    cgd = (fun ~vgs ~vds -> k *. m.cgd ~vgs ~vds);
-  }

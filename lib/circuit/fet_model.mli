@@ -19,6 +19,3 @@ val parallel : string -> t list -> t
 (** Terminal-wise parallel composition: currents and capacitances add.
     Used for the 4-GNR array channel, where each GNR may carry its own
     variation or defect. *)
-
-val scale : string -> float -> t -> t
-(** Multiply currents and capacitances (device width scaling). *)

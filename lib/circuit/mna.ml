@@ -2,16 +2,60 @@ type state = float array
 
 type waveform = { times : float array; voltages : float array array }
 
+(* Element views in compiled order.  Each terminal carries its node id,
+   which indexes voltages, and its unknown index, which indexes the
+   residual and the Jacobian (-1 for a driven node or ground). *)
+type resistor = { ra : int; rb : int; ka : int; kb : int; ohms : float }
+
+type fet = { gn : int; dn : int; sn : int; kg : int; kd : int; ks : int; model : Fet_model.t }
+
+(* Capacitive branches with their companion-model state. *)
+type cap_branch = {
+  ca : int;
+  cb : int;
+  kca : int;
+  kcb : int;
+  cvalue : float array -> float; (* capacitance as a function of node voltages *)
+  mutable v_prev : float;
+  mutable i_prev : float;
+  mutable c_step : float; (* capacitance frozen at the start of the step *)
+}
+
+(* Newton scratch, reused by every iteration of every solve on one
+   compiled circuit: node voltages, residual, row-major Jacobian (LU
+   factored in place), right-hand side (overwritten with the step) and
+   pivots. *)
+type scratch = {
+  v : float array;
+  f : float array;
+  jac : float array;
+  rhs : float array;
+  piv : int array;
+}
+
 (* Compiled view of a netlist. *)
 type compiled = {
   n_nodes : int;
   unknown_of : int array; (* node -> unknown index or -1 *)
   n_unknowns : int;
   sources : (int * (float -> float)) list;
-  resistors : (int * int * float) list;
-  linear_caps : (int * int * float) list;
-  fets : (int * int * int * Fet_model.t) list;
+  resistors : resistor array;
+  fets : fet array;
+  branches : cap_branch array; (* linear capacitors, then each FET's gs and gd *)
+  s : scratch;
 }
+
+let branch ~unknown_of a b cvalue c_step =
+  {
+    ca = a;
+    cb = b;
+    kca = unknown_of.(a);
+    kcb = unknown_of.(b);
+    cvalue;
+    v_prev = 0.;
+    i_prev = 0.;
+    c_step;
+  }
 
 let compile net =
   let n = Netlist.node_count net in
@@ -23,155 +67,148 @@ let compile net =
       incr count
     end
   done;
+  let k node = unknown_of.(node) in
   let resistors = ref [] and caps = ref [] and fets = ref [] in
   List.iter
     (fun e ->
       match e with
-      | Netlist.Resistor { a; b; ohms } -> resistors := (a, b, ohms) :: !resistors
-      | Netlist.Capacitor { a; b; farads } -> caps := (a, b, farads) :: !caps
-      | Netlist.Fet { g; d; s; model } -> fets := (g, d, s, model) :: !fets)
+      | Netlist.Resistor { a; b; ohms } ->
+        resistors := { ra = a; rb = b; ka = k a; kb = k b; ohms } :: !resistors
+      | Netlist.Capacitor { a; b; farads } ->
+        caps := branch ~unknown_of a b (fun _ -> farads) farads :: !caps
+      | Netlist.Fet { g; d; s; model } ->
+        fets := { gn = g; dn = d; sn = s; kg = k g; kd = k d; ks = k s; model } :: !fets)
     (Netlist.elements net);
+  let fet_branches { gn = g; dn = d; sn = s; model = m; _ } =
+    let bias v = (v.(g) -. v.(s), v.(d) -. v.(s)) in
+    [
+      branch ~unknown_of g s (fun v -> let vgs, vds = bias v in m.cgs ~vgs ~vds) 0.;
+      branch ~unknown_of g d (fun v -> let vgs, vds = bias v in m.cgd ~vgs ~vds) 0.;
+    ]
+  in
+  let nu = !count in
   {
     n_nodes = n;
     unknown_of;
-    n_unknowns = !count;
+    n_unknowns = nu;
     sources = Netlist.driven net;
-    resistors = !resistors;
-    linear_caps = !caps;
-    fets = !fets;
+    resistors = Array.of_list !resistors;
+    fets = Array.of_list !fets;
+    branches = Array.of_list (!caps @ List.concat_map fet_branches !fets);
+    s =
+      {
+        v = Array.make n 0.;
+        f = Array.make nu 0.;
+        jac = Array.make (nu * nu) 0.;
+        rhs = Array.make nu 0.;
+        piv = Array.make nu 0;
+      };
   }
 
-(* Full node-voltage vector from the unknown vector at a given time;
-   [vscale] scales the sources (source-stepping homotopy). *)
-let expand ?(vscale = 1.) c x time =
+(* Full node-voltage vector from the unknown vector at a given time. *)
+let expand c x time =
   let v = Array.make c.n_nodes 0. in
-  List.iter (fun (node, wave) -> v.(node) <- vscale *. wave time) c.sources;
+  List.iter (fun (node, wave) -> v.(node) <- wave time) c.sources;
   for node = 1 to c.n_nodes - 1 do
     let k = c.unknown_of.(node) in
     if k >= 0 then v.(node) <- x.(k)
   done;
   v
 
-(* Capacitive branches with their companion-model state. *)
-type cap_branch = {
-  ca : int;
-  cb : int;
-  cvalue : float array -> float; (* capacitance as a function of node voltages *)
-  mutable v_prev : float;
-  mutable i_prev : float;
-  mutable c_step : float; (* capacitance frozen at the start of the step *)
-}
+(* The driven entries of the scratch voltages, fixed for one Newton
+   solve; [vscale] scales the sources (source-stepping homotopy). *)
+let load_sources ?(vscale = 1.) c time =
+  List.iter (fun (node, wave) -> c.s.v.(node) <- vscale *. wave time) c.sources
 
-let cap_branches c =
-  let of_linear (a, b, farads) =
-    { ca = a; cb = b; cvalue = (fun _ -> farads); v_prev = 0.; i_prev = 0.; c_step = farads }
-  in
-  let of_fet (g, d, s, (m : Fet_model.t)) =
-    let bias v = (v.(g) -. v.(s), v.(d) -. v.(s)) in
-    [
-      {
-        ca = g;
-        cb = s;
-        cvalue = (fun v -> let vgs, vds = bias v in m.cgs ~vgs ~vds);
-        v_prev = 0.;
-        i_prev = 0.;
-        c_step = 0.;
-      };
-      {
-        ca = g;
-        cb = d;
-        cvalue = (fun v -> let vgs, vds = bias v in m.cgd ~vgs ~vds);
-        v_prev = 0.;
-        i_prev = 0.;
-        c_step = 0.;
-      };
-    ]
-  in
-  List.map of_linear c.linear_caps @ List.concat_map of_fet c.fets
+(* Stamps.  [current] adds a current leaving unknown [k] to the residual;
+   [conductance] adds g between unknown [k] and [k'] to row [k]. *)
+let[@inline] current f k i = if k >= 0 then f.(k) <- f.(k) +. i
 
-(* Newton assembly: residual f (KCL, currents leaving each unknown node)
-   and Jacobian J. [dyn] carries the companion-model terms when in a
-   transient step. *)
-type dyn = { dt : float; branches : cap_branch list }
+let[@inline] entry jac n k k' g =
+  if k' >= 0 then begin
+    let at = (k * n) + k' in
+    jac.(at) <- jac.(at) +. g
+  end
+
+let[@inline] conductance jac n k k' g =
+  if k >= 0 then begin
+    entry jac n k k g;
+    entry jac n k k' (-.g)
+  end
 
 let fd_step = 1e-6
 
-let assemble ?vscale c x time gmin dyn =
-  let v = expand ?vscale c x time in
-  let f = Array.make c.n_unknowns 0. in
-  let j = Matrix.create (max 1 c.n_unknowns) (max 1 c.n_unknowns) in
-  let add_current node i =
-    let k = c.unknown_of.(node) in
-    if k >= 0 then f.(k) <- f.(k) +. i
-  in
-  let add_conductance node other g =
-    let k = c.unknown_of.(node) in
-    if k >= 0 then begin
-      Matrix.add_to j k k g;
-      let k' = c.unknown_of.(other) in
-      if k' >= 0 then Matrix.add_to j k k' (-.g)
-    end
-  in
+(* Newton assembly at the scratch voltages: the residual f (KCL, currents
+   leaving each unknown node) and, when [jacobian], the Jacobian J.  [dt]
+   carries the companion-model terms of a transient step.  Each entry
+   accumulates in one fixed order (gmin, resistors, FETs, capacitor
+   branches), shared by both modes, so a residual-only pass gives the
+   full assembly's f bit for bit. *)
+let assemble ~jacobian c gmin dt =
+  let { v; f; jac; _ } = c.s and n = c.n_unknowns in
+  Array.fill f 0 n 0.;
+  if jacobian then Array.fill jac 0 (n * n) 0.;
   (* gmin to ground stabilizes floating regions during homotopy. *)
   if gmin > 0. then
     for node = 1 to c.n_nodes - 1 do
       let k = c.unknown_of.(node) in
       if k >= 0 then begin
         f.(k) <- f.(k) +. (gmin *. v.(node));
-        Matrix.add_to j k k gmin
+        if jacobian then entry jac n k k gmin
       end
     done;
-  List.iter
-    (fun (a, b, ohms) ->
-      let g = 1. /. ohms in
-      let i = g *. (v.(a) -. v.(b)) in
-      add_current a i;
-      add_current b (-.i);
-      add_conductance a b g;
-      add_conductance b a g)
-    c.resistors;
-  List.iter
-    (fun (gn, dn, sn, (m : Fet_model.t)) ->
-      let id vg vd vs = m.id ~vgs:(vg -. vs) ~vds:(vd -. vs) in
-      let i0 = id v.(gn) v.(dn) v.(sn) in
-      add_current dn i0;
-      add_current sn (-.i0);
+  for e = 0 to Array.length c.resistors - 1 do
+    let { ra; rb; ka; kb; ohms } = c.resistors.(e) in
+    let g = 1. /. ohms in
+    let i = g *. (v.(ra) -. v.(rb)) in
+    current f ka i;
+    current f kb (-.i);
+    if jacobian then begin
+      conductance jac n ka kb g;
+      conductance jac n kb ka g
+    end
+  done;
+  for e = 0 to Array.length c.fets - 1 do
+    let { gn; dn; sn; kg; kd; ks; model = m } = c.fets.(e) in
+    let vg = v.(gn) and vd = v.(dn) and vs = v.(sn) in
+    let i0 = m.id ~vgs:(vg -. vs) ~vds:(vd -. vs) in
+    current f kd i0;
+    current f ks (-.i0);
+    if jacobian then begin
       (* Numeric partials of the drain current. *)
-      let gg = (id (v.(gn) +. fd_step) v.(dn) v.(sn) -. i0) /. fd_step in
-      let gd = (id v.(gn) (v.(dn) +. fd_step) v.(sn) -. i0) /. fd_step in
-      let gs = (id v.(gn) v.(dn) (v.(sn) +. fd_step) -. i0) /. fd_step in
-      let stamp_row node sign =
-        let k = c.unknown_of.(node) in
-        if k >= 0 then begin
-          let put terminal gpart =
-            let k' = c.unknown_of.(terminal) in
-            if k' >= 0 then Matrix.add_to j k k' (sign *. gpart)
-          in
-          put gn gg;
-          put dn gd;
-          put sn gs
-        end
+      let gg = (m.id ~vgs:((vg +. fd_step) -. vs) ~vds:(vd -. vs) -. i0) /. fd_step in
+      let gd = (m.id ~vgs:(vg -. vs) ~vds:((vd +. fd_step) -. vs) -. i0) /. fd_step in
+      let gs =
+        (m.id ~vgs:(vg -. (vs +. fd_step)) ~vds:(vd -. (vs +. fd_step)) -. i0) /. fd_step
       in
-      stamp_row dn 1.;
-      stamp_row sn (-1.))
-    c.fets;
-  (match dyn with
+      if kd >= 0 then begin
+        entry jac n kd kg gg;
+        entry jac n kd kd gd;
+        entry jac n kd ks gs
+      end;
+      if ks >= 0 then begin
+        entry jac n ks kg (-.gg);
+        entry jac n ks kd (-.gd);
+        entry jac n ks ks (-.gs)
+      end
+    end
+  done;
+  match dt with
   | None -> ()
-  | Some { dt; branches } ->
-    List.iter
-      (fun br ->
-        let gc = 2. *. br.c_step /. dt in
-        let vb = v.(br.ca) -. v.(br.cb) in
-        (* Trapezoid companion: i = gc*(v - v_prev) - i_prev. *)
-        let i = (gc *. (vb -. br.v_prev)) -. br.i_prev in
-        add_current br.ca i;
-        add_current br.cb (-.i);
-        add_conductance br.ca br.cb gc;
-        add_conductance br.cb br.ca gc)
-      branches);
-  (f, j)
-
-let debug = Sys.getenv_opt "GNRFET_MNA_DEBUG" <> None
+  | Some dt ->
+    for e = 0 to Array.length c.branches - 1 do
+      let br = c.branches.(e) in
+      let gc = 2. *. br.c_step /. dt in
+      let vb = v.(br.ca) -. v.(br.cb) in
+      (* Trapezoid companion: i = gc*(v - v_prev) - i_prev. *)
+      let i = (gc *. (vb -. br.v_prev)) -. br.i_prev in
+      current f br.kca i;
+      current f br.kcb (-.i);
+      if jacobian then begin
+        conductance jac n br.kca br.kcb gc;
+        conductance jac n br.kcb br.kca gc
+      end
+    done
 
 (* Circuit-level observability (docs/OBS.md).  Newton iterations are
    counted across all homotopy rungs, so iterations-per-dc-solve out of a
@@ -182,6 +219,7 @@ let obs_transient_steps = Obs.Counter.make "mna.transient_steps"
 let obs_transient_retries = Obs.Counter.make "mna.transient_retries"
 let obs_gmin_retries = Obs.Counter.make "robust.mna.transient_gmin_retries"
 let obs_dc_time = Obs.Timer.make "mna.solve_dc"
+let obs_transient_time = Obs.Timer.make "mna.transient"
 
 (* Fault-injection site (docs/ROBUST.md): an armed campaign can make a
    Newton solve report failure on entry — the same [None] the callers'
@@ -189,68 +227,97 @@ let obs_dc_time = Obs.Timer.make "mna.solve_dc"
    subdivision) already recover from.  Single branch when disarmed. *)
 let fault_newton = Fault.site "mna.newton"
 
-let has_nan a = Array.exists (fun v -> not (Float.is_finite v)) a
+(* Max norm, NaN if any entry is NaN (as [Vec.norm_inf], without boxing
+   each entry). *)
+let norm_inf a =
+  let acc = ref 0. in
+  for k = 0 to Array.length a - 1 do
+    let m = Float.abs a.(k) in
+    if not (m <= !acc || Float.is_nan !acc) then acc := m
+  done;
+  !acc
 
-let residual_norm ?vscale c x time gmin dyn =
-  let f, _ = assemble ?vscale c x time gmin dyn in
-  Vec.norm_inf f
+let all_finite a =
+  let ok = ref true in
+  for k = 0 to Array.length a - 1 do
+    if not (Float.is_finite a.(k)) then ok := false
+  done;
+  !ok
 
-let newton ?(max_iter = 80) ?(v_limit = 0.3) ?vscale c x0 time gmin dyn =
-  let x = ref (Array.copy x0) in
-  if c.n_unknowns = 0 then Some !x
+let load_point c x =
+  let v = c.s.v in
+  for node = 1 to c.n_nodes - 1 do
+    let k = c.unknown_of.(node) in
+    if k >= 0 then v.(node) <- x.(k)
+  done
+
+(* Backtracking line search along the Newton step [dx], which keeps the
+   residual from growing (it otherwise spirals near model kinks): halve
+   alpha while the trial residual is NaN or above [fnorm], at most 10
+   times, and move [x] to the trial with the smallest residual (the last
+   trial when every residual is NaN).  Trials only need the residual. *)
+let line_search c x dx ~fnorm ~scale gmin dt =
+  let n = c.n_unknowns and v = c.s.v in
+  let alpha = ref 1. and tries = ref 0 and searching = ref true in
+  let best_alpha = ref nan and best = ref nan in
+  while !searching do
+    let a = !alpha *. scale in
+    for node = 1 to c.n_nodes - 1 do
+      let k = c.unknown_of.(node) in
+      if k >= 0 then v.(node) <- x.(k) +. (a *. dx.(k))
+    done;
+    assemble ~jacobian:false c gmin dt;
+    let fnew = norm_inf c.s.f in
+    if not (Float.is_nan fnew) && (Float.is_nan !best || fnew < !best) then begin
+      best := fnew;
+      best_alpha := !alpha
+    end;
+    if (Float.is_nan fnew || fnew > fnorm *. (1. +. 1e-9)) && !tries < 10 then begin
+      alpha := !alpha /. 2.;
+      incr tries
+    end
+    else searching := false
+  done;
+  let a = (if Float.is_nan !best then !alpha else !best_alpha) *. scale in
+  for k = 0 to n - 1 do
+    x.(k) <- x.(k) +. (a *. dx.(k))
+  done
+
+(* Newton on the compiled circuit's scratch: each iteration assembles the
+   Jacobian once and factors it in place, and each line-search trial
+   computes the residual only.  Apart from the returned vector it
+   allocates no arrays. *)
+let newton ?(max_iter = 80) ?(v_limit = 0.3) ?vscale c x0 time gmin dt =
+  let x = Array.copy x0 in
+  if c.n_unknowns = 0 then Some x
   else if Fault.should_fail fault_newton then None
   else begin
+    let n = c.n_unknowns and { f; jac; rhs = dx; piv; _ } = c.s in
+    load_sources ?vscale c time;
     let rec loop it =
       Obs.Counter.incr obs_newton_iters;
-      let f, j = assemble ?vscale c !x time gmin dyn in
-      let fnorm = Vec.norm_inf f in
-      if Float.is_nan fnorm then begin
-        if debug then Printf.eprintf "newton: NaN residual at it=%d t=%g\n%!" it time;
-        None
-      end
+      load_point c x;
+      assemble ~jacobian:true c gmin dt;
+      let fnorm = norm_inf f in
+      if Float.is_nan fnorm then None
       else begin
-        match Matrix.solve j (Array.map (fun v -> -.v) f) with
-        | exception (Failure _ | Numerics_error.Singular _) ->
-          if debug then
-            Printf.eprintf "newton: singular J at it=%d fnorm=%g\n%!" it fnorm;
-          None
-        | dx when has_nan dx ->
-          if debug then Printf.eprintf "newton: NaN step at it=%d\n%!" it;
-          None
-        | dx ->
-          (* Voltage limiting keeps the exponential models in range... *)
-          let step = Vec.norm_inf dx in
-          let scale = if step > v_limit then v_limit /. step else 1. in
-          (* ...and a backtracking line search keeps the residual from
-             growing, which otherwise spirals near model kinks. *)
-          let rec try_alpha alpha tries best =
-            let trial =
-              Array.mapi (fun k v -> v +. (alpha *. scale *. dx.(k))) !x
-            in
-            let fnew = residual_norm ?vscale c trial time gmin dyn in
-            let best =
-              match best with
-              | Some (_, fb) when Float.is_nan fnew || fb <= fnew -> best
-              | Some _ | None -> if Float.is_nan fnew then best else Some (trial, fnew)
-            in
-            if (Float.is_nan fnew || fnew > fnorm *. (1. +. 1e-9)) && tries < 10 then
-              try_alpha (alpha /. 2.) (tries + 1) best
-            else begin
-              match best with Some (t, _) -> t | None -> trial
-            end
-          in
-          x := try_alpha 1. 0 None;
-          if step *. scale < 1e-9 && fnorm < 1e-12 then Some !x
-          else if it >= max_iter then begin
-            if fnorm < 1e-10 then Some !x
-            else begin
-              if debug then
-                Printf.eprintf "newton: no convergence fnorm=%g step=%g\n%!" fnorm
-                  (step *. scale);
-              None
-            end
+        match Matrix.lu_factor_in_place n jac piv with
+        | exception (Failure _ | Numerics_error.Singular _) -> None
+        | () ->
+          for i = 0 to n - 1 do
+            dx.(i) <- -.f.(piv.(i))
+          done;
+          Matrix.lu_solve_in_place n jac dx;
+          if not (all_finite dx) then None
+          else begin
+            (* Voltage limiting keeps the exponential models in range. *)
+            let step = norm_inf dx in
+            let scale = if step > v_limit then v_limit /. step else 1. in
+            line_search c x dx ~fnorm ~scale gmin dt;
+            if step *. scale < 1e-9 && fnorm < 1e-12 then Some x
+            else if it >= max_iter then (if fnorm < 1e-10 then Some x else None)
+            else loop (it + 1)
           end
-          else loop (it + 1)
       end
     in
     loop 0
@@ -278,8 +345,8 @@ let solve_dc ?x0 ?(time = 0.) net =
     | Some _ -> invalid_arg "Mna.solve_dc: bad x0 length"
     | None -> Array.make c.n_unknowns 0.
   in
-  let newton ?vscale c x0 time gmin dyn =
-    newton ~max_iter:200 ~v_limit:0.15 ?vscale c x0 time gmin dyn
+  let newton ?vscale c x0 time gmin dt =
+    newton ~max_iter:200 ~v_limit:0.15 ?vscale c x0 time gmin dt
   in
   let result =
     match newton c x0 time 0. None with
@@ -335,6 +402,10 @@ let solve_dc ?x0 ?(time = 0.) net =
   | None -> Robust_error.raise_ (Robust_error.Newton_failure { analysis = "dc"; time })
 
 let transient ?x0 ?(dt_div = 4) net ~t_stop ~dt =
+  let t_tr = Obs.Timer.start obs_transient_time in
+  (* Stop on every path, the invalid_arg checks and the terminal
+     Newton_failure included (gnrlint span-balance). *)
+  Fun.protect ~finally:(fun () -> Obs.Timer.stop obs_transient_time t_tr) @@ fun () ->
   if t_stop <= 0. || dt <= 0. then invalid_arg "Mna.transient: bad time range";
   let c = compile net in
   let v0 =
@@ -343,12 +414,11 @@ let transient ?x0 ?(dt_div = 4) net ~t_stop ~dt =
     | Some _ -> invalid_arg "Mna.transient: x0 must be a full node vector"
     | None -> solve_dc ~time:0. net
   in
-  let branches = cap_branches c in
-  List.iter
+  Array.iter
     (fun br ->
       br.v_prev <- v0.(br.ca) -. v0.(br.cb);
       br.i_prev <- 0.)
-    branches;
+    c.branches;
   (* Guard against a zero-width final step when t_stop is an exact
      multiple of dt (the companion conductance would blow up). *)
   let n_steps = max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
@@ -364,18 +434,18 @@ let transient ?x0 ?(dt_div = 4) net ~t_stop ~dt =
   done;
   let advance ?(gmin = 0.) x_in v_start t_next h =
     (* Freeze table capacitances at start-of-step bias. *)
-    List.iter (fun br -> br.c_step <- Float.max 1e-21 (br.cvalue v_start)) branches;
-    match newton c x_in t_next gmin (Some { dt = h; branches }) with
+    Array.iter (fun br -> br.c_step <- Float.max 1e-21 (br.cvalue v_start)) c.branches;
+    match newton c x_in t_next gmin (Some h) with
     | Some x' ->
       let v' = expand c x' t_next in
-      List.iter
+      Array.iter
         (fun br ->
           let vb = v'.(br.ca) -. v'.(br.cb) in
           let gc = 2. *. br.c_step /. h in
           let i = (gc *. (vb -. br.v_prev)) -. br.i_prev in
           br.v_prev <- vb;
           br.i_prev <- i)
-        branches;
+        c.branches;
       Some (x', v')
     | None -> None
   in
@@ -447,13 +517,13 @@ let waveform_to_csv ?nodes wf =
 
 let static_current c node v =
   let acc = ref 0. in
-  List.iter
-    (fun (a, b, ohms) ->
+  Array.iter
+    (fun { ra = a; rb = b; ohms; _ } ->
       if a = node then acc := !acc +. ((v.(a) -. v.(b)) /. ohms)
       else if b = node then acc := !acc +. ((v.(b) -. v.(a)) /. ohms))
     c.resistors;
-  List.iter
-    (fun (g, d, s, (m : Fet_model.t)) ->
+  Array.iter
+    (fun { gn = g; dn = d; sn = s; model = m; _ } ->
       let i = m.id ~vgs:(v.(g) -. v.(s)) ~vds:(v.(d) -. v.(s)) in
       if d = node then acc := !acc +. i
       else if s = node then acc := !acc -. i)
@@ -473,7 +543,6 @@ let source_current net wf node =
   let nk = Array.length wf.times in
   let static v = static_current c node v in
   (* Displacement currents via central differences of the branch charge. *)
-  let branches = cap_branches c in
   Array.init nk (fun k ->
       let v = wf.voltages.(k) in
       let i_static = static v in
@@ -481,7 +550,7 @@ let source_current net wf node =
         if k = 0 || k = nk - 1 then 0.
         else begin
           let dtc = wf.times.(k + 1) -. wf.times.(k - 1) in
-          List.fold_left
+          Array.fold_left
             (fun acc br ->
               if br.ca = node || br.cb = node then begin
                 let sign = if br.ca = node then 1. else -1. in
@@ -490,7 +559,7 @@ let source_current net wf node =
                 acc +. (sign *. cap *. (vb (k + 1) -. vb (k - 1)) /. dtc)
               end
               else acc)
-            0. branches
+            0. c.branches
         end
       in
       i_static +. i_disp)

@@ -3,8 +3,9 @@
 
     Instrumented into {!Obs.global}: [mna.dc_solves] and the
     [mna.solve_dc] timer, [mna.newton_iterations] (summed across homotopy
-    rungs), [mna.transient_steps] and [mna.transient_retries] (steps that
-    fell back to [dt / dt_div] substeps).  See docs/OBS.md. *)
+    rungs), the [mna.transient] timer, [mna.transient_steps] and
+    [mna.transient_retries] (steps that fell back to [dt / dt_div]
+    substeps).  See docs/OBS.md. *)
 
 type state = float array
 (** Node voltages indexed by node id (entry 0 is ground, always 0). *)

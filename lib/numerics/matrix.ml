@@ -67,11 +67,10 @@ let sub a b = elementwise ( -. ) a b
 
 type lu = { n : int; lu_data : float array; piv : int array }
 
-let lu_factor m =
-  if m.rows <> m.cols then invalid_arg "Matrix.lu_factor: non-square";
-  let n = m.rows in
-  let a = Array.copy m.data in
-  let piv = Array.init n (fun i -> i) in
+let lu_factor_in_place n a piv =
+  for i = 0 to n - 1 do
+    piv.(i) <- i
+  done;
   for k = 0 to n - 1 do
     (* Partial pivoting: largest magnitude in column k at or below row k. *)
     let pivot = ref k in
@@ -106,12 +105,9 @@ let lu_factor m =
           a.((i * n) + j) <- a.((i * n) + j) -. (factor *. a.((k * n) + j))
         done
     done
-  done;
-  { n; lu_data = a; piv }
+  done
 
-let lu_solve { n; lu_data = a; piv } b =
-  if Array.length b <> n then invalid_arg "Matrix.lu_solve: dimension mismatch";
-  let x = Array.init n (fun i -> b.(piv.(i))) in
+let lu_solve_in_place n a x =
   (* Forward substitution with unit lower-triangular L. *)
   for i = 1 to n - 1 do
     let acc = ref x.(i) in
@@ -127,7 +123,19 @@ let lu_solve { n; lu_data = a; piv } b =
       acc := !acc -. (a.((i * n) + j) *. x.(j))
     done;
     x.(i) <- !acc /. a.((i * n) + i)
-  done;
+  done
+
+let lu_factor m =
+  if m.rows <> m.cols then invalid_arg "Matrix.lu_factor: non-square";
+  let n = m.rows in
+  let a = Array.copy m.data and piv = Array.make n 0 in
+  lu_factor_in_place n a piv;
+  { n; lu_data = a; piv }
+
+let lu_solve { n; lu_data; piv } b =
+  if Array.length b <> n then invalid_arg "Matrix.lu_solve: dimension mismatch";
+  let x = Array.init n (fun i -> b.(piv.(i))) in
+  lu_solve_in_place n lu_data x;
   x
 
 let solve a b = lu_solve (lu_factor a) b

@@ -38,10 +38,23 @@ type lu
 (** LU factorization with partial pivoting. *)
 
 val lu_factor : t -> lu
-(** Raises [Failure "Matrix.lu_factor: singular"] on (numerically) singular
-    input. The input matrix is not modified. *)
+(** Raises [Numerics_error.Singular] (solver ["Matrix.lu_factor"]) on
+    (numerically) singular input. The input matrix is not modified. *)
 
 val lu_solve : lu -> float array -> float array
+
+val lu_factor_in_place : int -> float array -> int array -> unit
+(** [lu_factor_in_place n a piv] is {!lu_factor} without allocation: it
+    overwrites the row-major [n x n] array [a] with its LU factors and
+    [piv] with the row permutation (row [i] of the factors is row
+    [piv.(i)] of the input).  Same pivoting and the same singular error
+    as {!lu_factor}, which calls it on a copy. *)
+
+val lu_solve_in_place : int -> float array -> float array -> unit
+(** [lu_solve_in_place n a x] solves with the factors [a] of
+    {!lu_factor_in_place}.  On entry [x.(i)] must hold [b.(piv.(i))]; on
+    exit [x] is the solution.  {!lu_solve} calls it on the permuted copy
+    of [b]. *)
 
 val solve : t -> float array -> float array
 (** One-shot [lu_solve (lu_factor a) b]. *)

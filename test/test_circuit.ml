@@ -12,13 +12,11 @@ let resistor_fet name r =
     cgd = (fun ~vgs:_ ~vds:_ -> 0.);
   }
 
-let test_fet_model_parallel_scale () =
+let test_fet_model_parallel () =
   let m = resistor_fet "r" 1e3 in
   let p = Fet_model.parallel "pair" [ m; m; m ] in
   approx ~eps:1e-15 "parallel currents add" (3. *. 0.5 /. 1e3)
-    (p.Fet_model.id ~vgs:0. ~vds:0.5);
-  let s = Fet_model.scale "scaled" 0.5 m in
-  approx ~eps:1e-15 "scaled" (0.5 *. 0.5 /. 1e3) (s.Fet_model.id ~vgs:0. ~vds:0.5)
+    (p.Fet_model.id ~vgs:0. ~vds:0.5)
 
 let test_netlist_validation () =
   let net = Netlist.create () in
@@ -107,6 +105,87 @@ let test_transient_source_current () =
       approx ~eps:1e-6 "source current" expected ik)
     i
 
+(* Smooth analytic devices for engine-cost checks: an EKV-style channel
+   (source/drain symmetric, valid in every region) with gate
+   capacitances that rise through threshold. *)
+let ekv_current vgs vds =
+  let f u =
+    let l = Float.log1p (Float.exp (0.5 *. u)) in
+    l *. l
+  in
+  let vp = (vgs -. 0.2) /. 1.3 and phi = 0.0259 in
+  1e-6 *. (f (vp /. phi) -. f ((vp -. vds) /. phi))
+
+let ekv_gate_cap vgs = 1e-17 *. (0.5 +. (0.5 /. (1. +. Float.exp (-.(vgs -. 0.2) /. 0.05))))
+
+let ekv_nfet =
+  {
+    Fet_model.name = "ekv-n";
+    id = (fun ~vgs ~vds -> ekv_current vgs vds);
+    cgs = (fun ~vgs ~vds:_ -> ekv_gate_cap vgs);
+    cgd = (fun ~vgs ~vds:_ -> 0.5 *. ekv_gate_cap vgs);
+  }
+
+let ekv_pfet =
+  {
+    Fet_model.name = "ekv-p";
+    id = (fun ~vgs ~vds -> -.ekv_current (-.vgs) (-.vds));
+    cgs = (fun ~vgs ~vds:_ -> ekv_gate_cap (-.vgs));
+    cgd = (fun ~vgs ~vds:_ -> 0.5 *. ekv_gate_cap (-.vgs));
+  }
+
+(* Newton work on a fixed FO4 transient (input inverter, DUT and four
+   gate loads: 12 FETs).  The iteration count is the engine's
+   convergence path and must not move.  Each Newton iteration assembles the Jacobian with 4
+   drain-current calls per FET (value and three finite-difference
+   partials); each line-search trial needs the residual only, 1 call per
+   FET.  This transient takes 382 iterations and 418 trials: 48 x 382 +
+   12 x 418 = 23,352 calls (a full assembly per trial would make
+   48 x (382 + 418) = 38,400).  Allocation per iteration measured 1,215
+   minor words with obs on and off, four in five of them boxed by the
+   model closures; the bound is 1.5x that. *)
+let test_newton_work () =
+  skip_if_fault_armed [ "mna.newton" ];
+  let calls = ref 0 in
+  let counted (m : Fet_model.t) =
+    { m with id = (fun ~vgs ~vds -> incr calls; m.id ~vgs ~vds) }
+  in
+  let pair =
+    {
+      Cells.nfet = counted ekv_nfet;
+      pfet = counted ekv_pfet;
+      ext = { Gnr_model.rs = 5e3; rd = 5e3; cgs_e = 2e-18; cgd_e = 2e-18 };
+    }
+  in
+  let vdd = 0.5 in
+  let wave t =
+    if t <= 20e-12 || t >= 130e-12 then 0.
+    else if t <= 30e-12 then vdd *. (t -. 20e-12) /. 10e-12
+    else if t <= 120e-12 then vdd
+    else vdd *. (130e-12 -. t) /. 10e-12
+  in
+  let run () =
+    let b = Cells.inverter_fo4 ~pair ~vdd ~wave () in
+    ignore (Mna.transient b.Cells.net ~t_stop:240e-12 ~dt:2e-12 : Mna.waveform)
+  in
+  let old = Obs.enabled Obs.global in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
+  Obs.set_enabled Obs.global true;
+  let iters0 = Obs.counter_value "mna.newton_iterations" in
+  run ();
+  let iters = Obs.counter_value "mna.newton_iterations" - iters0 in
+  Alcotest.(check int) "newton iterations" 382 iters;
+  Alcotest.(check int) "drain-current calls" 23_352 !calls;
+  let bound = 1.5 *. 1_215. in
+  List.iter
+    (fun obs ->
+      Obs.set_enabled Obs.global obs;
+      let per_iter = minor_words run /. float_of_int iters in
+      if per_iter > bound then
+        Alcotest.failf "obs %b: %.0f minor words per Newton iteration (bound %.0f)" obs
+          per_iter bound)
+    [ true; false ]
+
 let test_measure_crossings_delay () =
   let times = Vec.linspace 0. 10. 101 in
   let input = Array.map (fun t -> if t >= 2. then 1. else 0.) times in
@@ -173,12 +252,13 @@ let test_butterfly_shape () =
 
 let suite =
   [
-    Alcotest.test_case "fet model composition" `Quick test_fet_model_parallel_scale;
+    Alcotest.test_case "fet model composition" `Quick test_fet_model_parallel;
     Alcotest.test_case "netlist validation" `Quick test_netlist_validation;
     Alcotest.test_case "dc divider" `Quick test_dc_divider;
     Alcotest.test_case "dc nonlinear" `Quick test_dc_nonlinear;
     Alcotest.test_case "transient rc" `Quick test_transient_rc;
     Alcotest.test_case "transient source current" `Quick test_transient_source_current;
+    Alcotest.test_case "newton work on fo4" `Quick test_newton_work;
     Alcotest.test_case "measure crossings/delay/period" `Quick test_measure_crossings_delay;
     Alcotest.test_case "measure average/energy" `Quick test_measure_average_energy;
     Alcotest.test_case "snm ideal" `Quick test_snm_ideal;

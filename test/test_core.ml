@@ -140,6 +140,49 @@ let test_explore_contours_and_points () =
   | Some p -> Alcotest.(check bool) "edp positive" true (p.Explore.value > 0.)
   | None -> Alcotest.fail "no point on the frequency contour"
 
+(* Bit pins of the warm path: Explore.pair_at, then the six
+   Metrics.inverter_metrics fields in record order (tp_lh, tp_hl, tp,
+   p_static, e_switch, snm) and an 11-point Cells.vtc sweep.  The circuit
+   engine and the device models must reproduce every bit; only an
+   intended numerical change may regenerate these values. *)
+let warm_path_pins =
+  [
+    ( 0.13,
+      0.4,
+      [| 0x3d934cdc817bcd60L; 0x3d934cdc817b2660L; 0x3d934cdc817b79e0L;
+         0x3e6c7b92a351c8caL; 0x3c75391701afa9f4L; 0x3fbb7f282f502aacL |],
+      [| 0x3fd9440109525cbbL; 0x3fd8c7e7658b4560L; 0x3fd82045dfaca488L;
+         0x3fd751ac7b7d9480L; 0x3fd5e9df8632ab27L; 0x3fcfd98a96778ab2L;
+         0x3fad7dd09b377395L; 0x3fa23f68f0e028d4L; 0x3f97953b9ecf513bL;
+         0x3f8a364681ca8747L; 0x3f75662411cf3829L |] );
+    ( 0.25,
+      0.2,
+      [| 0x3da3f54640bf0c18L; 0x3da3f55473594840L; 0x3da3f54d5a0c2a2cL;
+         0x3e4097f53f8bf141L; 0x3c569c86b8569cf0L; 0x3fa04ff2ea0429b2L |],
+      [| 0x3fc9253c01e18d7dL; 0x3fc87d21887850e2L; 0x3fc7535ecf9e1a87L;
+         0x3fc59ea2413e82c8L; 0x3fc361d9f4a85fa8L; 0x3fb9999999999998L;
+         0x3fa8defe93c4e7c6L; 0x3f9fd7bac2d8b695L; 0x3f9231d64fdbf892L;
+         0x3f81c78112148b81L; 0x3f6d1765ee030748L |] );
+  ]
+
+let test_warm_path_bits () =
+  (* An injected Newton failure takes a rescue rung and moves the bits. *)
+  skip_if_fault_armed [ "mna.newton" ];
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun (vt, vdd, metrics, vtc) ->
+      let name = Printf.sprintf "vt %g, vdd %g" vt vdd in
+      let pair = pair ~vt () in
+      let m = Metrics.inverter_metrics ~pair ~vdd () in
+      Alcotest.(check (array int64))
+        (name ^ ": inverter metrics")
+        metrics
+        (bits
+           Metrics.[| m.tp_lh; m.tp_hl; m.tp; m.p_static; m.e_switch; m.snm |]);
+      let v = Cells.vtc ~pair ~vdd ~n:11 () in
+      Alcotest.(check (array int64)) (name ^ ": vtc") vtc (bits v.Snm.vout))
+    warm_path_pins
+
 let test_variation_pct () =
   approx "pct up" 50. (Variation.pct ~nominal:2. 3.);
   approx "pct down" (-25.) (Variation.pct ~nominal:4. 3.);
@@ -161,5 +204,6 @@ let suite =
     Alcotest.test_case "ring validation" `Quick test_ring_validation;
     Alcotest.test_case "explore surface" `Quick test_explore_surface;
     Alcotest.test_case "explore contours" `Quick test_explore_contours_and_points;
+    Alcotest.test_case "warm path bits" `Quick test_warm_path_bits;
     Alcotest.test_case "variation pct" `Quick test_variation_pct;
   ]

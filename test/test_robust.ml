@@ -447,6 +447,8 @@ let test_mna_transient_recovers_by_subdividing () =
   let rc = 1e-6 in
   let net, out = rc_net () in
   let retries_before = Obs.counter_value "mna.transient_retries" in
+  let timer = Obs.Timer.make "mna.transient" in
+  let samples_before = Obs.Timer.calls timer in
   (* Hit 1 is the dc operating point; hit 2 fails the first transient
      step, which must be recovered by substep subdivision. *)
   let wf =
@@ -455,6 +457,8 @@ let test_mna_transient_recovers_by_subdividing () =
   in
   Alcotest.(check bool) "subdivision retry counted" true
     (Obs.counter_value "mna.transient_retries" > retries_before);
+  Alcotest.(check int) "one mna.transient sample" (samples_before + 1)
+    (Obs.Timer.calls timer);
   let trace = Mna.node_trace wf out in
   Alcotest.(check bool) "waveform stays finite" true
     (Array.for_all Float.is_finite trace);
@@ -464,8 +468,11 @@ let test_mna_transient_recovers_by_subdividing () =
 
 let test_mna_transient_unrecoverable_is_typed () =
   skip_if_fault_armed [ "mna.newton" ];
+  with_global_obs @@ fun () ->
   let rc = 1e-6 in
   let net, _ = rc_net () in
+  let timer = Obs.Timer.make "mna.transient" in
+  let samples_before = Obs.Timer.calls timer in
   match
     (* Fail every Newton call after the dc point: subdivision and the
        gmin rescue can never succeed, so the typed error must surface. *)
@@ -474,7 +481,10 @@ let test_mna_transient_unrecoverable_is_typed () =
   with
   | exception Robust_error.Error (Robust_error.Newton_failure { analysis; _ })
     ->
-    Alcotest.(check string) "typed transient failure" "transient" analysis
+    Alcotest.(check string) "typed transient failure" "transient" analysis;
+    (* The timer is stopped on the raise path too. *)
+    Alcotest.(check int) "one mna.transient sample" (samples_before + 1)
+      (Obs.Timer.calls timer)
   | exception e ->
     Alcotest.failf "expected a typed Newton_failure, got %s"
       (Printexc.to_string e)
