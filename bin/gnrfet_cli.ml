@@ -752,66 +752,6 @@ let campaign_cmd =
           checkpoint journal (docs/CAMPAIGN.md)")
     [ run_cmd; resume_cmd; status_cmd ]
 
-(* Static analysis over the tree, sharing Gnrlint_lib.Engine with the
-   standalone tools/gnrlint executable (same flags, same rules, same
-   versioned baseline; docs/LINT.md). *)
-let lint_cmd =
-  let dirs_arg =
-    Arg.(
-      value & pos_all string [ "lib"; "bin"; "test" ]
-      & info [] ~docv:"DIR" ~doc:"Directories to lint (default: lib bin test).")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", Gnrlint_lib.Engine.Text); ("json", Gnrlint_lib.Engine.Json); ("sarif", Gnrlint_lib.Engine.Sarif) ])
-          Gnrlint_lib.Engine.Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text, json or sarif.")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some string) (Some "tools/gnrlint/baseline.txt")
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Versioned accepted-findings baseline (pass an empty string for none).")
-  in
-  let update_arg =
-    Arg.(
-      value & flag
-      & info [ "update-baseline" ] ~doc:"Rewrite the baseline with the current findings.")
-  in
-  let output_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to FILE instead of stdout.")
-  in
-  let summary_arg =
-    Arg.(
-      value & flag & info [ "summary" ] ~doc:"Print a per-rule summary table to stderr.")
-  in
-  let run dirs format baseline update_baseline output summary =
-    let baseline_path = match baseline with Some "" -> None | b -> b in
-    exit
-      (Gnrlint_lib.Engine.run
-         {
-           Gnrlint_lib.Engine.default_config with
-           Gnrlint_lib.Engine.dirs;
-           format;
-           baseline_path;
-           update_baseline;
-           output;
-           summary;
-         })
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static analysis (gnrlint): per-file numerics rules plus whole-repo \
-          domain-race/nondet-path/lock-safety/span-balance analysis")
-    Term.(
-      const run $ dirs_arg $ format_arg $ baseline_arg $ update_arg $ output_arg
-      $ summary_arg)
-
 let main =
   let info =
     Cmd.info "gnrfet_cli" ~version:"1.0.0"
@@ -821,6 +761,6 @@ let main =
     [ bands_cmd; iv_cmd; vt_cmd; explore_cmd; tables_cmd; experiment_cmd;
       mc_cmd; export_cmd; simulate_cmd; roughness_cmd; ablations_cmd;
       latch_write_cmd; obs_report_cmd; robust_report_cmd; serve_cmd;
-      query_cmd; campaign_cmd; lint_cmd ]
+      query_cmd; campaign_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -1,29 +1,21 @@
-type bytes_view =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Byte-at-a-time CRC-32C over one 256-entry table of the reflected
+   polynomial 0x82F63B78. *)
 
-external crc32_str : string -> int -> int -> int = "gnrfet_crc32_str"
-[@@noalloc]
-
-external crc32_ba : bytes_view -> int -> int -> int = "gnrfet_crc32_ba"
-[@@noalloc]
-
-external crc32_sw : string -> int -> int -> int = "gnrfet_crc32_sw"
-[@@noalloc]
-
-let check ~what ~total ~pos ~len =
-  if pos < 0 || len < 0 || pos > total - len then
-    invalid_arg
-      (Printf.sprintf "Crc32.%s: range [%d, %d+%d) outside 0..%d" what pos pos
-         len total)
+let table =
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let string s ~pos ~len =
-  check ~what:"string" ~total:(String.length s) ~pos ~len;
-  crc32_str s pos len
-
-let bigarray ba ~pos ~len =
-  check ~what:"bigarray" ~total:(Bigarray.Array1.dim ba) ~pos ~len;
-  crc32_ba ba pos len
-
-let string_sw s ~pos ~len =
-  check ~what:"string_sw" ~total:(String.length s) ~pos ~len;
-  crc32_sw s pos len
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg
+      (Printf.sprintf "Crc32.string: range [%d, %d+%d) outside 0..%d" pos pos
+         len (String.length s));
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF

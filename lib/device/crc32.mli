@@ -1,33 +1,14 @@
 (** CRC-32C (Castagnoli, polynomial 0x1EDC6F41) for the [gnrtbl]
-    on-disk table format.
+    on-disk table format and the campaign journal.
 
-    On x86-64 with SSE4.2 the C stub (crc32_stubs.c) uses the hardware
-    [crc32] instruction over three interleaved lanes, so a checksum
-    pass over a mapped table runs at many GB/s and the validation step
-    of {!Tbl_format} stays far cheaper than the Marshal parse it
-    replaces; elsewhere a table-driven slicing-by-8 fallback computes
-    the same checksum.  All entry points are allocation-free.
+    A byte-at-a-time loop over one 256-entry table, in plain OCaml: a
+    few hundred MB/s, which is more than a table read needs (a
+    default-grid table is about 15 KB; docs/FORMAT.md).
 
     The checksum of the empty range is [0]; results are one-shot
     (pre/post conditioning included) and always in [0, 2{^32}).
     Reference value: CRC-32C of ["123456789"] is [0xE3069283]. *)
 
-type bytes_view =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A byte view of a mapped file ({!Tbl_format} maps the whole file
-    once with this kind for validation). *)
-
 val string : string -> pos:int -> len:int -> int
 (** CRC-32C of [s.[pos .. pos+len-1]].
-    @raise Invalid_argument when the range is outside the string. *)
-
-val bigarray : bytes_view -> pos:int -> len:int -> int
-(** CRC-32C of [ba.{pos} .. ba.{pos+len-1}] without copying.
-    @raise Invalid_argument when the range is outside the array. *)
-
-val string_sw : string -> pos:int -> len:int -> int
-(** Same checksum via the portable table-driven path, bypassing any
-    hardware fast path.  Only for the test suite, which pins
-    [string_sw = string] so a lane-combine bug in the accelerated
-    path cannot silently fork the format.
     @raise Invalid_argument when the range is outside the string. *)

@@ -42,9 +42,6 @@ let quarantine ?obs path reason =
   Obs.Counter.incr
     (Obs.Counter.make ?obs
        ("table_cache.corrupt." ^ Robust_error.corrupt_label reason));
-  if Sys.getenv_opt "GNRFET_TABLE_DEBUG" <> None then
-    Printf.eprintf "table_cache: quarantining %s (%s)\n%!" path
-      (Robust_error.corrupt_reason_to_string reason);
   match Sys.rename path (path ^ ".corrupt") with
   | () -> ()
   | exception Sys_error _ ->
@@ -54,10 +51,10 @@ let injected_reason site hit =
   Robust_error.Undecodable
     { detail = Printf.sprintf "injected fault (%s hit %d)" site hit }
 
-(* gnrtbl read path: map, checksum-validate, convert.  Tbl_format does
-   the mapping and raises checksum-precise [Cache_corrupt] reasons;
-   everything else this function can observe is absence or an
-   unreadable file, both of which degrade to a plain miss. *)
+(* gnrtbl read path: read and checksum-validate.  Tbl_format raises
+   checksum-precise [Cache_corrupt] reasons; everything else this
+   function can observe is absence or an unreadable file, both of which
+   degrade to a plain miss. *)
 let probe_key ?obs key =
   let path = gnrtbl_path key in
   if not (Sys.file_exists path) then Absent
@@ -68,7 +65,7 @@ let probe_key ?obs key =
     with
     | view ->
       if String.equal view.Tbl_format.v_cache_key key then
-        Table (Tbl_format.to_table view)
+        Table view.Tbl_format.v_table
       else Stale
     | exception Robust_error.Error (Robust_error.Cache_corrupt { reason; _ }) ->
       quarantine ?obs path reason;
@@ -77,7 +74,7 @@ let probe_key ?obs key =
       let reason = injected_reason site hit in
       quarantine ?obs path reason;
       Corrupt reason
-    | exception (Unix.Unix_error _ | Sys_error _) ->
+    | exception Sys_error _ ->
       Absent (* raced deletion or unreadable: a plain miss, not corrupt *)
 
 let probe_disk ?grid ?(ctx = Ctx.default) p =
@@ -124,10 +121,9 @@ let store_file ?obs key table =
 
 (* Hit/miss accounting (docs/OBS.md): every [lookup] resolves to exactly
    one of memory hit, disk hit or miss, and [generates] counts
-   cache-initiated table generations.  Every disk hit is served by the
-   mapped gnrtbl path, so [table_cache.mmap_hits] always equals
-   [table_cache.disk_hits]; it is kept because daemon [stats] readers
-   consume it. *)
+   cache-initiated table generations.  [table_cache.mmap_hits] is a
+   copy of [table_cache.disk_hits], kept because perfbench and daemon
+   [stats] readers consume it. *)
 let lookup ?grid ?(ctx = Ctx.default) p =
   let obs = ctx.Ctx.obs in
   let key = key ?grid p in
@@ -147,17 +143,21 @@ let lookup ?grid ?(ctx = Ctx.default) p =
       None
   end
 
-let get ?grid ?(ctx = Ctx.default) p =
+(* A cache-initiated generation: counted, kept in memory and persisted
+   before it is returned. *)
+let generate_and_store ?grid ~ctx p =
   let obs = ctx.Ctx.obs in
   let key = key ?grid p in
+  Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.generates");
+  let t = Iv_table.generate ?grid ~ctx p in
+  Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
+  store_file ~obs key t;
+  t
+
+let get ?grid ?(ctx = Ctx.default) p =
   match lookup ?grid ~ctx p with
   | Some t -> t
-  | None ->
-    Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.generates");
-    let t = Iv_table.generate ?grid ~ctx p in
-    Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
-    store_file ~obs key t;
-    t
+  | None -> generate_and_store ?grid ~ctx p
 
 let get_many ?grid ?(ctx = Ctx.default) ps =
   let obs = ctx.Ctx.obs in
@@ -183,29 +183,23 @@ let get_many ?grid ?(ctx = Ctx.default) ps =
         end)
       missing
   in
-  if missing <> [] then begin
-    (* Persist each table as soon as it is generated so an interrupted
-       batch keeps its completed work. *)
-    let generate_and_store ctx p =
-      let key = key ?grid p in
-      Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.generates");
-      let t = Iv_table.generate ?grid ~ctx p in
-      Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
-      store_file ~obs key t;
-      ()
-    in
-    (* One missing device: let its energy loop use the whole pool.
-       Several: parallelise across devices instead and force the inner
-       energy loop sequential, so device x energy nesting does not
-       oversubscribe the cores. *)
-    if
-      List.compare_length_with missing 1 > 0
-      && ctx.Ctx.parallel
-      && Parallel.num_domains () > 1
-    then
-      ignore
-        (Parallel.map (generate_and_store (Ctx.sequential ctx))
-           (Array.of_list missing))
-    else List.iter (generate_and_store ctx) missing
-  end;
+  (* Each table is persisted as soon as it is generated, so an
+     interrupted batch keeps its completed work.  One missing device:
+     let its energy loop use the whole pool.  Several: parallelise
+     across devices instead and force the inner energy loop sequential,
+     so device x energy nesting does not oversubscribe the cores. *)
+  if
+    List.compare_length_with missing 1 > 0
+    && ctx.Ctx.parallel
+    && Parallel.num_domains () > 1
+  then
+    ignore
+      (Parallel.map
+         (generate_and_store ?grid ~ctx:(Ctx.sequential ctx))
+         (Array.of_list missing)
+        : Iv_table.t array)
+  else
+    List.iter
+      (fun p -> ignore (generate_and_store ?grid ~ctx p : Iv_table.t))
+      missing;
   List.map (fun p -> get ?grid ~ctx p) ps

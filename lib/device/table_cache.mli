@@ -6,10 +6,10 @@
     Tables are stored under the directory named by [GNRFET_TABLE_DIR]
     (default [_tables/] in the current working tree), content-addressed
     by the device cache key, in the [gnrtbl] binary columnar format
-    ({!Tbl_format}, docs/FORMAT.md): a disk hit {e maps} the file and
-    validates it with a per-section CRC-32C pass instead of
-    deserializing it.  Files in any other layout, such as the
-    pre-gnrtbl Marshal [<digest>.table], are ignored. *)
+    ({!Tbl_format}, docs/FORMAT.md): a disk hit reads the file and
+    validates every section's CRC-32C as it decodes it.  Files in any
+    other layout, such as the pre-gnrtbl Marshal [<digest>.table], are
+    ignored. *)
 
 val cache_dir : unit -> string
 
@@ -26,7 +26,7 @@ val gnrtbl_path : string -> string
     corrupt files directly. *)
 
 type disk_outcome =
-  | Table of Iv_table.t  (** [gnrtbl] hit: mapped, validated, converted *)
+  | Table of Iv_table.t  (** [gnrtbl] hit: read and validated *)
   | Absent  (** no file (or unreadable): a plain miss *)
   | Stale  (** file present but stored under a different key *)
   | Corrupt of Robust_error.corrupt_reason
@@ -49,8 +49,8 @@ val lookup :
     Every call bumps exactly one of [table_cache.memory_hits],
     [table_cache.disk_hits] or [table_cache.misses] in [ctx.obs]
     ([ctx] defaults to {!Ctx.default}); every disk hit also bumps
-    [table_cache.mmap_hits] (all disk hits are mapped [gnrtbl] reads).
-    See docs/OBS.md.
+    [table_cache.mmap_hits], a copy of [table_cache.disk_hits] kept for
+    perfbench and daemon [stats] readers.  See docs/OBS.md.
 
     {b Corruption hardening} (docs/ROBUST.md): a [gnrtbl] file that
     fails validation is quarantined — renamed to [<name>.corrupt],

@@ -23,24 +23,10 @@
    "data ++ CRC field" at the offsets the header names.  A CRC field
    is a u32 CRC-32C of the section's data bytes followed by a u32 that
    must be zero, so every section (and the file total) stays 8-byte
-   aligned — which is what lets the reader hand out float64 Bigarray
-   views straight into the mapping — and every byte of the file is
-   covered by exactly one checksum. *)
+   aligned and every byte of the file is covered by exactly one
+   checksum. *)
 
-type farray = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type view = {
-  v_version : int;
-  v_cache_key : string;
-  v_table_key : string;
-  v_n_vg : int;
-  v_n_vd : int;
-  v_vg : farray;
-  v_vd : farray;
-  v_current : farray;
-  v_charge : farray;
-  v_failed_points : (int * int) list;
-}
+type view = { v_cache_key : string; v_table : Iv_table.t }
 
 let version = 1
 
@@ -183,45 +169,25 @@ let write ~path ~cache_key t =
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 
-(* One validator over two byte sources: the mapped file (zero-copy
-   views straight into the mapping) and an in-memory string (tests,
-   tools; views are fresh copies). *)
-type source = {
-  s_len : int;
-  s_get : int -> char;  (* header-sized reads only *)
-  s_crc : pos:int -> len:int -> int;
-  s_sub : pos:int -> len:int -> string;
-  s_f64 : pos:int -> n:int -> farray;
-}
-
-let get_u8 src pos = Char.code (src.s_get pos)
-
-let get_u16 src pos = get_u8 src pos lor (get_u8 src (pos + 1) lsl 8)
-
-let get_u32 src pos = get_u16 src pos lor (get_u16 src (pos + 2) lsl 16)
-
-(* Only read after the header CRC has been verified, so the writer's
-   value (always a sane file size) is what we assemble; the top byte
-   cannot carry into the sign bit for any honest file. *)
-let get_u64 src pos = get_u32 src pos lor (get_u32 src (pos + 4) lsl 32)
-
-let validate ~path src =
+let decode ?(path = "<bytes>") s =
   let fail reason = corrupt ~path reason in
+  let u32 pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFF_FFFF in
+  (* Only read after the header CRC has been verified, so the writer's
+     value (always a sane file size) is what we get; the top bit that
+     does not fit an OCaml int is never set for an honest file. *)
+  let u64 pos = Int64.to_int (String.get_int64_le s pos) in
+  let f64 pos = Int64.float_of_bits (String.get_int64_le s pos) in
   let check_crc ~section ~pos ~len =
-    if
-      get_u32 src (pos + len + 4) <> 0
-      || get_u32 src (pos + len) <> src.s_crc ~pos ~len
+    if u32 (pos + len + 4) <> 0 || u32 (pos + len) <> Crc32.string s ~pos ~len
     then fail (Robust_error.Crc_mismatch { section })
   in
-  let got = src.s_len in
+  let got = String.length s in
   if got < Layout.min_file_size then
     fail (Robust_error.Truncated { expected = Layout.min_file_size; got });
-  for i = 0 to 5 do
-    if src.s_get i <> magic.[i] then fail Robust_error.Bad_magic
-  done;
-  let v = get_u16 src 6 in
+  if not (String.starts_with ~prefix:magic s) then fail Robust_error.Bad_magic;
+  let v = String.get_uint16_le s 6 in
   if v <> version then fail (Robust_error.Bad_version { found = v });
-  let ckl = get_u32 src 8 and tkl = get_u32 src 12 in
+  let ckl = u32 8 and tkl = u32 12 in
   let hdr_end = Layout.fixed_header_size + pad8 ckl + pad8 tkl in
   if hdr_end + 8 > got then
     fail (Robust_error.Truncated { expected = hdr_end + 8; got });
@@ -229,9 +195,9 @@ let validate ~path src =
   (* The header is now trusted: every field below is what the writer
      wrote, so the remaining failure modes are truncation (size
      mismatch) and per-section bit rot (column CRCs). *)
-  let n_vg = get_u32 src 16 and n_vd = get_u32 src 20 in
-  let n_failed = get_u32 src 24 and n_cols = get_u32 src 28 in
-  let total = get_u64 src 32 in
+  let n_vg = u32 16 and n_vd = u32 20 in
+  let n_failed = u32 24 and n_cols = u32 28 in
+  let total = u64 32 in
   if total <> got then fail (Robust_error.Truncated { expected = total; got });
   let lay = Layout.of_lengths ~ckl ~tkl ~n_vg ~n_vd ~n_failed in
   (* Defensive consistency of the stored offsets against the derived
@@ -241,10 +207,10 @@ let validate ~path src =
   if
     n_cols <> 4
     || lay.Layout.total <> total
-    || get_u64 src 72 <> lay.Layout.failed_off
+    || u64 72 <> lay.Layout.failed_off
     || Array.exists Fun.id
          (Array.mapi
-            (fun i off -> get_u64 src (40 + (8 * i)) <> off)
+            (fun i off -> u64 (40 + (8 * i)) <> off)
             lay.Layout.col_off)
   then fail (Robust_error.Crc_mismatch { section = "header" });
   Array.iteri
@@ -256,90 +222,33 @@ let validate ~path src =
   let failed_points =
     List.init n_failed (fun k ->
         let pos = lay.Layout.failed_off + (8 * k) in
-        let ivg = get_u32 src pos and ivd = get_u32 src (pos + 4) in
+        let ivg = u32 pos and ivd = u32 (pos + 4) in
         if ivg >= n_vg || ivd >= n_vd then
           fail (Robust_error.Crc_mismatch { section = "failed_points" });
         (ivg, ivd))
   in
+  let column i n =
+    Array.init n (fun k -> f64 (lay.Layout.col_off.(i) + (8 * k)))
+  in
+  let plane i =
+    Array.init n_vg (fun ig ->
+        Array.init n_vd (fun jd ->
+            f64 (lay.Layout.col_off.(i) + (8 * ((ig * n_vd) + jd)))))
+  in
   {
-    v_version = v;
-    v_cache_key = src.s_sub ~pos:Layout.fixed_header_size ~len:ckl;
-    v_table_key = src.s_sub ~pos:(Layout.fixed_header_size + pad8 ckl) ~len:tkl;
-    v_n_vg = n_vg;
-    v_n_vd = n_vd;
-    v_vg = src.s_f64 ~pos:lay.Layout.col_off.(0) ~n:n_vg;
-    v_vd = src.s_f64 ~pos:lay.Layout.col_off.(1) ~n:n_vd;
-    v_current = src.s_f64 ~pos:lay.Layout.col_off.(2) ~n:(n_vg * n_vd);
-    v_charge = src.s_f64 ~pos:lay.Layout.col_off.(3) ~n:(n_vg * n_vd);
-    v_failed_points = failed_points;
+    v_cache_key = String.sub s Layout.fixed_header_size ckl;
+    v_table =
+      {
+        Iv_table.key = String.sub s (Layout.fixed_header_size + pad8 ckl) tkl;
+        vg = column 0 n_vg;
+        vd = column 1 n_vd;
+        current = plane 2;
+        charge = plane 3;
+        failed_points;
+      };
   }
 
 let read ~path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      match Unix.close fd with () -> () | exception Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let size = (Unix.fstat fd).Unix.st_size in
-  (* Mapping a zero-length file is an error at the mmap level; reject
-     short files before touching the mapping machinery. *)
-  if size < Layout.min_file_size then
-    corrupt ~path (Robust_error.Truncated { expected = Layout.min_file_size; got = size });
-  let ba =
-    Bigarray.array1_of_genarray
-      (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
-  in
-  let src =
-    {
-      s_len = size;
-      s_get = Bigarray.Array1.get ba;
-      s_crc = (fun ~pos ~len -> Crc32.bigarray ba ~pos ~len);
-      s_sub =
-        (fun ~pos ~len -> String.init len (fun i -> Bigarray.Array1.get ba (pos + i)));
-      s_f64 =
-        (fun ~pos ~n ->
-          (* Column offsets are 8-aligned by construction; map_file
-             handles the page-alignment delta internally, so this view
-             shares pages with the validation mapping — zero copies. *)
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.float64
-               Bigarray.c_layout false [| n |]));
-    }
-  in
-  validate ~path src
+  decode ~path (In_channel.with_open_bin path In_channel.input_all)
 
-let decode ?(path = "<bytes>") s =
-  let src =
-    {
-      s_len = String.length s;
-      s_get = String.get s;
-      s_crc = (fun ~pos ~len -> Crc32.string s ~pos ~len);
-      s_sub = (fun ~pos ~len -> String.sub s pos len);
-      s_f64 =
-        (fun ~pos ~n ->
-          let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-          for k = 0 to n - 1 do
-            Bigarray.Array1.set a k
-              (Int64.float_of_bits (String.get_int64_le s (pos + (8 * k))))
-          done;
-          a);
-    }
-  in
-  validate ~path src
-
-let to_table v =
-  let n_vd = v.v_n_vd in
-  {
-    Iv_table.key = v.v_table_key;
-    vg = Array.init v.v_n_vg (Bigarray.Array1.get v.v_vg);
-    vd = Array.init n_vd (Bigarray.Array1.get v.v_vd);
-    current =
-      Array.init v.v_n_vg (fun ig ->
-          Array.init n_vd (fun jd ->
-              Bigarray.Array1.get v.v_current ((ig * n_vd) + jd)));
-    charge =
-      Array.init v.v_n_vg (fun ig ->
-          Array.init n_vd (fun jd ->
-              Bigarray.Array1.get v.v_charge ((ig * n_vd) + jd)));
-    failed_points = v.v_failed_points;
-  }
+let to_table v = v.v_table

@@ -1,21 +1,17 @@
-(** [gnrtbl] — the versioned, checksummed, mmap-able binary columnar
-    on-disk layout for {!Iv_table.t} (format spec: docs/FORMAT.md).
+(** [gnrtbl] — the versioned, checksummed binary columnar on-disk
+    layout for {!Iv_table.t} (format spec: docs/FORMAT.md).
 
-    The Marshal layout it replaces had to be deserialized eagerly and
-    could only be validated by parsing it, which forced the cache to
-    treat {e any} read failure as corruption.  A [gnrtbl] file instead
-    carries a fixed little-endian header (magic [GNRTBL], format
-    version, key strings, column counts and offsets), raw float64
-    column planes at 8-byte-aligned offsets, and a CRC-32C per section —
-    so a server {e maps} a cached I–V table and validates it with a
-    checksum pass, no parse, no per-element allocation.
+    A [gnrtbl] file carries a fixed little-endian header (magic
+    [GNRTBL], format version, key strings, column counts and offsets),
+    raw float64 column planes at 8-byte-aligned offsets, and a CRC-32C
+    per section, so corruption is detected and attributed to its
+    section instead of surfacing as a parse failure.
 
-    {b Reading} ({!read}) maps the file ([Unix.map_file]) and returns a
-    {!view}: zero-copy float64 Bigarray windows onto the mapped columns
-    plus the decoded header.  {!to_table} converts a view back to the
-    array-of-records {!Iv_table.t} losslessly (bit-for-bit, including
-    NaN payloads, signed zeros and subnormals) for callers that need
-    the existing representation.
+    {b Reading}: {!decode} is the one validator.  It checks a file's
+    bytes in the order below and builds the {!Iv_table.t} directly;
+    {!read} reads the whole file into a string and calls it.  Floats
+    are reproduced bit-for-bit, including NaN payloads, signed zeros
+    and subnormals.
 
     {b Validation} is total and typed: every malformed input raises
     [Robust_error.Error (Cache_corrupt {path; reason})] with a
@@ -39,30 +35,13 @@
     definition} and checked), so any single-bit flip is detected and
     attributed to its section. *)
 
-type farray = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A zero-copy float64 window onto a mapped column plane. *)
-
 type view = {
-  v_version : int;  (** format version of the file (currently 1) *)
   v_cache_key : string;
       (** the full {!Table_cache.key} the table was stored under;
           compared on load so stale files degrade to a miss *)
-  v_table_key : string;  (** the table's own [Iv_table.t.key] *)
-  v_n_vg : int;
-  v_n_vd : int;
-  v_vg : farray;  (** gate-bias grid, length [n_vg] *)
-  v_vd : farray;  (** drain-bias grid, length [n_vd] *)
-  v_current : farray;
-      (** row-major plane, length [n_vg * n_vd]: element [(ivg, ivd)]
-          at index [ivg * n_vd + ivd] *)
-  v_charge : farray;  (** same shape as [v_current] *)
-  v_failed_points : (int * int) list;
-      (** decoded eagerly (tiny, usually empty) *)
+  v_table : Iv_table.t;  (** the decoded table *)
 }
-(** A validated table, backed by the mapped file ({!read}) or by fresh
-    Bigarrays ({!decode}).  Mapped views stay valid after {!read}
-    returns (the mapping outlives the closed file descriptor); the
-    pages are shared read-only with the page cache. *)
+(** A validated file. *)
 
 val version : int
 (** Format version this module writes (1). *)
@@ -118,19 +97,16 @@ val write : path:string -> cache_key:string -> Iv_table.t -> unit
     tmp-file + rename atomicity).  @raise Sys_error on I/O failure. *)
 
 val read : path:string -> view
-(** Map the file and validate every section checksum; zero-copy.
+(** Read the whole file and {!decode} it.
     @raise Robust_error.Error with [Cache_corrupt {path; reason}] on
     any malformed content (see the validation order above).
-    @raise Unix.Unix_error when the file cannot be opened or mapped
-    (absent, permissions) — absence is not corruption. *)
+    @raise Sys_error when the file cannot be opened or read (absent,
+    permissions) — absence is not corruption. *)
 
 val decode : ?path:string -> string -> view
-(** Validate and decode from bytes in memory (tests, tools); the
-    returned view copies the columns into fresh Bigarrays.  Same typed
-    errors as {!read}, with [path] (default ["<bytes>"]) reported in
-    the [Cache_corrupt]. *)
+(** Validate and decode a file's bytes.  Raises the typed errors of
+    {!read}, with [path] (default ["<bytes>"]) reported in the
+    [Cache_corrupt]. *)
 
 val to_table : view -> Iv_table.t
-(** Lossless conversion to the array-of-records representation: every
-    float is reproduced bit-for-bit; [failed_points] round-trips
-    exactly. *)
+(** The decoded table, [v.v_table]. *)

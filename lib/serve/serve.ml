@@ -51,10 +51,9 @@ let create ?(config = default_config) () =
   | () -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ());
   let obs = config.ctx.Ctx.obs in
-  (* The serving tier's whole point is mmap-served disk hits
-     (docs/FORMAT.md): pre-register the table-cache counters a fleet
-     operator watches so a [stats] snapshot reports them (as 0) even
-     before the first disk hit, instead of omitting the row. *)
+  (* Pre-register the table-cache tier counters so a [stats] snapshot
+     reports them (as 0) even before the first lookup, instead of
+     omitting the row. *)
   List.iter
     (fun name -> ignore (Obs.Counter.make ~obs name : Obs.Counter.t))
     [

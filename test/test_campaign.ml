@@ -204,6 +204,68 @@ let test_journal_roundtrip () =
     r.Journal.good_bytes;
   Alcotest.(check int) "stored hash" 0x1234_5678 (Journal.spec_hash_of_file ~path)
 
+(* The annotated dump in docs/CAMPAIGN.md is a real journal of CI's
+   chaos spec (sample 0 done, sample 1 quarantined by an injected
+   fault).  Writing the same two records must reproduce it byte for
+   byte, which pins the journal layout, the spec hash and CRC-32C. *)
+let ci_chaos_spec =
+  {|{"name": "ci-chaos", "samples": 8, "seed": 42, "widths": [12],
+     "charges": [0, -1], "gammas": [1], "ops": [[0.4, 0.13]],
+     "grid": {"vg_min": 0, "vg_max": 0.45, "n_vg": 7, "vd_max": 0.45,
+              "n_vd": 4}}|}
+
+let of_hex h =
+  let h = String.concat "" (String.split_on_char ' ' h) in
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_journal_format_pin () =
+  let spec =
+    match Result.bind (Sjson.parse ci_chaos_spec) Campaign.spec_of_json with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "CI chaos spec rejected: %s" e
+  in
+  Alcotest.(check int) "spec hash" 0xee526a19 (Campaign.spec_hash spec);
+  let reason = "injected fault at site campaign.sample (hit 2)" in
+  let expected =
+    of_hex "474e5243414d5001 196a52ee 70bd7cf7"
+    ^ of_hex
+        "1d000000 0426c3bf 00000000 00 74e5786bf74ab33d 93c9b4954dcbcc3a \
+         3455e2121dd8b63f"
+    ^ of_hex "33000000 1dea033f 01000000 01"
+    ^ reason
+  in
+  Alcotest.(check int) "dump length" 112 (String.length expected);
+  with_tmp ".j" @@ fun path ->
+  let w = Journal.create ~path ~spec_hash:0xee526a19 in
+  let f64 = Int64.float_of_bits in
+  Journal.append w
+    (Journal.Done
+       {
+         index = 0;
+         delay = f64 0x3db34af76b78e574L;
+         edp = f64 0x3acccb4d95b4c993L;
+         snm = f64 0x3fb6d81d12e25534L;
+       });
+  Journal.append w (Journal.Quarantined { index = 1; reason });
+  Journal.sync w;
+  Journal.close w;
+  let got = read_file path in
+  Alcotest.(check string) "CAMPAIGN.md dump" (to_hex expected) (to_hex got);
+  List.iter
+    (fun (label, crc, pos, len) ->
+      Alcotest.(check int) label crc (Crc32.string got ~pos ~len))
+    [
+      ("header CRC", 0xf77cbd70, 0, 12);
+      ("record 0 CRC", 0xbfc32604, 24, 29);
+      ("record 1 CRC", 0x3f03ea1d, 61, 51);
+    ]
+
 (* Fixed-size frames for offset arithmetic: a Done payload is
    4 (index) + 1 (status) + 24 (three f64s) = 29 bytes, so each frame
    is 8 + 29 = 37 bytes after the 16-byte header. *)
@@ -928,6 +990,8 @@ let suite =
       test_sample_expansion;
     Alcotest.test_case "stream stats" `Quick test_stream_stats;
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
+    Alcotest.test_case "journal bytes match CAMPAIGN.md" `Quick
+      test_journal_format_pin;
     Alcotest.test_case "journal truncated tail" `Quick
       test_journal_truncated_tail;
     Alcotest.test_case "journal CRC flip" `Quick test_journal_crc_flip;

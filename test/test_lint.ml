@@ -5,8 +5,8 @@
    staleness classification.
 
    The fixture dir is excluded from Engine.default_config, so the repo
-   lint alias and `gnrfet_cli lint` never count these violations; the
-   tests here opt back in with an empty exclude list. *)
+   lint alias and the gnrlint executable never count these violations;
+   the tests here opt back in with an empty exclude list. *)
 
 module E = Gnrlint_lib.Engine
 module D = Gnrlint_lib.Diag

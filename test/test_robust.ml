@@ -339,7 +339,7 @@ let test_cache_corruption_matrix () =
   Alcotest.(check bool) "injected-fault file renamed" true
     (Sys.file_exists (path ^ ".corrupt"));
   Sys.remove (path ^ ".corrupt");
-  (* 5. And an intact gnrtbl file still round-trips, via the mapping. *)
+  (* 5. And an intact gnrtbl file still round-trips from disk. *)
   reseed ();
   let mmap_before = read_counter "table_cache.mmap_hits" in
   match Table_cache.lookup ~grid:micro_grid ~ctx tiny with

@@ -365,8 +365,8 @@ let test_serve_backpressure () =
 
 let test_serve_stats_reports_table_cache () =
   (* A fresh server's stats snapshot must already carry the table-cache
-     hit-path counters (at 0) a fleet operator watches — in particular
-     table_cache.mmap_hits, the gnrtbl zero-copy hit count. *)
+     hit-path counters (at 0) — table_cache.mmap_hits included, the
+     copy of disk_hits that perfbench and stats readers consume. *)
   let server, _obs = make_server () in
   Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   let line =

@@ -1,15 +1,15 @@
-(* Tests for the gnrtbl zero-copy table format (Tbl_format,
+(* Tests for the gnrtbl table format (Tbl_format,
    docs/FORMAT.md) and its Table_cache integration:
 
    - the corruption-matrix fuzzer: deterministic seeded mutations
      (truncation at every section boundary, single-bit flips across
-     every region, zero-length files) driven through both the copying
-     decoder and the full cache read path, each checked against a
+     every region, zero-length files) driven through both the decoder
+     and the full cache read path, each checked against a
      byte-position oracle for the exact typed [Cache_corrupt] reason —
      never a crash, never a silently-wrong table;
    - the differential round-trip property: random tables (including
-     NaN, infinities, -0.0 and subnormals) survive write -> mmap-read
-     and encode -> decode bit-for-bit, agreeing with a legacy Marshal
+     NaN, infinities, -0.0 and subnormals) survive write -> read and
+     encode -> decode bit-for-bit, agreeing with a legacy Marshal
      round trip;
    - the golden binary fixtures: two checked-in hand-verified gnrtbl
      files re-encode byte-exactly (format drift breaks this first);
@@ -25,34 +25,46 @@ let micro_grid =
 
 (* --- checksum self-test ----------------------------------------------- *)
 
-(* Pin the polynomial (CRC-32C "check" vector) and pin the accelerated
-   path against the portable table-driven one, including the
-   multi-lane combine (inputs over 3 KB take the interleaved route on
-   x86-64).  A divergence here would fork the on-disk format between
-   machines, so this runs before any fixture test. *)
+(* Table-free bitwise CRC-32C: the definition the table-driven
+   [Crc32.string] must agree with. *)
+let crc32c_bitwise s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 1 to 8 do
+        crc :=
+          if !crc land 1 = 1 then 0x82F63B78 lxor (!crc lsr 1)
+          else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+(* Pin the polynomial (CRC-32C "check" vector) and the table against
+   the bitwise definition.  A divergence here would fork the on-disk
+   format, so this runs before any fixture test. *)
 let test_crc32c_self () =
   Alcotest.(check int)
     "CRC-32C(\"123456789\") = 0xE3069283" 0xE3069283
     (Crc32.string "123456789" ~pos:0 ~len:9);
   Alcotest.(check int) "empty range" 0 (Crc32.string "" ~pos:0 ~len:0);
-  let n = (3 * 1024 * 5) + 137 in
+  let n = 15_000 in
   let big = String.init n (fun i -> Char.chr ((i * 131 + (i / 251)) land 0xFF)) in
   for len = 0 to 16 do
     let pos = n - ((len * 7) mod 64) - len in
     Alcotest.(check int)
-      (Printf.sprintf "hw = sw (short len %d)" len)
-      (Crc32.string_sw big ~pos ~len)
+      (Printf.sprintf "table = bitwise (len %d)" len)
+      (crc32c_bitwise (String.sub big pos len))
       (Crc32.string big ~pos ~len)
   done;
-  Alcotest.(check int) "hw = sw (lane-combine length)"
-    (Crc32.string_sw big ~pos:0 ~len:n)
+  Alcotest.(check int) "table = bitwise (15 KB)" (crc32c_bitwise big)
     (Crc32.string big ~pos:0 ~len:n);
-  let ba =
-    Bigarray.Array1.init Bigarray.char Bigarray.c_layout n (String.get big)
-  in
-  Alcotest.(check int) "bigarray = string"
-    (Crc32.string big ~pos:3 ~len:(n - 3))
-    (Crc32.bigarray ba ~pos:3 ~len:(n - 3))
+  List.iter
+    (fun (pos, len) ->
+      check_raises_invalid
+        (Printf.sprintf "range %d+%d rejected" pos len)
+        (fun () -> ignore (Crc32.string "abcd" ~pos ~len : int)))
+    [ (-1, 2); (0, -1); (3, 2); (5, 0) ]
 
 (* --- deterministic fuzz RNG (shared splitmix64 mix) ------------------- *)
 
@@ -372,29 +384,23 @@ let test_roundtrip_specials () =
   let table = specials_table () in
   let cache_key = "rt|specials" in
   let enc = Tbl_format.encode ~cache_key table in
-  (* encode -> decode (copying path). *)
+  (* encode -> decode. *)
   let v = Tbl_format.decode enc in
   Alcotest.(check string) "cache key survives" cache_key
     v.Tbl_format.v_cache_key;
-  Alcotest.(check int) "version" Tbl_format.version v.Tbl_format.v_version;
   check_table_bits "decode" table (Tbl_format.to_table v);
-  (* write -> read (mmap path). *)
+  (* write -> read. *)
   let path = Filename.temp_file "gnrfet_tblfmt_rt" ".gnrtbl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Tbl_format.write ~path ~cache_key table;
-  let vm = Tbl_format.read ~path in
-  check_table_bits "mmap read" table (Tbl_format.to_table vm);
-  (* The mapped views expose the same bits with zero conversion. *)
-  Alcotest.(check bool) "mapped NaN bit pattern intact" true
-    (bits (Bigarray.Array1.get vm.Tbl_format.v_current 0) = bits nan_pinned);
-  Alcotest.(check bool) "mapped -0.0 keeps its sign" true
-    (bits (Bigarray.Array1.get vm.Tbl_format.v_vg 0) = bits (-0.0));
+  let back = Tbl_format.to_table (Tbl_format.read ~path) in
+  check_table_bits "read" table back;
   (* Differential: the gnrtbl round trip agrees with a Marshal round
      trip of the same table, field for field, bit for bit. *)
   let marshaled : Iv_table.t =
     Marshal.from_string (Marshal.to_string table []) 0
   in
-  check_table_bits "marshal agreement" marshaled (Tbl_format.to_table vm)
+  check_table_bits "marshal agreement" marshaled back
 
 let table_gen =
   QCheck.Gen.(
@@ -522,7 +528,8 @@ let test_golden_tiny () =
   Alcotest.(check int) "total length field" (String.length file)
     (Char.code file.[32] lor (Char.code file.[33] lsl 8)
     lor (Char.code file.[34] lsl 16));
-  Alcotest.(check int) "view n_vg" 2 v.Tbl_format.v_n_vg
+  Alcotest.(check int) "decoded n_vg" 2
+    (Array.length (Tbl_format.to_table v).Iv_table.vg)
 
 let test_golden_specials () =
   ignore
@@ -607,7 +614,7 @@ let test_probe_disk_outcomes () =
 
 let suite =
   [
-    Alcotest.test_case "crc32c self-test (vector + hw/sw agreement)" `Quick
+    Alcotest.test_case "crc32c self-test (vector + bitwise reference)" `Quick
       test_crc32c_self;
     Alcotest.test_case "corruption matrix (seeded fuzz)" `Quick
       test_corruption_matrix;

@@ -5,8 +5,7 @@
    lib/rules_file.ml and lib/rules_flow.ml, the whole-repo call-graph /
    capture-summary pass in lib/summary.ml with the interprocedural
    rules in lib/rules_global.ml, versioned baseline in lib/baseline.ml
-   and the text/JSON/SARIF emitters in lib/report.ml.
+   and the text/JSON/SARIF emitters in lib/report.ml.  Flags and exit
+   codes: docs/LINT.md. *)
 
-   The same engine backs `gnrfet_cli lint`; see docs/LINT.md. *)
-
-let () = exit (Gnrlint_lib.Engine.run_cli ~prog:"gnrlint" Sys.argv)
+let () = exit (Gnrlint_lib.Engine.run_cli Sys.argv)

@@ -124,9 +124,8 @@ let run config =
     end
   end
 
-(* Shared argv parser so bin/gnrfet_cli's `lint` subcommand and the
-   standalone tools/gnrlint executable accept identical flags. *)
-let run_cli ?(prog = "gnrlint") argv =
+(* Argv parser of the tools/gnrlint executable. *)
+let run_cli argv =
   let config = ref default_config in
   let dirs = ref [] in
   let bad = ref None in
@@ -160,7 +159,7 @@ let run_cli ?(prog = "gnrlint") argv =
         "NAME skip directories with this basename (repeatable)" );
     ]
   in
-  let usage = Printf.sprintf "usage: %s [options] DIR..." prog in
+  let usage = "usage: gnrlint [options] DIR..." in
   (try Arg.parse_argv ~current:(ref 0) argv spec (fun d -> dirs := d :: !dirs) usage with
   | Arg.Bad msg -> bad := Some msg
   | Arg.Help msg ->
