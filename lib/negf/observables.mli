@@ -12,15 +12,23 @@
     an outer parallel fan-out (device-level table generation) to avoid
     oversubscription.
 
+    {b Charge integral.}  {!site_charge} walks each chunk two energy
+    intervals at a time, with one two-lane RGF sweep
+    ({!Rgf.spectra_pair_into}) per pair, and a worker that runs the next
+    chunk right after the previous one reuses the sample it ended on.
+    Results are bit-identical to a one-energy-at-a-time walk; on one
+    worker the integral sweeps each grid energy exactly once.
+
     {b Observability.}  Each observable times itself as one wall-clock
     interval ([negf.site_charge], [negf.current],
     [negf.transmission_spectrum]) and counts the energy points swept
     ([rgf.spectra_energies] for the charge integration,
     [rgf.transmission_energies] for the current/spectrum sweeps), so
-    energies-per-second falls out of the snapshot.  Metrics land in
-    [ctx.obs]; counters are bumped once per chunk, never per energy
-    point, and everything is a no-op while the registry is disabled.
-    See docs/OBS.md.
+    energies-per-second falls out of the snapshot.  With more than one
+    worker, [rgf.spectra_energies] depends on which chunks a worker runs
+    in a row (the results do not).  Metrics land in [ctx.obs]; counters
+    are bumped once per chunk, never per energy point, and everything is
+    a no-op while the registry is disabled.  See docs/OBS.md.
 
     {b Contexts.}  All three observables take [?ctx:Ctx.t] (default
     {!Ctx.default}), which carries the [parallel] and [obs] knobs
@@ -64,7 +72,10 @@ val site_charge :
     electrons are counted above the local [midgap] energy weighted by the
     contact Fermi factors, holes below it weighted by the complements, with
     spin degeneracy 2.  The [midgap] array is the local charge-neutrality
-    level per site (normally equal to [chain.onsite]). *)
+    level per site (normally equal to [chain.onsite]).  [chain_at] must
+    be a pure function of the energy and return chains of one length;
+    raises [Invalid_argument] when [midgap] or a chain differs in length
+    from the chain at [egrid.(0)]. *)
 
 val transmission_spectrum :
   ?eta:float ->
