@@ -6,7 +6,7 @@
      vt          threshold extraction
      explore     VDD-VT exploration summary
      tables      pre-generate the device-table cache
-     experiment  reproduce one (or all) paper tables/figures
+     experiment  reproduce paper tables/figures (all of them by default)
      mc          Monte Carlo on the 15-stage ring oscillator
      export      dump a device table as CSV
      simulate    run a SPICE-dialect deck on the circuit engine
@@ -125,31 +125,48 @@ let explore_cmd =
 let tables_cmd =
   let run () =
     let variants = Variants.all_for_experiments in
-    Printf.printf "generating %d tables into %s...\n%!" (List.length variants)
-      (Table_cache.cache_dir ());
-    ignore (Table_cache.get_many variants);
-    print_endline "done"
+    Printf.printf "Generating %d device tables into %s (domains: %d)...\n%!"
+      (List.length variants) (Table_cache.cache_dir ()) (Parallel.num_domains ());
+    let t0 = Unix.gettimeofday () in
+    let tables = Table_cache.get_many variants in
+    List.iter2
+      (fun p (t : Iv_table.t) ->
+        let ion = Iv_table.current_at t ~vg:0.75 ~vd:0.5 in
+        Format.printf "  %a  Ion(0.75,0.5)=%.3g A@." Params.pp p ion)
+      variants tables;
+    Printf.printf "done in %.1fs\n" (Unix.gettimeofday () -. t0)
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Pre-generate the device-table cache")
+  Cmd.v
+    (Cmd.info "tables"
+       ~doc:
+         "Pre-generate the device-table cache for every experiment variant \
+          (respects GNRFET_TABLE_DIR and GNRFET_DOMAINS)")
     Term.(const run $ const ())
 
 (* experiment *)
 let experiment_cmd =
-  let which_arg =
-    let doc = "Experiment id (fig2a fig2b fig3b table1 fig4 fig5 table2 table3 table4 fig6 fig7) or 'all'." in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc)
+  let ids_arg =
+    let ids =
+      ("all", All_experiments.all)
+      :: List.map (fun id -> (All_experiments.name id, [ id ])) All_experiments.all
+    in
+    let doc =
+      Printf.sprintf
+        "Experiments to run, in the order given; each is %s.  None, or \
+         'all', runs every one in paper order."
+        (Arg.doc_alts_enum ids)
+    in
+    Arg.(value & pos_all (enum ids) [] & info [] ~docv:"ID" ~doc)
   in
-  let run which =
+  let run ids =
     let ppf = Format.std_formatter in
-    if String.equal which "all" then All_experiments.run_all ppf
-    else begin
-      match All_experiments.of_name which with
-      | Some id -> All_experiments.run_and_print ppf id
-      | None -> Format.printf "unknown experiment: %s@." which
-    end
+    let t0 = Unix.gettimeofday () in
+    All_experiments.run ppf
+      (match List.concat ids with [] -> All_experiments.all | ids -> ids);
+    Format.fprintf ppf "@.[total: %.1f s]@." (Unix.gettimeofday () -. t0)
   in
-  Cmd.v (Cmd.info "experiment" ~doc:"Reproduce a paper table or figure")
-    Term.(const run $ which_arg)
+  Cmd.v (Cmd.info "experiment" ~doc:"Reproduce paper tables and figures")
+    Term.(const run $ ids_arg)
 
 (* mc *)
 let mc_cmd =
@@ -475,11 +492,6 @@ let serve_cmd =
              until EOF or a shutdown op (the transport the tests and CI \
              drive).  Without this flag the daemon listens on --socket.")
   in
-  let lru_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "lru" ] ~docv:"K" ~doc:"In-memory LRU capacity (tables).")
-  in
   let queue_arg =
     Arg.(
       value & opt int 8
@@ -497,12 +509,11 @@ let serve_cmd =
       & info [ "retry-after-ms" ] ~docv:"MS"
           ~doc:"Retry hint attached to busy rejections.")
   in
-  let run stdio socket lru queue workers retry =
+  let run stdio socket queue workers retry =
     let config =
       {
         Serve.default_config with
-        Serve.lru_capacity = lru;
-        queue_capacity = queue;
+        Serve.queue_capacity = queue;
         workers;
         retry_after_ms = retry;
       }
@@ -521,8 +532,7 @@ let serve_cmd =
           Unix socket (or stdio), with single-flight coalescing and bounded \
           backpressure (docs/SERVE.md)")
     Term.(
-      const run $ stdio_arg $ socket_arg $ lru_arg $ queue_arg $ workers_arg
-      $ retry_arg)
+      const run $ stdio_arg $ socket_arg $ queue_arg $ workers_arg $ retry_arg)
 
 (* query *)
 let query_cmd =

@@ -3,8 +3,9 @@
    oxide — changes an inverter's delay, leakage and noise margin.
 
    Run with:  dune exec examples/variability_study.exe
-   (needs the device-table cache; run `dune exec bin/gen_tables.exe` once,
-   or let this example generate the three tables it needs). *)
+   (needs the device-table cache; run `dune exec bin/gnrfet_cli.exe --
+   tables` once, or let this example generate the three tables it
+   needs). *)
 
 let describe label (m : Metrics.inverter_metrics) (nom : Metrics.inverter_metrics) =
   Printf.printf "%-34s delay %6.2f ps (%+5.0f%%)  Pstat %8.4f uW (%+5.0f%%)  SNM %.3f V (%+5.0f%%)\n"

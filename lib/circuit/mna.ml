@@ -401,7 +401,10 @@ let solve_dc ?x0 ?(time = 0.) net =
   | Some x -> expand c x time
   | None -> Robust_error.raise_ (Robust_error.Newton_failure { analysis = "dc"; time })
 
-let transient ?x0 ?(dt_div = 4) net ~t_stop ~dt =
+(* Substeps per level of the transient step-retry ladder. *)
+let dt_div = 4
+
+let transient ?x0 net ~t_stop ~dt =
   let t_tr = Obs.Timer.start obs_transient_time in
   (* Stop on every path, the invalid_arg checks and the terminal
      Newton_failure included (gnrlint span-balance). *)

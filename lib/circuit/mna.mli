@@ -4,7 +4,7 @@
     Instrumented into {!Obs.global}: [mna.dc_solves] and the
     [mna.solve_dc] timer, [mna.newton_iterations] (summed across homotopy
     rungs), the [mna.transient] timer, [mna.transient_steps] and
-    [mna.transient_retries] (steps that fell back to [dt / dt_div]
+    [mna.transient_retries] (steps that fell back to [dt / 4]
     substeps).  See docs/OBS.md. *)
 
 type state = float array
@@ -21,15 +21,14 @@ type waveform = { times : float array; voltages : float array array }
 
 val transient :
   ?x0:state ->
-  ?dt_div:int ->
   Netlist.t ->
   t_stop:float ->
   dt:float ->
   waveform
 (** Trapezoidal integration from the DC point at t=0 (or [x0]) to
     [t_stop] with nominal step [dt].  If a step's Newton fails the step is
-    retried at [dt / dt_div] (default 4) internally, recursing one level
-    deeper ([dt / dt_div^2]) on a failed substep and finally retrying the
+    retried as four substeps of [dt / 4] internally, recursing one level
+    deeper ([dt / 16]) on a failed substep and finally retrying the
     failing substep with a small stabilizing gmin; a step that fails the
     whole ladder raises [Robust_error.Error (Newton_failure {analysis =
     "transient"; time})] (see docs/ROBUST.md).  Capacitances of FET

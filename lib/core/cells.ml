@@ -100,8 +100,7 @@ type inverter_bench = {
   source : Netlist.node;
 }
 
-let inverter_fo4 ~pair ?load ?(fanout = 4) ~vdd ~wave () =
-  let load = match load with Some l -> l | None -> pair in
+let inverter_fo4 ~pair ?(fanout = 4) ~vdd ~wave () =
   let net = Netlist.create () in
   let vdd_node = Netlist.fresh_node net in
   Netlist.vdc net vdd_node vdd;
@@ -113,7 +112,7 @@ let inverter_fo4 ~pair ?load ?(fanout = 4) ~vdd ~wave () =
   add_inverter net ~pair ~vdd_node ~input:source ~output:input;
   add_inverter net ~pair ~vdd_node ~input ~output;
   for _ = 1 to fanout do
-    add_gate_load net ~pair:load ~vdd_node ~input:output
+    add_gate_load net ~pair ~vdd_node ~input:output
   done;
   { net; vdd_node; input; output; source }
 

@@ -56,10 +56,10 @@ type inverter_bench = {
 }
 
 val inverter_fo4 :
-  pair:pair -> ?load:pair -> ?fanout:int -> vdd:float -> wave:(float -> float) -> unit -> inverter_bench
+  pair:pair -> ?fanout:int -> vdd:float -> wave:(float -> float) -> unit -> inverter_bench
 (** Testbench: source → driver inverter → DUT inverter loaded with
-    [fanout] (default 4) gate-load replicas of [load] (default: the DUT
-    pair itself). [wave] drives the source node. *)
+    [fanout] (default 4) gate-load replicas of the DUT pair. [wave]
+    drives the source node. *)
 
 type ring = {
   net : Netlist.t;

@@ -12,8 +12,7 @@
     ]}
 
     Every solver entry point ({!Observables.current},
-    {!Observables.site_charge}, {!Observables.transmission_spectrum},
-    {!Scf.solve}, {!Scf_robust.solve_robust}, {!Iv_table.generate},
+    {!Observables.site_charge}, {!Scf.solve}, {!Scf_robust.solve_robust}, {!Iv_table.generate},
     {!Table_cache.probe_disk}/[lookup]/[get]/[get_many], the serve
     layer) takes [?ctx:Ctx.t], default {!default}; it is the only way
     to pass these knobs.  Neither knob changes a number: sequential and

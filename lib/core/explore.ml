@@ -12,13 +12,13 @@ type surface = {
   points : point array array;
 }
 
-let pair_at ?(n_gnr = 4) table ~vt =
+let pair_at table ~vt =
   let shift = Gnr_model.shift_for_vt table vt in
-  let tables = List.init n_gnr (fun _ -> table) in
+  let tables = [ table; table; table; table ] in
   {
     Cells.nfet = Gnr_model.array_fet ~polarity:Gnr_model.N_type ~vt_shift:shift tables;
     pfet = Gnr_model.array_fet ~polarity:Gnr_model.P_type ~vt_shift:shift tables;
-    ext = Gnr_model.default_extrinsic ~n_gnr ();
+    ext = Gnr_model.default_extrinsic ();
   }
 
 let surface ?(stages = 15) ?vdds ?vts table =

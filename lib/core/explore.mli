@@ -21,7 +21,7 @@ type surface = {
   points : point array array;  (** [points.(i_vdd).(j_vt)] *)
 }
 
-val pair_at : ?n_gnr:int -> Iv_table.t -> vt:float -> Cells.pair
+val pair_at : Iv_table.t -> vt:float -> Cells.pair
 (** Complementary 4-GNR device pair with the threshold placed at [vt]. *)
 
 val surface :

@@ -2,12 +2,12 @@ type polarity = N_type | P_type
 
 type extrinsic = { rs : float; rd : float; cgs_e : float; cgd_e : float }
 
-let default_extrinsic ?(n_gnr = 4) ?(c_per_m = 0.05e-18 /. 1e-9) ?(contact_r = 10e3) () =
-  (* 10 nm pitch per GNR; junction capacitance scales with the total
+let default_extrinsic () =
+  (* 4 GNRs at a 10 nm pitch; junction capacitance scales with the total
      contact width (Sec 3: 0.01-0.1 aF/nm x 40 nm). *)
-  let contact_width = float_of_int n_gnr *. 10e-9 in
+  let c_per_m = 0.05e-18 /. 1e-9 and contact_width = 4. *. 10e-9 in
   let c = c_per_m *. contact_width in
-  { rs = contact_r; rd = contact_r; cgs_e = c; cgd_e = c }
+  { rs = 10e3; rd = 10e3; cgs_e = c; cgd_e = c }
 
 (* Raw n-type quantities from the ambipolar table with source/drain
    exchange for vds < 0 (symmetric contacts). *)

@@ -1,8 +1,8 @@
 (** Large-signal circuit models of extrinsic GNRFETs, built from the
     quantum-transport lookup tables (Fig 3(a) of the paper).
 
-    A GNRFET channel is an array of [n_gnr] (nominally 4) parallel GNRs on
-    a 10 nm pitch; each GNR may carry its own width variation or charge
+    A GNRFET channel is an array of parallel GNRs (4 in the paper) on a
+    10 nm pitch; each GNR may carry its own width variation or charge
     impurity, which is how the 1-of-4 / 4-of-4 scenarios of Sections 4–5
     are expressed.  n-type and p-type devices are obtained from the
     ambipolar characteristic by gate work-function offset and mirroring,
@@ -17,10 +17,10 @@ type extrinsic = {
   cgd_e : float;  (** extrinsic gate–drain junction capacitance, F *)
 }
 
-val default_extrinsic : ?n_gnr:int -> ?c_per_m:float -> ?contact_r:float -> unit -> extrinsic
-(** Paper values: junction capacitance [c_per_m] = 0.05 aF/nm (mid-range of
-    the quoted 0.01–0.1 aF/nm) times the array contact width
-    ([n_gnr] × 10 nm pitch); [contact_r] = 10 kΩ. *)
+val default_extrinsic : unit -> extrinsic
+(** Paper values for the 4-GNR array: junction capacitance 0.05 aF/nm
+    (mid-range of the quoted 0.01–0.1 aF/nm) times the contact width
+    (4 × 10 nm pitch); contact resistance 10 kΩ. *)
 
 val intrinsic :
   polarity:polarity -> vt_shift:float -> Iv_table.t -> Fet_model.t

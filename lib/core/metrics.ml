@@ -7,15 +7,15 @@ type inverter_metrics = {
   snm : float;
 }
 
-(* Crude RC estimate used only to size the transient window and step. *)
-let time_scale (pair : Cells.pair) ~fanout ~vdd =
+let input_cap (pair : Cells.pair) ~vdd =
   let mid m = (m.Fet_model.cgs ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.))
               +. (m.Fet_model.cgd ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)) in
-  let c_unit =
-    mid pair.Cells.nfet +. mid pair.Cells.pfet
-    +. (2. *. (pair.Cells.ext.Gnr_model.cgs_e +. pair.Cells.ext.Gnr_model.cgd_e))
-  in
-  let c_load = c_unit *. float_of_int (fanout + 1) in
+  mid pair.Cells.nfet +. mid pair.Cells.pfet
+  +. (2. *. (pair.Cells.ext.Gnr_model.cgs_e +. pair.Cells.ext.Gnr_model.cgd_e))
+
+(* Crude RC estimate used only to size the transient window and step. *)
+let time_scale (pair : Cells.pair) ~fanout ~vdd =
+  let c_load = input_cap pair ~vdd *. float_of_int (fanout + 1) in
   let i_on =
     Float.max 1e-12
       (Float.max
@@ -27,7 +27,10 @@ let time_scale (pair : Cells.pair) ~fanout ~vdd =
   let rc = (pair.Cells.ext.Gnr_model.rs +. pair.Cells.ext.Gnr_model.rd) *. c_load in
   Float.max 1e-15 (Float.max tau rc)
 
-let rec measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt ~in_level ~out_level () =
+(* The characterization bench is a fanout of four copies of the DUT. *)
+let fanout = 4
+
+let rec measure_with_tau ~pair ~vdd ~tau ~attempt ~in_level ~out_level () =
   let tr = 2. *. tau in
   let t1 = 5. *. tau in
   let plateau = 25. *. tau in
@@ -40,7 +43,7 @@ let rec measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt ~in_level ~out_l
     else if t <= t2 +. tr then vdd *. (1. -. ((t -. t2) /. tr))
     else 0.
   in
-  let bench = Cells.inverter_fo4 ~pair ?load ~fanout ~vdd ~wave () in
+  let bench = Cells.inverter_fo4 ~pair ~fanout ~vdd ~wave () in
   let dt = tau /. 15. in
   let wf = Mna.transient bench.Cells.net ~t_stop:t_end ~dt in
   let times = wf.Mna.times in
@@ -62,16 +65,16 @@ let rec measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt ~in_level ~out_l
   | None, _ | _, None ->
     if attempt >= 3 then None
     else
-      measure_with_tau ?load ~fanout ~pair ~vdd ~tau:(tau *. 4.)
-        ~attempt:(attempt + 1) ~in_level ~out_level ()
+      measure_with_tau ~pair ~vdd ~tau:(tau *. 4.) ~attempt:(attempt + 1)
+        ~in_level ~out_level ()
 
-let inverter_metrics ?(fanout = 4) ?load ~pair ~vdd () =
+let inverter_metrics ~pair ~vdd () =
   (* Static operating points at the two input states (source low/high):
      powers for the leakage figure, node levels for the delay
      thresholds. *)
   let static_bench state =
     let wave _ = if state then vdd else 0. in
-    let b = Cells.inverter_fo4 ~pair ?load ~fanout ~vdd ~wave () in
+    let b = Cells.inverter_fo4 ~pair ~fanout ~vdd ~wave () in
     let dc = Mna.solve_dc b.Cells.net in
     ( Float.abs (Mna.dc_current b.Cells.net dc b.Cells.vdd_node) *. vdd,
       dc.(b.Cells.input),
@@ -84,9 +87,7 @@ let inverter_metrics ?(fanout = 4) ?load ~pair ~vdd () =
   let in_level = 0.5 *. (vin0 +. vin1) in
   let out_level = 0.5 *. (vout0 +. vout1) in
   let tau = time_scale pair ~fanout ~vdd in
-  match
-    measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt:0 ~in_level ~out_level ()
-  with
+  match measure_with_tau ~pair ~vdd ~tau ~attempt:0 ~in_level ~out_level () with
   | None -> failwith "Metrics.inverter_metrics: no output transition observed"
   | Some (bench, wf, tp_lh, tp_hl, t1, t2, t_end) ->
     let times = wf.Mna.times in

@@ -9,15 +9,21 @@ type inverter_metrics = {
   snm : float;  (** static noise margin (butterfly against itself), V *)
 }
 
+val input_cap : Cells.pair -> vdd:float -> float
+(** Gate load of one inverter input at mid-bias (F): [cgs + cgd] of both
+    FETs at [vgs = vds = vdd / 2] plus the extrinsic junction
+    capacitances.  The unit load of {!time_scale} and the fanout-load
+    correction weight of the Fig 6 Monte Carlo. *)
+
 val time_scale : Cells.pair -> fanout:int -> vdd:float -> float
 (** Crude RC estimate of the cell's switching timescale (s); used to size
     transient windows (exposed for the latch-dynamics study). *)
 
-val inverter_metrics :
-  ?fanout:int -> ?load:Cells.pair -> pair:Cells.pair -> vdd:float -> unit -> inverter_metrics
-(** Characterize a FO4-loaded inverter: static powers from DC operating
-    points, delays and switching energy from a two-edge transient (with a
-    self-calibrated time step), SNM from the static VTC. *)
+val inverter_metrics : pair:Cells.pair -> vdd:float -> unit -> inverter_metrics
+(** Characterize a FO4-loaded inverter (four copies of [pair] as the
+    load): static powers from DC operating points, delays and switching
+    energy from a two-edge transient (with a self-calibrated time step),
+    SNM from the static VTC. *)
 
 val ro_frequency : inverter_metrics -> stages:int -> float
 (** Ring-oscillator frequency implied by the average stage delay,

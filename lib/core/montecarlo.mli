@@ -36,17 +36,11 @@ val quarantineable : exn -> bool
     identical; anything else (out-of-memory, programming errors)
     propagates. *)
 
-val run :
-  ?op:Variation.op_point ->
-  ?stages:int ->
-  ?samples:int ->
-  ?seed:int ->
-  ?sigma_probability:float ->
-  unit ->
-  result
-(** Defaults: operating point B, 15 stages, 2000 samples, seed 42,
-    [sigma_probability] = 0.1587 per tail (the mass beyond ±1σ of a
-    normal, as implied by the paper's "N = 9/15 and ±q set to σ").
+val run : ?samples:int -> ?seed:int -> unit -> result
+(** A 15-stage ring at operating point B; defaults 2000 samples, seed
+    42.  Each outer value is drawn with probability 0.1587 (the mass
+    beyond ±1σ of a normal, as implied by the paper's "N = 9/15 and ±q
+    set to σ").
     Failed samples are quarantined, not propagated (see {!result});
     a failing {e nominal} evaluation still raises. *)
 
@@ -66,7 +60,6 @@ val run_with :
     happens before its evaluation: surviving samples see the same draw
     sequence as a fault-free run. *)
 
-val histograms :
-  ?bins:int -> result -> Stats.histogram * Stats.histogram * Stats.histogram
+val histograms : result -> Stats.histogram * Stats.histogram * Stats.histogram
 (** (frequency in GHz, dynamic power in µW, static power in µW) — the
-    three panels of Fig 6. *)
+    three panels of Fig 6, 30 bins each. *)

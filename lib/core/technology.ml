@@ -27,8 +27,7 @@ let row_of_point label surface (op : Explore.operating_point) =
     }
   | None -> invalid_arg "Technology.row_of_point: point not on surface"
 
-let gnrfet_operating_points ?surface table =
-  let s = match surface with Some s -> s | None -> Explore.surface table in
+let gnrfet_operating_points s =
   let a = Explore.min_edp_at_frequency s ~ghz:3. in
   let b = Explore.min_edp_at_frequency_and_snm s ~ghz:3. ~snm:0.1 in
   let rows = ref [] in
@@ -51,7 +50,8 @@ let cmos_pair node =
     ext = Cells.no_parasitics;
   }
 
-let cmos_rows ?(stages = 15) () =
+let cmos_rows () =
+  let stages = 15 in
   List.concat_map
     (fun node ->
       List.map

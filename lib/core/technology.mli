@@ -13,11 +13,9 @@ type row = {
   snm : float;  (** V *)
 }
 
-val gnrfet_operating_points :
-  ?surface:Explore.surface -> Iv_table.t -> row list
-(** Points A, B and C.  A surface can be passed to avoid recomputing the
-    sweep. *)
+val gnrfet_operating_points : Explore.surface -> row list
+(** Points A, B and C, read off a VDD–VT surface (Fig 3(b)'s). *)
 
-val cmos_rows : ?stages:int -> unit -> row list
+val cmos_rows : unit -> row list
 (** The nine scaled-CMOS rows (3 nodes × 3 supplies), measured with the
     same inverter-characterization methodology as the GNRFET rows. *)

@@ -45,8 +45,7 @@ let fet_tables ~polarity ~spec ~all_four =
   if all_four then [ anomalous; anomalous; anomalous; anomalous ]
   else [ anomalous; nominal; nominal; nominal ]
 
-let pair_for ?(n_gnr = 4) ~op ~n_spec ~p_spec ~all_four () =
-  ignore n_gnr;
+let pair_for ~op ~n_spec ~p_spec ~all_four () =
   let shift = nominal_shift op in
   let n_tables = fet_tables ~polarity:Gnr_model.N_type ~spec:n_spec ~all_four in
   let p_tables = fet_tables ~polarity:Gnr_model.P_type ~spec:p_spec ~all_four in
@@ -171,8 +170,10 @@ let latch_worst_case ?op ~all_four () =
 
 type write_result = { flipped : bool; settle : float }
 
-let latch_write ?(op = point_b) ?(drive_ohms = 20e3) ~n_spec ~p_spec ~all_four
-    ~pulse_width () =
+(* Access resistance of the write port, an access-device stand-in. *)
+let drive_ohms = 20e3
+
+let latch_write ?(op = point_b) ~n_spec ~p_spec ~all_four ~pulse_width () =
   let pair = pair_for ~op ~n_spec ~p_spec ~all_four () in
   let net = Netlist.create () in
   let vdd_node = Netlist.fresh_node net in
@@ -210,9 +211,9 @@ let latch_write ?(op = point_b) ?(drive_ohms = 20e3) ~n_spec ~p_spec ~all_four
   in
   { flipped; settle }
 
-let minimum_write_pulse ?op ?drive_ohms ~n_spec ~p_spec ~all_four () =
+let minimum_write_pulse ?op ~n_spec ~p_spec ~all_four () =
   let try_width w =
-    (latch_write ?op ?drive_ohms ~n_spec ~p_spec ~all_four ~pulse_width:w ()).flipped
+    (latch_write ?op ~n_spec ~p_spec ~all_four ~pulse_width:w ()).flipped
   in
   (* Find an upper bracket, then bisect. *)
   let pair_op = match op with Some o -> o | None -> point_b in

@@ -34,8 +34,15 @@ type table = {
 }
 
 val pair_for :
-  ?n_gnr:int -> op:op_point -> n_spec:spec -> p_spec:spec -> all_four:bool -> unit -> Cells.pair
-(** Device pair with the anomaly applied to one or all GNRs of each FET. *)
+  op:op_point -> n_spec:spec -> p_spec:spec -> all_four:bool -> unit -> Cells.pair
+(** Device pair with the anomaly applied to one or all four GNRs of each
+    FET. *)
+
+val metrics_for :
+  op:op_point -> n_spec:spec -> p_spec:spec -> all_four:bool -> Metrics.inverter_metrics
+(** [Metrics.inverter_metrics] of {!pair_for} at [op.vdd], memoized on
+    the whole configuration for the life of the process: Tables 2–4 and
+    the Fig 6 Monte Carlo share characterizations through it. *)
 
 val inverter_table : ?op:op_point -> rows:spec list -> cols:spec list -> unit -> table
 (** Generic engine behind Tables 2–4. *)
@@ -76,7 +83,6 @@ type write_result = {
 
 val latch_write :
   ?op:op_point ->
-  ?drive_ohms:float ->
   n_spec:spec ->
   p_spec:spec ->
   all_four:bool ->
@@ -84,14 +90,13 @@ val latch_write :
   unit ->
   write_result
 (** Dynamic write experiment: the latch sits in its (a low, b high) state
-    and a VDD pulse of the given width drives node [a] through
-    [drive_ohms] (default 20 kΩ, an access-device stand-in).  Returns
+    and a VDD pulse of the given width drives node [a] through 20 kΩ
+    (an access-device stand-in).  Returns
     whether the cell flipped — degraded cells need longer pulses, the
     dynamic face of the noise-margin loss of Fig 7. *)
 
 val minimum_write_pulse :
   ?op:op_point ->
-  ?drive_ohms:float ->
   n_spec:spec ->
   p_spec:spec ->
   all_four:bool ->

@@ -37,17 +37,12 @@ let ideal_chain ~gnr_index ~n_sites =
   (m, fun e ->
     { Rgf.onsite; hopping; sigma_l = sigma_of e; sigma_r = sigma_of e })
 
-let transmission_study ?(seed = 7) ?(realizations = 40) ?(n_sites = 140) ?energies
+let transmission_study ?(seed = 7) ?(realizations = 40) ?(n_sites = 140)
     ~gnr_index ~sigma ~corr_sites () =
   let m, chain_at = ideal_chain ~gnr_index ~n_sites in
+  (* Five energies across the lower half of the first subband. *)
   let energies =
-    match energies with
-    | Some es -> es
-    | None ->
-      (* Five energies across the lower half of the first subband. *)
-      let lo = m.Modespace.delta +. 0.02 in
-      let hi = m.Modespace.delta +. 0.3 in
-      Vec.linspace lo hi 5
+    Vec.linspace (m.Modespace.delta +. 0.02) (m.Modespace.delta +. 0.3) 5
   in
   let ideal_t =
     Vec.mean (Array.map (fun e -> Rgf.transmission (chain_at e) e) energies)

@@ -24,7 +24,6 @@ val transmission_study :
   ?seed:int ->
   ?realizations:int ->
   ?n_sites:int ->
-  ?energies:float array ->
   gnr_index:int ->
   sigma:float ->
   corr_sites:int ->

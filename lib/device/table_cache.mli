@@ -17,8 +17,8 @@ val key : ?grid:Iv_table.grid_spec -> Params.t -> string
 (** The full content key a [(p, grid)] request is cached under
     (key-format version + device cache key + {!Iv_table.grid_key};
     [grid] defaults to {!Iv_table.default_grid}).  The serve layer's
-    LRU and single-flight maps key on this, so their identity is
-    exactly the cache's. *)
+    single-flight map keys on this, so its identity is exactly the
+    cache's. *)
 
 val gnrtbl_path : string -> string
 (** On-disk path of the [gnrtbl] file for a full {!key} (exists or

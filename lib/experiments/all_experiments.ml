@@ -27,32 +27,20 @@ let name = function
   | Fig6 -> "fig6"
   | Fig7 -> "fig7"
 
-let of_name s = List.find_opt (fun id -> String.equal (name id) s) all
-
-let run_and_print ppf = function
-  | Fig2a -> Exp_fig2a.print ppf (Exp_fig2a.run ())
-  | Fig2b -> Exp_fig2b.print ppf (Exp_fig2b.run ())
-  | Fig3b -> Exp_fig3b.print ppf (Exp_fig3b.run ())
-  | Table1 -> Exp_table1.print ppf (Exp_table1.run ())
-  | Fig4 -> Exp_fig4.print ppf (Exp_fig4.run ())
-  | Fig5 -> Exp_fig5.print ppf (Exp_fig5.run ())
-  | Table2 -> Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Width)
-  | Table3 -> Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Impurity)
-  | Table4 -> Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Combined)
-  | Fig6 -> Exp_fig6.print ppf (Exp_fig6.run ())
-  | Fig7 -> Exp_fig7.print ppf (Exp_fig7.run ())
-
-let run_all ppf =
+let run ppf ids =
   (* Fig 3(b)'s surface feeds Table 1's operating points; compute once. *)
-  Exp_fig2a.print ppf (Exp_fig2a.run ());
-  Exp_fig2b.print ppf (Exp_fig2b.run ());
-  let fig3b = Exp_fig3b.run () in
-  Exp_fig3b.print ppf fig3b;
-  Exp_table1.print ppf (Exp_table1.run ~surface:fig3b.Exp_fig3b.surface ());
-  Exp_fig4.print ppf (Exp_fig4.run ());
-  Exp_fig5.print ppf (Exp_fig5.run ());
-  Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Width);
-  Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Impurity);
-  Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Combined);
-  Exp_fig6.print ppf (Exp_fig6.run ());
-  Exp_fig7.print ppf (Exp_fig7.run ())
+  let fig3b = lazy (Exp_fig3b.run ()) in
+  List.iter
+    (function
+      | Fig2a -> Exp_fig2a.print ppf (Exp_fig2a.run ())
+      | Fig2b -> Exp_fig2b.print ppf (Exp_fig2b.run ())
+      | Fig3b -> Exp_fig3b.print ppf (Lazy.force fig3b)
+      | Table1 -> Exp_table1.print ppf (Exp_table1.run (Lazy.force fig3b).Exp_fig3b.surface)
+      | Fig4 -> Exp_fig4.print ppf (Exp_fig4.run ())
+      | Fig5 -> Exp_fig5.print ppf (Exp_fig5.run ())
+      | Table2 -> Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Width)
+      | Table3 -> Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Impurity)
+      | Table4 -> Exp_tables234.print ppf (Exp_tables234.run Exp_tables234.Combined)
+      | Fig6 -> Exp_fig6.print ppf (Exp_fig6.run ())
+      | Fig7 -> Exp_fig7.print ppf (Exp_fig7.run ()))
+    ids

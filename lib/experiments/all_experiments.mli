@@ -1,5 +1,5 @@
-(** Run every table/figure reproduction and print the full report — the
-    entry point used by [bin/repro.exe] and [gnrfet_cli experiment]. *)
+(** The paper's tables and figures, and one entry point that reproduces
+    and prints any of them: the one [gnrfet_cli experiment] runs. *)
 
 type id =
   | Fig2a
@@ -15,14 +15,11 @@ type id =
   | Fig7
 
 val all : id list
+(** Every experiment, in paper order. *)
 
 val name : id -> string
 
-val of_name : string -> id option
-
-val run_and_print : Format.formatter -> id -> unit
-(** Compute one experiment and print its report (the Fig 3(b) surface is
-    shared with Table 1 within one call to {!run_all}). *)
-
-val run_all : Format.formatter -> unit
-(** The full reproduction, in paper order. *)
+val run : Format.formatter -> id list -> unit
+(** Compute the listed experiments and print their reports, in list
+    order.  Table 1's operating points come from the Fig 3(b) surface,
+    which one call computes at most once. *)

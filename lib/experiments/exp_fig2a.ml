@@ -21,9 +21,9 @@ let sweep p ~vd ~n_vg =
   in
   { vd; vg; id }
 
-let run ?(n_vg = 31) () =
+let run () =
   let p = Params.default () in
-  let curves = List.map (fun vd -> sweep p ~vd ~n_vg) [ 0.05; 0.25; 0.5; 0.75 ] in
+  let curves = List.map (fun vd -> sweep p ~vd ~n_vg:31) [ 0.05; 0.25; 0.5; 0.75 ] in
   let at_05 = List.nth curves 2 in
   let ion_a =
     let k = Vec.argmin (Array.map (fun v -> Float.abs (v -. 0.5)) at_05.vg) in

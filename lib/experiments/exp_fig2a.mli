@@ -14,6 +14,7 @@ type result = {
           exponential VD dependence) *)
 }
 
-val run : ?n_vg:int -> unit -> result
+val run : unit -> result
+(** 31 gate-bias points per curve. *)
 
 val print : Format.formatter -> result -> unit

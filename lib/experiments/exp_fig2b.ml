@@ -21,7 +21,8 @@ let curve p =
   in
   (vg, id)
 
-let run ?(offset = 0.2) () =
+let run () =
+  let offset = 0.2 in
   let p0 = Params.default () in
   let p1 = { p0 with Params.gate_offset = offset } in
   let vt_no_offset = Vt.extract p0 in

@@ -9,6 +9,6 @@ type result = {
   curve_with_offset : float array * float array;
 }
 
-val run : ?offset:float -> unit -> result
+val run : unit -> result
 
 val print : Format.formatter -> result -> unit

@@ -8,10 +8,10 @@ type result = {
   snm_contours : (float * Contour.polyline list) list;
 }
 
-let run ?(nv = 13) () =
+let run () =
   let table = Table_cache.get (Params.default ()) in
   let surface =
-    Explore.surface ~vdds:(Vec.linspace 0.1 0.7 nv) ~vts:(Vec.linspace 0. 0.3 nv)
+    Explore.surface ~vdds:(Vec.linspace 0.1 0.7 13) ~vts:(Vec.linspace 0. 0.3 13)
       table
   in
   let min_edp = Explore.min_edp surface in

@@ -11,7 +11,7 @@ type result = {
   snm_contours : (float * Contour.polyline list) list;
 }
 
-val run : ?nv:int -> unit -> result
-(** [nv] grid points per axis (default 13). *)
+val run : unit -> result
+(** 13 grid points per axis. *)
 
 val print : Format.formatter -> result -> unit

@@ -5,13 +5,13 @@ type result = {
   static_power_ratio : float;
 }
 
-let run ?op () =
+let run () =
   let nominal =
-    Variation.latch ?op ~n_spec:Variation.nominal_spec
+    Variation.latch ~n_spec:Variation.nominal_spec
       ~p_spec:Variation.nominal_spec ~all_four:false ()
   in
-  let single = Variation.latch_worst_case ?op ~all_four:false () in
-  let all = Variation.latch_worst_case ?op ~all_four:true () in
+  let single = Variation.latch_worst_case ~all_four:false () in
+  let all = Variation.latch_worst_case ~all_four:true () in
   {
     nominal;
     single;

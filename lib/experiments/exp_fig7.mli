@@ -9,6 +9,7 @@ type result = {
   static_power_ratio : float;  (** worst-case / nominal (paper: >5X) *)
 }
 
-val run : ?op:Variation.op_point -> unit -> result
+val run : unit -> result
+(** At operating point B. *)
 
 val print : Format.formatter -> result -> unit

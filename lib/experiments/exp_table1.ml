@@ -4,9 +4,8 @@ type result = {
   edp_improvement_range : (float * float) option;
 }
 
-let run ?surface () =
-  let table = Table_cache.get (Params.default ()) in
-  let gnrfet = Technology.gnrfet_operating_points ?surface table in
+let run surface =
+  let gnrfet = Technology.gnrfet_operating_points surface in
   let cmos = Technology.cmos_rows () in
   let reference =
     match List.find_opt (fun (r : Technology.row) -> r.Technology.label = "GNRFET B") gnrfet with

@@ -11,6 +11,7 @@ type result = {
           is finite, so NaN never flows into downstream EDP comparisons *)
 }
 
-val run : ?surface:Explore.surface -> unit -> result
+val run : Explore.surface -> result
+(** GNRFET rows read off the Fig 3(b) VDD–VT surface. *)
 
 val print : Format.formatter -> result -> unit

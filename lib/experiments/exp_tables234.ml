@@ -2,12 +2,12 @@ type which = Width | Impurity | Combined
 
 type result = { which : which; table : Variation.table }
 
-let run ?op which =
+let run which =
   let table =
     match which with
-    | Width -> Variation.width_table ?op ()
-    | Impurity -> Variation.impurity_table ?op ()
-    | Combined -> Variation.combined_table ?op ()
+    | Width -> Variation.width_table ()
+    | Impurity -> Variation.impurity_table ()
+    | Combined -> Variation.combined_table ()
   in
   { which; table }
 

@@ -6,6 +6,7 @@ type which = Width | Impurity | Combined
 
 type result = { which : which; table : Variation.table }
 
-val run : ?op:Variation.op_point -> which -> result
+val run : which -> result
+(** At operating point B. *)
 
 val print : Format.formatter -> result -> unit

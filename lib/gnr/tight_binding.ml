@@ -1,6 +1,7 @@
 type t = { n : int; h00 : Matrix.t; h01 : Matrix.t }
 
-let make ?(hopping = Const.t_pz) ?(edge_delta = Const.edge_bond_relaxation) n =
+let make ?(edge_delta = Const.edge_bond_relaxation) n =
+  let hopping = Const.t_pz in
   if n < 2 then invalid_arg "Tight_binding.make: index must be >= 2";
   let size = Lattice.atoms_per_cell n in
   let h00 = Matrix.create size size in

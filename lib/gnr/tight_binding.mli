@@ -11,9 +11,10 @@ type t = private {
   h01 : Matrix.t;  (** coupling to the next cell along transport *)
 }
 
-val make : ?hopping:float -> ?edge_delta:float -> int -> t
-(** [make n] builds the Hamiltonian blocks for index [n] (defaults:
-    [Const.t_pz], [Const.edge_bond_relaxation]). *)
+val make : ?edge_delta:float -> int -> t
+(** [make n] builds the Hamiltonian blocks for index [n] with hopping
+    [Const.t_pz] and edge-bond relaxation [edge_delta] (default
+    [Const.edge_bond_relaxation]). *)
 
 val bloch : t -> float -> Cmatrix.t
 (** [bloch tb ka] is [H00 + H01 e^{i ka} + H01^T e^{-i ka}] with [ka] the

@@ -6,7 +6,7 @@ let energy_grid ~lo ~hi ~de =
   let n = max 3 (1 + int_of_float (Float.ceil ((hi -. lo) /. de))) in
   Vec.linspace lo hi n
 
-(* Energy points are embarrassingly parallel; all three observables fan
+(* Energy points are embarrassingly parallel; both observables fan
    the grid out over the persistent domain pool in fixed contiguous
    chunks and combine per-chunk partials in chunk order, so the result
    is bit-for-bit identical for every GNRFET_DOMAINS setting including
@@ -22,27 +22,6 @@ let domains_of parallel = if parallel then None else Some 1
    observable call (never per energy point) and per-chunk counter adds,
    so the energy loop itself stays allocation-free; energies/sec is the
    counter divided by the timer (docs/OBS.md). *)
-let transmission_spectrum ?eta ?(ctx = Ctx.default) ~egrid chain_at =
-  let { Ctx.parallel; obs } = ctx in
-  let tm = Obs.Timer.make ~obs "negf.transmission_spectrum" in
-  let c_energies = Obs.Counter.make ~obs "rgf.transmission_energies" in
-  let t0 = Obs.Timer.start tm in
-  let ne = Array.length egrid in
-  let out = Array.make ne 0. in
-  (* Chunks write disjoint index ranges of [out].  gnrlint: allow-shared *)
-  ignore
-    (Parallel.map_reduce ?domains:(domains_of parallel) ~n:ne
-       ~worker:(fun _ -> Rgf.workspace ())
-       ~body:(fun ws ~lo ~hi ->
-         Obs.Counter.add c_energies (hi - lo);
-         for k = lo to hi - 1 do
-           out.(k) <- Rgf.transmission_into ?eta ws (chain_at egrid.(k)) egrid.(k)
-         done)
-       ~combine:(fun () () -> ())
-       ());
-  Obs.Timer.stop tm t0;
-  out
-
 let current ?eta ?(ctx = Ctx.default) ~bias ~egrid chain_at =
   let { Ctx.parallel; obs } = ctx in
   let tm = Obs.Timer.make ~obs "negf.current" in

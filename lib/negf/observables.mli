@@ -1,7 +1,7 @@
 (** Physical observables of a mode-space chain: terminal current and site
     charge from the RGF spectra.
 
-    All three observables treat energy points as embarrassingly parallel
+    Both observables treat energy points as embarrassingly parallel
     and fan the grid out over the persistent {!Parallel} pool in fixed
     contiguous chunks.  {b Determinism:} the chunk grid and the
     chunk-order combine depend only on the energy grid, never on the
@@ -20,17 +20,16 @@
     worker the integral sweeps each grid energy exactly once.
 
     {b Observability.}  Each observable times itself as one wall-clock
-    interval ([negf.site_charge], [negf.current],
-    [negf.transmission_spectrum]) and counts the energy points swept
-    ([rgf.spectra_energies] for the charge integration,
-    [rgf.transmission_energies] for the current/spectrum sweeps), so
+    interval ([negf.site_charge], [negf.current]) and counts the energy
+    points swept ([rgf.spectra_energies] for the charge integration,
+    [rgf.transmission_energies] for the current), so
     energies-per-second falls out of the snapshot.  With more than one
     worker, [rgf.spectra_energies] depends on which chunks a worker runs
     in a row (the results do not).  Metrics land in [ctx.obs]; counters
     are bumped once per chunk, never per energy point, and everything is
     a no-op while the registry is disabled.  See docs/OBS.md.
 
-    {b Contexts.}  All three observables take [?ctx:Ctx.t] (default
+    {b Contexts.}  Both observables take [?ctx:Ctx.t] (default
     {!Ctx.default}), which carries the [parallel] and [obs] knobs
     (docs/API.md). *)
 
@@ -76,11 +75,3 @@ val site_charge :
     be a pure function of the energy and return chains of one length;
     raises [Invalid_argument] when [midgap] or a chain differs in length
     from the chain at [egrid.(0)]. *)
-
-val transmission_spectrum :
-  ?eta:float ->
-  ?ctx:Ctx.t ->
-  egrid:float array ->
-  (float -> Rgf.chain) ->
-  float array
-(** T(E) sampled on the grid (for spectrum plots and tests). *)

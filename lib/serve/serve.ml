@@ -1,5 +1,4 @@
 type config = {
-  lru_capacity : int;
   queue_capacity : int;
   workers : int;
   retry_after_ms : int;
@@ -8,7 +7,6 @@ type config = {
 
 let default_config =
   {
-    lru_capacity = 32;
     queue_capacity = 8;
     workers = 2;
     retry_after_ms = 250;
@@ -18,20 +16,16 @@ let default_config =
 type metrics = {
   c_requests : Obs.Counter.t;
   c_bad : Obs.Counter.t;
-  c_lru_hits : Obs.Counter.t;
   c_coalesced : Obs.Counter.t;
   c_rejected : Obs.Counter.t;
   c_jobs : Obs.Counter.t;
   c_errors : Obs.Counter.t;
-  c_evictions : Obs.Counter.t;
   c_disconnects : Obs.Counter.t;
   h_queue_depth : Obs.Histogram.t;
 }
 
 type t = {
   config : config;
-  lru_mu : Mutex.t;  (* guards [lru] (Lru.t is not thread-safe) *)
-  lru : Iv_table.t Lru.t;
   sf : Iv_table.t Single_flight.t;
   queue : (unit -> unit) Work_queue.t;
   workers : Thread.t list;
@@ -66,12 +60,10 @@ let create ?(config = default_config) () =
     {
       c_requests = Obs.Counter.make ~obs "serve.requests";
       c_bad = Obs.Counter.make ~obs "serve.bad_requests";
-      c_lru_hits = Obs.Counter.make ~obs "serve.lru_hits";
       c_coalesced = Obs.Counter.make ~obs "serve.coalesced_hits";
       c_rejected = Obs.Counter.make ~obs "serve.rejected";
       c_jobs = Obs.Counter.make ~obs "serve.jobs";
       c_errors = Obs.Counter.make ~obs "serve.errors";
-      c_evictions = Obs.Counter.make ~obs "serve.lru_evictions";
       c_disconnects = Obs.Counter.make ~obs "serve.client_disconnects";
       h_queue_depth = Obs.Histogram.make ~obs "serve.queue_depth";
     }
@@ -92,8 +84,6 @@ let create ?(config = default_config) () =
   in
   {
     config;
-    lru_mu = Mutex.create ();
-    lru = Lru.create ~capacity:config.lru_capacity;
     sf = Single_flight.create ();
     queue;
     workers;
@@ -121,7 +111,7 @@ let stop t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Table acquisition: LRU -> single-flight -> work queue -> workers    *)
+(* Table acquisition: Table_cache -> single-flight -> queue -> workers *)
 
 type promise = {
   p_mu : Mutex.t;
@@ -168,27 +158,21 @@ let generate_via_queue t ~ctx ~grid p =
   if not (Work_queue.try_push t.queue job) then raise Busy;
   match await promise with Ok table -> table | Error e -> raise e
 
+(* A cached table (Table_cache memory or disk) is answered on the
+   connection thread and never touches the queue, so it cannot be
+   rejected.  Only a miss goes through the single-flight map and the
+   queue; the worker's own lookup still finds a table that a leader for
+   the same key stored after this thread's lookup missed. *)
 let table_for t ~grid p =
   let ctx = t.config.ctx in
-  let key = Table_cache.key ?grid p in
-  let cached =
-    Mutex.protect t.lru_mu (fun () -> Lru.find t.lru key)
-  in
-  match cached with
-  | Some table ->
-    Obs.Counter.incr t.m.c_lru_hits;
-    table
+  match Table_cache.lookup ?grid ~ctx p with
+  | Some table -> table
   | None ->
     let outcome =
-      Single_flight.run t.sf key (fun () -> generate_via_queue t ~ctx ~grid p)
+      Single_flight.run t.sf (Table_cache.key ?grid p) (fun () ->
+          generate_via_queue t ~ctx ~grid p)
     in
-    if outcome.Single_flight.coalesced then
-      Obs.Counter.incr t.m.c_coalesced
-    else
-      Mutex.protect t.lru_mu (fun () ->
-          match Lru.add t.lru key outcome.Single_flight.value with
-          | Some _evicted -> Obs.Counter.incr t.m.c_evictions
-          | None -> ());
+    if outcome.Single_flight.coalesced then Obs.Counter.incr t.m.c_coalesced;
     outcome.Single_flight.value
 
 (* ------------------------------------------------------------------ *)
@@ -206,10 +190,6 @@ let stats_json t =
              snap.Obs.snap_counters) );
       ("queue_length", Sjson.Num (float_of_int (Work_queue.length t.queue)));
       ("in_flight", Sjson.Num (float_of_int (Single_flight.in_flight t.sf)));
-      ( "lru_length",
-        Sjson.Num
-          (float_of_int (Mutex.protect t.lru_mu (fun () -> Lru.length t.lru)))
-      );
     ]
 
 let eval t (op : Serve_protocol.op) =

@@ -1,13 +1,14 @@
 (** gnrfet_serve — concurrent table-serving daemon core.
 
-    One server instance owns: a small in-memory {!Lru} of generated
-    tables in front of {!Table_cache} (whose on-disk layer persists
-    across restarts), a {!Single_flight} map coalescing concurrent
-    requests for the same table key onto one generation, and a bounded
-    {!Work_queue} feeding a fixed pool of generation workers — so at
-    most [workers] SCF sweeps run at once and everything beyond
-    [queue_capacity] waiting jobs is rejected with a
-    retry-after hint instead of piling up (docs/SERVE.md).
+    One server instance answers cached tables straight from
+    {!Table_cache} (memory, then the on-disk layer that persists across
+    restarts) and routes only misses through a {!Single_flight} map,
+    which coalesces concurrent requests for the same table key onto one
+    generation, and a bounded {!Work_queue} feeding a fixed pool of
+    generation workers — so at most [workers] SCF sweeps run at once and
+    everything beyond [queue_capacity] waiting jobs is rejected with a
+    retry-after hint instead of piling up.  A cached table never queues
+    and is never rejected (docs/SERVE.md).
 
     {!handle_line} is the transport-independent request evaluator;
     {!serve_stdio} (tests, CI) and {!serve_unix} (clients) are thin
@@ -15,7 +16,6 @@
     transport calls it from one thread per connection. *)
 
 type config = {
-  lru_capacity : int;  (** tables kept hot in memory (default 32) *)
   queue_capacity : int;
       (** waiting generation jobs before rejection (default 8) *)
   workers : int;  (** generation worker threads (default 2) *)

@@ -265,14 +265,6 @@ let test_current_parallel_exact () =
             true (i = i_seq)))
     [ 1; 4 ]
 
-let test_transmission_spectrum_parallel_exact () =
-  let chain = flat_chain ~n:16 () in
-  let egrid = Observables.energy_grid ~lo:(-2.) ~hi:2. ~de:0.01 in
-  let t_seq = Observables.transmission_spectrum ~ctx:seq ~egrid chain in
-  with_env "GNRFET_DOMAINS" "5" (fun () ->
-      let t_par = Observables.transmission_spectrum ~ctx:par ~egrid chain in
-      exact_array "transmission_spectrum parallel vs sequential" t_seq t_par)
-
 let test_spectra_into_matches_spectra () =
   let chain = flat_chain ~n:14 () in
   let ws = Rgf.workspace () in
@@ -351,8 +343,6 @@ let suite =
     Alcotest.test_case "energy grid" `Quick test_energy_grid;
     Alcotest.test_case "site_charge parallel exact" `Quick test_site_charge_parallel_exact;
     Alcotest.test_case "current parallel exact" `Quick test_current_parallel_exact;
-    Alcotest.test_case "T spectrum parallel exact" `Quick
-      test_transmission_spectrum_parallel_exact;
     Alcotest.test_case "spectra_into matches spectra" `Quick
       test_spectra_into_matches_spectra;
     Alcotest.test_case "workspace growth + validation" `Quick

@@ -1,8 +1,9 @@
-(* PR 5 tentpole: the table-serving daemon — JSON codec, LRU,
-   single-flight coalescing, bounded-queue backpressure, and the two
-   transports.  The concurrency tests pin the acceptance criterion:
-   N concurrent requests for one uncached table cost exactly one
-   generation (docs/SERVE.md). *)
+(* The table-serving daemon: JSON codec, work queue, single-flight
+   coalescing, bounded-queue backpressure and the two transports.  The
+   server tests pin the two contracts of docs/SERVE.md: N concurrent
+   requests for one uncached table cost exactly one generation, and a
+   cached table is answered without queueing, even when the queue has
+   no room. *)
 
 open Support
 
@@ -59,29 +60,6 @@ let test_sjson_roundtrip () =
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":1} x"; "nul"; "\"unterminated"; "01" ]
-
-(* --- Lru ------------------------------------------------------------- *)
-
-let test_lru () =
-  let l = Lru.create ~capacity:2 in
-  Alcotest.(check bool) "no eviction" true (Lru.add l "a" 1 = None);
-  ignore (Lru.add l "b" 2);
-  (* Touch "a" so "b" is the LRU entry. *)
-  Alcotest.(check (option int)) "find a" (Some 1) (Lru.find l "a");
-  Alcotest.(check (option string)) "adding c evicts b" (Some "b")
-    (Lru.add l "c" 3);
-  Alcotest.(check (option int)) "b gone" None (Lru.find l "b");
-  Alcotest.(check (option int)) "a survives" (Some 1) (Lru.find l "a");
-  Alcotest.(check int) "length" 2 (Lru.length l);
-  (* Replacing a present key is not an eviction. *)
-  Alcotest.(check (option string)) "replace a" None (Lru.add l "a" 10);
-  Alcotest.(check (option int)) "replaced value" (Some 10) (Lru.find l "a");
-  let z = Lru.create ~capacity:0 in
-  Alcotest.(check (option string)) "capacity 0 stores nothing" None
-    (Lru.add z "k" 1);
-  Alcotest.(check (option int)) "capacity 0 never hits" None (Lru.find z "k");
-  check_raises_invalid "negative capacity" (fun () ->
-      Lru.create ~capacity:(-1))
 
 (* --- Work_queue ------------------------------------------------------ *)
 
@@ -237,13 +215,12 @@ let test_response_roundtrip () =
 
 (* --- server ---------------------------------------------------------- *)
 
-let make_server ?(lru = 32) ?(queue = 8) ?(workers = 2) () =
+let make_server ?(queue = 8) ?(workers = 2) () =
   let obs = Obs.create ~enabled:true () in
   let config =
     {
       Serve.default_config with
-      Serve.lru_capacity = lru;
-      queue_capacity = queue;
+      Serve.queue_capacity = queue;
       workers;
       ctx = Ctx.make ~obs ();
     }
@@ -259,11 +236,15 @@ let table_line ?(id = 1) ?(params = tiny) ?(grid = micro_grid) () =
 
 (* The coalescing acceptance test needs the leader's generation to
    outlast the followers' start-up.  Followers compete with the
-   generating worker for the runtime lock, and in a loaded suite (idle
-   pool domains, a large major heap) the last one can take tens of
-   milliseconds to arrive; at six bias points a generation can finish
-   first.  36 points keep the window several times wider. *)
-let coalescing_grid = { micro_grid with Iv_table.n_vg = 9; n_vd = 4 }
+   generating worker for the runtime lock: each blocking call a follower
+   makes before it joins the single-flight map (the start barrier, and
+   the disk probe of its Table_cache lookup) can leave it waiting for a
+   50 ms runtime-lock tick while the worker computes, longer in a loaded
+   suite (idle pool domains, a large major heap), so the seven followers
+   can take up to about 0.7 s to join.  Once earlier tests have warmed
+   the process, 36 points take about 90 ms, which late followers missed
+   in full-suite runs; 360 points take about 2 s. *)
+let coalescing_grid = { micro_grid with Iv_table.n_vg = 36; n_vd = 10 }
 
 let expect_ok line =
   match Serve_protocol.parse_response line with
@@ -272,6 +253,28 @@ let expect_ok line =
     Alcotest.failf "expected ok, got error %s: %s" e.Serve_protocol.kind
       e.Serve_protocol.detail
   | Error e -> Alcotest.failf "unparseable response %s: %s" line e
+
+(* Cached tables never queue: with no queue slots at all, a table
+   staged on disk is still answered (a disk hit), and a second request
+   for it is a memory hit.  Neither reaches the worker pool. *)
+let test_serve_cached_tables_never_queue () =
+  skip_if_fault_armed [ "table_cache.read" ];
+  with_temp_cache @@ fun () ->
+  let key = Table_cache.key ~grid:micro_grid tiny in
+  Sys.mkdir (Table_cache.cache_dir ()) 0o755;
+  Tbl_format.write ~path:(Table_cache.gnrtbl_path key) ~cache_key:key
+    (synthetic_table ~key ());
+  let server, obs = make_server ~queue:0 () in
+  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+  let count name = Obs.counter_value ~obs name in
+  ignore (expect_ok (Serve.handle_line server (table_line ())));
+  Alcotest.(check int) "disk hit" 1 (count "table_cache.disk_hits");
+  Alcotest.(check int) "no job" 0 (count "serve.jobs");
+  Alcotest.(check int) "no rejection" 0 (count "serve.rejected");
+  ignore (expect_ok (Serve.handle_line server (table_line ~id:2 ())));
+  Alcotest.(check int) "memory hit" 1 (count "table_cache.memory_hits");
+  Alcotest.(check int) "still no job" 0 (count "serve.jobs");
+  Alcotest.(check int) "not generated again" 0 (count "table_cache.generates")
 
 let test_serve_single_flight_acceptance () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
@@ -322,29 +325,14 @@ let test_serve_single_flight_acceptance () =
     (Obs.counter_value ~obs "serve.requests");
   Alcotest.(check int) "no rejections" 0
     (Obs.counter_value ~obs "serve.rejected");
-  (* A request after the dust settles is a pure LRU hit. *)
+  (* A request after the dust settles is a Table_cache memory hit that
+     never reaches the worker pool. *)
+  let memory_hits = Obs.counter_value ~obs "table_cache.memory_hits" in
   ignore (expect_ok (Serve.handle_line server line));
-  Alcotest.(check int) "serve.lru_hits" 1
-    (Obs.counter_value ~obs "serve.lru_hits");
+  Alcotest.(check int) "one more memory hit" (memory_hits + 1)
+    (Obs.counter_value ~obs "table_cache.memory_hits");
+  Alcotest.(check int) "still one job" 1 (Obs.counter_value ~obs "serve.jobs");
   Alcotest.(check int) "still one generation" 1
-    (Obs.counter_value ~obs "table_cache.generates")
-
-let test_serve_lru_eviction () =
-  skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
-  with_temp_cache @@ fun () ->
-  let server, obs = make_server ~lru:1 () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
-  let p_a = tiny and p_b = tiny_device ~gnr_index:9 () in
-  ignore (expect_ok (Serve.handle_line server (table_line ~params:p_a ())));
-  ignore (expect_ok (Serve.handle_line server (table_line ~params:p_b ())));
-  Alcotest.(check int) "adding B evicted A" 1
-    (Obs.counter_value ~obs "serve.lru_evictions");
-  (* A again: not an LRU hit any more, but Table_cache's memory layer
-     still has it — no third generation. *)
-  ignore (expect_ok (Serve.handle_line server (table_line ~params:p_a ())));
-  Alcotest.(check int) "no LRU hit after eviction" 0
-    (Obs.counter_value ~obs "serve.lru_hits");
-  Alcotest.(check int) "two generations total" 2
     (Obs.counter_value ~obs "table_cache.generates")
 
 let test_serve_backpressure () =
@@ -474,7 +462,6 @@ let test_serve_unix_transport () =
 let suite =
   [
     Alcotest.test_case "sjson roundtrip + rejects" `Quick test_sjson_roundtrip;
-    Alcotest.test_case "lru" `Quick test_lru;
     Alcotest.test_case "work queue" `Quick test_work_queue;
     Alcotest.test_case "single-flight coalesces" `Quick
       test_single_flight_coalesces;
@@ -484,9 +471,10 @@ let suite =
       test_protocol_roundtrip;
     Alcotest.test_case "response roundtrip + robust errors" `Quick
       test_response_roundtrip;
+    Alcotest.test_case "cached tables never queue" `Quick
+      test_serve_cached_tables_never_queue;
     Alcotest.test_case "8 concurrent clients, 1 generation" `Quick
       test_serve_single_flight_acceptance;
-    Alcotest.test_case "lru eviction" `Quick test_serve_lru_eviction;
     Alcotest.test_case "backpressure rejection" `Quick test_serve_backpressure;
     Alcotest.test_case "stats reports table-cache counters" `Quick
       test_serve_stats_reports_table_cache;
