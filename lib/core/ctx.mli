@@ -33,8 +33,9 @@ val default : t
 (** The context every entry point uses when [?ctx] is omitted.
     Computed once at module initialization: [parallel] is [true] unless
     [GNRFET_DOMAINS] is set to [0]/[1] at startup (in which case the
-    pool is sequential anyway), and [obs] is {!Obs.global} (whose
-    enabled state read [GNRFET_OBS] once). *)
+    pool is sequential anyway; an empty value counts as unset), and
+    [obs] is {!Obs.global} (whose enabled state read [GNRFET_OBS]
+    once). *)
 
 val make : ?parallel:bool -> ?obs:Obs.t -> unit -> t
 (** {!default} with the given fields overridden. *)

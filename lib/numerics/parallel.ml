@@ -1,7 +1,9 @@
+(* An empty GNRFET_DOMAINS counts as unset: OCaml's Unix has no
+   unsetenv, so restoring an unset variable leaves it empty. *)
 let num_domains () =
-  match Sys.getenv_opt "GNRFET_DOMAINS" with
-  | Some s -> (try max 1 (int_of_string (String.trim s)) with Failure _ -> 1)
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+  match Option.map String.trim (Sys.getenv_opt "GNRFET_DOMAINS") with
+  | None | Some "" -> max 1 (Domain.recommended_domain_count () - 1)
+  | Some s -> (try max 1 (int_of_string s) with Failure _ -> 1)
 
 type 'b outcome = Value of 'b | Error of exn
 

@@ -32,7 +32,8 @@ val num_domains : unit -> int
     — 1, i.e. sequential, on a 2-vCPU host (docs/PERF.md says why that
     default stays) — overridable with the [GNRFET_DOMAINS] environment
     variable (read on every call, so tests and benchmarks can toggle it
-    at runtime). *)
+    at runtime; an empty or blank value counts as unset, an unparsable
+    one as 1). *)
 
 val default_chunk : int
 (** Chunk width used by {!map_reduce} and {!parallel_for} when [?chunk]

@@ -184,103 +184,65 @@ let grid_to_json (g : Iv_table.grid_spec) =
       ("n_vd", Sjson.Num (float_of_int g.Iv_table.n_vd));
     ]
 
+(* A table crosses the wire as the lowercase hex of the exact bytes
+   Tbl_format writes to disk (docs/SERVE.md): one codec for both, floats
+   bit for bit, every section under its CRC. *)
+let hex_digits = "0123456789abcdef"
+
 let table_to_json (t : Iv_table.t) =
+  let bin = Tbl_format.encode ~cache_key:t.Iv_table.key t in
+  let hex = Bytes.create (2 * String.length bin) in
+  for i = 0 to String.length bin - 1 do
+    let b = Char.code bin.[i] in
+    Bytes.set hex (2 * i) hex_digits.[b lsr 4];
+    Bytes.set hex ((2 * i) + 1) hex_digits.[b land 15]
+  done;
   Sjson.Obj
     [
       ("key", Sjson.Str t.Iv_table.key);
-      ("vg", Sjson.of_float_array t.Iv_table.vg);
-      ("vd", Sjson.of_float_array t.Iv_table.vd);
-      ("current", Sjson.of_matrix t.Iv_table.current);
-      ("charge", Sjson.of_matrix t.Iv_table.charge);
-      ( "failed_points",
-        Sjson.List
-          (List.map
-             (fun (ivg, ivd) ->
-               Sjson.List
-                 [
-                   Sjson.Num (float_of_int ivg); Sjson.Num (float_of_int ivd);
-                 ])
-             t.Iv_table.failed_points) );
+      ("gnrtbl", Sjson.Str (Bytes.unsafe_to_string hex));
     ]
 
-let float_array_of_json ~what j =
-  match Sjson.to_list j with
-  | None -> Error (Printf.sprintf "%s: expected an array of numbers" what)
-  | Some items ->
-    let* floats =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match Sjson.to_float item with
-          | Some f -> Ok (f :: acc)
-          | None -> Error (Printf.sprintf "%s: expected a number" what))
-        (Ok []) items
-    in
-    Ok (Array.of_list (List.rev floats))
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | _ -> -1
 
-let matrix_of_json ~what j =
-  match Sjson.to_list j with
-  | None -> Error (Printf.sprintf "%s: expected an array of arrays" what)
-  | Some rows ->
-    let* arrays =
-      List.fold_left
-        (fun acc row ->
-          let* acc = acc in
-          let* a = float_array_of_json ~what row in
-          Ok (a :: acc))
-        (Ok []) rows
-    in
-    Ok (Array.of_list (List.rev arrays))
+let bytes_of_hex hex =
+  let n = String.length hex / 2 in
+  let bin = Bytes.create n in
+  let rec fill i =
+    if i = n then Ok (Bytes.unsafe_to_string bin)
+    else
+      let hi = nibble hex.[2 * i] and lo = nibble hex.[(2 * i) + 1] in
+      if hi < 0 || lo < 0 then
+        Error
+          (Printf.sprintf "table.gnrtbl: byte %d is not a lowercase hex digit"
+             (if hi < 0 then 2 * i else (2 * i) + 1))
+      else begin
+        Bytes.set bin i (Char.chr ((hi lsl 4) lor lo));
+        fill (i + 1)
+      end
+  in
+  if String.length hex mod 2 <> 0 then
+    Error "table.gnrtbl: odd-length hex payload"
+  else fill 0
 
 let table_of_json j =
-  match j with
-  | Sjson.Obj fields ->
-    let* key =
-      match Option.bind (field fields "key") Sjson.to_str with
-      | Some k -> Ok k
-      | None -> Error "table: missing string \"key\""
-    in
-    let req k of_json =
-      match field fields k with
-      | Some v -> of_json ~what:("table." ^ k) v
-      | None -> Error (Printf.sprintf "table: missing %S" k)
-    in
-    let* vg = req "vg" float_array_of_json in
-    let* vd = req "vd" float_array_of_json in
-    let* current = req "current" matrix_of_json in
-    let* charge = req "charge" matrix_of_json in
-    let* failed_points =
-      match field fields "failed_points" with
-      | None -> Ok []
-      | Some j ->
-        (match Sjson.to_list j with
-        | None -> Error "table.failed_points: expected an array"
-        | Some items ->
-          let* rev =
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match Sjson.to_list item with
-                | Some [ a; b ] ->
-                  (match (Sjson.to_int a, Sjson.to_int b) with
-                  | Some ivg, Some ivd -> Ok ((ivg, ivd) :: acc)
-                  | _ ->
-                    Error "table.failed_points: expected integer pairs")
-                | _ -> Error "table.failed_points: expected [ivg, ivd] pairs")
-              (Ok []) items
-          in
-          Ok (List.rev rev))
-    in
-    let rows_match m = Array.length m = Array.length vg in
-    let cols_match m =
-      Array.for_all (fun row -> Array.length row = Array.length vd) m
-    in
-    if not (rows_match current && rows_match charge) then
-      Error "table: matrix row count does not match the vg axis"
-    else if not (cols_match current && cols_match charge) then
-      Error "table: matrix column count does not match the vd axis"
-    else Ok { Iv_table.key; vg; vd; current; charge; failed_points }
-  | _ -> Error "table: expected a JSON object"
+  let str k = Option.bind (Sjson.member k j) Sjson.to_str in
+  match (str "key", str "gnrtbl") with
+  | None, _ -> Error "table: missing string \"key\""
+  | _, None -> Error "table: missing string \"gnrtbl\""
+  | Some key, Some hex -> (
+    let* bin = bytes_of_hex hex in
+    match Tbl_format.decode ~path:"table.gnrtbl" bin with
+    | { Tbl_format.v_table = t; _ } when String.equal t.Iv_table.key key -> Ok t
+    | _ -> Error "table: \"key\" does not match the gnrtbl payload"
+    | exception Robust_error.Error (Robust_error.Cache_corrupt { reason; _ }) ->
+      Error
+        (Printf.sprintf "table.gnrtbl: %s (%s)"
+           (Robust_error.corrupt_label reason)
+           (Robust_error.corrupt_reason_to_string reason)))
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)

@@ -1,4 +1,4 @@
-(** Wire protocol of the table-serving daemon (gnrfet-serve-v1).
+(** Wire protocol of the table-serving daemon (gnrfet-serve-v2).
 
     Newline-delimited JSON: each request is one JSON object on one
     line, answered by exactly one JSON object on one line, in request
@@ -10,7 +10,9 @@
     "shutdown", ...}] with [params]/[grid]/[vg]/[vd] payload fields for
     the table ops.  Responses: [{"id": n, "ok": true, "result": ...}]
     or [{"id": n, "ok": false, "error": {"kind": ..., "detail": ...,
-    "retry_after_ms": ...?}}]. *)
+    "retry_after_ms": ...?}}].  A whole table travels as the hex of
+    its {!Tbl_format} bytes, so the disk and the wire share one table
+    codec. *)
 
 type op =
   | Ping
@@ -56,16 +58,23 @@ val grid_of_json : Sjson.t -> (Iv_table.grid_spec, string) result
 val grid_to_json : Iv_table.grid_spec -> Sjson.t
 
 val table_to_json : Iv_table.t -> Sjson.t
-(** [{"key", "vg", "vd", "current", "charge", "failed_points"}] —
-    failed points as [[ivg, ivd]] pairs (docs/ROBUST.md). *)
+(** [{"key": <table key>, "gnrtbl": <hex>}], where [<hex>] is the
+    lowercase hex of [Tbl_format.encode ~cache_key:key t]: the bytes a
+    cached table has on disk (docs/FORMAT.md), so every float, NaN
+    payloads, signed zeros and subnormals included, and the failed
+    points cross the wire bit for bit. *)
 
 val table_of_json : Sjson.t -> (Iv_table.t, string) result
 (** Inverse of {!table_to_json}, for clients reconstructing a full
     table from a [table] response (the campaign engine's serve
-    executor).  Strict about shape: missing fields or matrix dimensions
-    that disagree with the axes are [Error]s, so a corrupted response
-    surfaces as a typed client failure instead of a downstream
-    out-of-bounds. *)
+    executor): hex-decodes [gnrtbl] and validates it with
+    {!Tbl_format.decode}.  A missing field, an odd-length or non-hex
+    payload, a payload that fails validation, or a [key] that is not
+    the payload's table key is an [Error], so a corrupted response
+    surfaces as a typed client failure.  A validation failure names its
+    {!Robust_error.corrupt_label} and, for a CRC mismatch, the section
+    (["table.gnrtbl: crc_mismatch (CRC-32C mismatch in section
+    \"current\")"]). *)
 
 (** {2 Responses} *)
 

@@ -308,7 +308,3 @@ let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function List xs -> Some xs | _ -> None
-
-let of_float_array a = List (Array.to_list (Array.map (fun v -> Num v) a))
-
-let of_matrix m = List (Array.to_list (Array.map of_float_array m))

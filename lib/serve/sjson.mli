@@ -39,7 +39,3 @@ val to_str : t -> string option
 val to_bool : t -> bool option
 
 val to_list : t -> t list option
-
-val of_float_array : float array -> t
-
-val of_matrix : float array array -> t

@@ -36,6 +36,16 @@ let simpson ~f ~a ~b ~n =
 let skip_if_fault_armed sites =
   if List.exists Fault.site_armed sites then Alcotest.skip ()
 
+(* Run [f] with the environment variable [key] set to [value], then put
+   the old value back.  OCaml's Unix has no unsetenv, so a variable that
+   was unset comes back empty, which the GNRFET_* readers take as unset. *)
+let with_env key value f =
+  let old = Sys.getenv_opt key in
+  Unix.putenv key value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
+    f
+
 (* Small deterministic RNG for fixtures. *)
 let rng = Rng.create 2024
 

@@ -50,13 +50,6 @@ let parse_golden path =
   if !iterations < 0 then Alcotest.failf "%s: missing iterations line" path;
   { g_iterations = !iterations; g_steps = List.rev !steps }
 
-let with_env key value f =
-  let old = Sys.getenv_opt key in
-  Unix.putenv key value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
-    f
-
 let check_trace_equal label (a : Scf.trace list) (b : Scf.trace list) =
   Alcotest.(check int) (label ^ ": trace length") (List.length a) (List.length b);
   List.iter2

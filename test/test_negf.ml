@@ -214,13 +214,6 @@ let test_sancho_rubio_agrees_with_dimer () =
       approx ~eps:1e-5 (Printf.sprintf "Im g at %g" e) g_scalar.Complex.im g_block.Complex.im)
     [ 0.8; 1.5; 2.5 ]
 
-let with_env key value f =
-  let old = Sys.getenv_opt key in
-  Unix.putenv key value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
-    f
-
 let exact_array name a b =
   Alcotest.(check int) (name ^ ": length") (Array.length a) (Array.length b);
   Array.iteri

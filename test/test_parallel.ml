@@ -3,14 +3,9 @@
    propagation from pool workers, pool reuse across many calls, nested
    runs, and the GNRFET_DOMAINS environment override. *)
 
-exception Boom of int
+open Support
 
-let with_env key value f =
-  let old = Sys.getenv_opt key in
-  Unix.putenv key value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
-    f
+exception Boom of int
 
 let test_matches_sequential () =
   let input = Array.init 257 (fun i -> i - 7) in
@@ -44,7 +39,12 @@ let test_env_override () =
   with_env "GNRFET_DOMAINS" "0" (fun () ->
       Alcotest.(check int) "clamped to at least one domain" 1 (Parallel.num_domains ()));
   with_env "GNRFET_DOMAINS" "junk" (fun () ->
-      Alcotest.(check int) "unparsable value falls back to 1" 1 (Parallel.num_domains ()))
+      Alcotest.(check int) "unparsable value falls back to 1" 1 (Parallel.num_domains ()));
+  let default_width = max 1 (Domain.recommended_domain_count () - 1) in
+  with_env "GNRFET_DOMAINS" "" (fun () ->
+      Alcotest.(check int) "empty value means unset" default_width (Parallel.num_domains ()));
+  with_env "GNRFET_DOMAINS" "  " (fun () ->
+      Alcotest.(check int) "blank value means unset" default_width (Parallel.num_domains ()))
 
 let test_env_override_map () =
   with_env "GNRFET_DOMAINS" "3" (fun () ->

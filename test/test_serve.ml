@@ -305,17 +305,12 @@ let test_serve_single_flight_acceptance () =
       Alcotest.(check string) "all responses identical" responses.(0) r;
       ignore (expect_ok r))
     responses;
-  (match first with
-  | Sjson.Obj fields -> (
-    Alcotest.(check bool) "result carries the table key" true
-      (List.mem_assoc "key" fields);
-    (* The daemon has no grid of its own: the request's grid is used. *)
-    match Option.bind (List.assoc_opt "vg" fields) Sjson.to_list with
-    | Some vg ->
-      Alcotest.(check int) "vg follows the request grid" coalescing_grid.Iv_table.n_vg
-        (List.length vg)
-    | None -> Alcotest.fail "table result has no vg array")
-  | _ -> Alcotest.fail "table result is not an object");
+  (* The daemon has no grid of its own: the request's grid is used. *)
+  (match Serve_protocol.table_of_json first with
+  | Ok t ->
+    Alcotest.(check int) "vg follows the request grid"
+      coalescing_grid.Iv_table.n_vg (Array.length t.Iv_table.vg)
+  | Error e -> Alcotest.failf "table result does not decode: %s" e);
   (* The acceptance criterion: one generation, everyone else coalesced. *)
   Alcotest.(check int) "table_cache.generates" 1
     (Obs.counter_value ~obs "table_cache.generates");
@@ -334,6 +329,83 @@ let test_serve_single_flight_acceptance () =
   Alcotest.(check int) "still one job" 1 (Obs.counter_value ~obs "serve.jobs");
   Alcotest.(check int) "still one generation" 1
     (Obs.counter_value ~obs "table_cache.generates")
+
+(* A table crosses the wire as its gnrtbl bytes: special floats and
+   failed points arrive bit for bit, and a damaged payload is an [Error]
+   that names what is wrong with it. *)
+let test_serve_table_wire_bits () =
+  skip_if_fault_armed [ "table_cache.read" ];
+  with_temp_cache @@ fun () ->
+  let key = Table_cache.key ~grid:micro_grid tiny in
+  let staged = synthetic_table ~key () in
+  let nan_payload = Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL in
+  staged.Iv_table.current.(0).(0) <- nan_payload;
+  staged.Iv_table.current.(1).(2) <- infinity;
+  staged.Iv_table.charge.(2).(3) <- neg_infinity;
+  staged.Iv_table.charge.(3).(1) <- -0.;
+  staged.Iv_table.current.(4).(5) <- Float.succ 0.;
+  let staged = { staged with Iv_table.failed_points = [ (0, 0); (4, 5) ] } in
+  Sys.mkdir (Table_cache.cache_dir ()) 0o755;
+  Tbl_format.write ~path:(Table_cache.gnrtbl_path key) ~cache_key:key staged;
+  let server, _obs = make_server ~queue:0 () in
+  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+  let result = expect_ok (Serve.handle_line server (table_line ())) in
+  let bits = Array.map Int64.bits_of_float in
+  let check_plane name expected actual =
+    Alcotest.(check int) (name ^ " rows") (Array.length expected)
+      (Array.length actual);
+    Array.iteri
+      (fun i row ->
+        Alcotest.(check (array int64))
+          (Printf.sprintf "%s row %d" name i)
+          (bits row) (bits actual.(i)))
+      expected
+  in
+  (match Serve_protocol.table_of_json result with
+  | Ok t ->
+    Alcotest.(check string) "key" staged.Iv_table.key t.Iv_table.key;
+    Alcotest.(check (array int64)) "vg" (bits staged.Iv_table.vg)
+      (bits t.Iv_table.vg);
+    Alcotest.(check (array int64)) "vd" (bits staged.Iv_table.vd)
+      (bits t.Iv_table.vd);
+    check_plane "current" staged.Iv_table.current t.Iv_table.current;
+    check_plane "charge" staged.Iv_table.charge t.Iv_table.charge;
+    Alcotest.(check (list (pair int int))) "failed points"
+      staged.Iv_table.failed_points t.Iv_table.failed_points
+  | Error e -> Alcotest.failf "table did not decode: %s" e);
+  let hex =
+    match Option.bind (Sjson.member "gnrtbl" result) Sjson.to_str with
+    | Some h -> h
+    | None -> Alcotest.fail "table result has no gnrtbl string"
+  in
+  let with_payload h =
+    Sjson.Obj [ ("key", Sjson.Str key); ("gnrtbl", Sjson.Str h) ]
+  in
+  let expect_error label j expected =
+    match Serve_protocol.table_of_json j with
+    | Ok _ -> Alcotest.failf "%s: decoded" label
+    | Error e -> Alcotest.(check string) label expected e
+  in
+  (* One hex digit inside the current plane's data, flipped. *)
+  let lay =
+    Tbl_format.Layout.make ~cache_key:key ~table_key:key
+      ~n_vg:(Array.length staged.Iv_table.vg)
+      ~n_vd:(Array.length staged.Iv_table.vd) ~n_failed:2
+  in
+  let flipped = Bytes.of_string hex in
+  let at = 2 * (lay.Tbl_format.Layout.col_off.(2) + 8) in
+  Bytes.set flipped at (if hex.[at] = '0' then '1' else '0');
+  expect_error "flipped digit" (with_payload (Bytes.to_string flipped))
+    {|table.gnrtbl: crc_mismatch (CRC-32C mismatch in section "current")|};
+  expect_error "odd length"
+    (with_payload (String.sub hex 0 (String.length hex - 1)))
+    "table.gnrtbl: odd-length hex payload";
+  expect_error "non-hex byte"
+    (with_payload (String.mapi (fun i c -> if i = 7 then 'x' else c) hex))
+    "table.gnrtbl: byte 7 is not a lowercase hex digit";
+  expect_error "no gnrtbl field"
+    (Sjson.Obj [ ("key", Sjson.Str key) ])
+    {|table: missing string "gnrtbl"|}
 
 let test_serve_backpressure () =
   with_temp_cache @@ fun () ->
@@ -483,4 +555,6 @@ let suite =
     Alcotest.test_case "stdio transport" `Quick test_serve_stdio_transport;
     Alcotest.test_case "unix-socket transport" `Quick
       test_serve_unix_transport;
+    Alcotest.test_case "table crosses the wire bit for bit" `Quick
+      test_serve_table_wire_bits;
   ]
