@@ -492,32 +492,17 @@ let serve_cmd =
              until EOF or a shutdown op (the transport the tests and CI \
              drive).  Without this flag the daemon listens on --socket.")
   in
-  let queue_arg =
+  let max_generations_arg =
     Arg.(
-      value & opt int 8
-      & info [ "queue" ] ~docv:"K"
-          ~doc:"Waiting generation jobs before busy rejection.")
+      value
+      & opt int Serve.default_config.Serve.max_generations
+      & info [ "max-generations" ] ~docv:"K"
+          ~doc:
+            "Tables generated at once; a miss beyond them is answered busy. \
+             0 serves cached tables only.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"K" ~doc:"Generation worker threads.")
-  in
-  let retry_arg =
-    Arg.(
-      value & opt int 250
-      & info [ "retry-after-ms" ] ~docv:"MS"
-          ~doc:"Retry hint attached to busy rejections.")
-  in
-  let run stdio socket queue workers retry =
-    let config =
-      {
-        Serve.default_config with
-        Serve.queue_capacity = queue;
-        workers;
-        retry_after_ms = retry;
-      }
-    in
+  let run stdio socket max_generations =
+    let config = { Serve.default_config with Serve.max_generations } in
     let server = Serve.create ~config () in
     if stdio then Serve.serve_stdio server stdin stdout
     else begin
@@ -529,10 +514,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Concurrent table-serving daemon: newline-delimited JSON over a \
-          Unix socket (or stdio), with single-flight coalescing and bounded \
-          backpressure (docs/SERVE.md)")
-    Term.(
-      const run $ stdio_arg $ socket_arg $ queue_arg $ workers_arg $ retry_arg)
+          Unix socket (or stdio), with single-flight coalescing and a bound \
+          on generations at once (docs/SERVE.md)")
+    Term.(const run $ stdio_arg $ socket_arg $ max_generations_arg)
 
 (* query *)
 let query_cmd =

@@ -13,7 +13,8 @@
    which is what lets the chaos CI leg demand bit-identical reports
    from an uninterrupted run and a SIGKILL-plus-resume run.
    Parallelism lives a level down (the energy loops under
-   Table_cache.get, or the daemon's worker pool), not across samples. *)
+   Table_cache.get, which the daemon runs on the requesting thread),
+   not across samples. *)
 
 let ( let* ) = Result.bind
 
@@ -56,17 +57,18 @@ let check_keys fields =
       else Error (Printf.sprintf "spec: unknown field %S" k))
     (Ok ()) fields
 
-let num_list_of ~what j =
+(* [item] names one element in the error ("a number", "an integer"). *)
+let list_of conv ~item ~what j =
   match Sjson.to_list j with
-  | None -> Error (Printf.sprintf "spec.%s: expected an array of numbers" what)
+  | None -> Error (Printf.sprintf "spec.%s: expected an array" what)
   | Some items ->
     let* rev =
       List.fold_left
-        (fun acc item ->
+        (fun acc j ->
           let* acc = acc in
-          match Sjson.to_float item with
-          | Some f -> Ok (f :: acc)
-          | None -> Error (Printf.sprintf "spec.%s: expected a number" what))
+          match conv j with
+          | Some v -> Ok (v :: acc)
+          | None -> Error (Printf.sprintf "spec.%s: expected %s" what item))
         (Ok []) items
     in
     Ok (List.rev rev)
@@ -95,14 +97,12 @@ let spec_of_json j =
     let* widths =
       match field "widths" with
       | None -> Ok [ 12 ]
-      | Some j ->
-        let* fs = num_list_of ~what:"widths" j in
-        Ok (List.map int_of_float fs)
+      | Some j -> list_of Sjson.to_int ~item:"an integer" ~what:"widths" j
     in
     let list_field k default =
       match field k with
       | None -> Ok default
-      | Some j -> num_list_of ~what:k j
+      | Some j -> list_of Sjson.to_float ~item:"a number" ~what:k j
     in
     let* charges = list_field "charges" [ 0. ] in
     let* gammas = list_field "gammas" [ 1. ] in

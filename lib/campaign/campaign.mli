@@ -21,8 +21,9 @@
     seeded checkpoint boundary and byte-diffs the two reports).
 
     {b Determinism.}  Samples are evaluated strictly in index order;
-    parallelism lives in the energy loops below {!Table_cache.get} (or
-    in the daemon's worker pool), never across samples. *)
+    parallelism lives in the energy loops below {!Table_cache.get}
+    (which the daemon runs on the requesting thread), never across
+    samples. *)
 
 type spec = {
   name : string;

@@ -18,8 +18,6 @@ let init rows cols f =
 let identity n =
   init n n (fun i j -> if i = j then Complex.one else Complex.zero)
 
-let copy m = { m with re = Array.copy m.re; im = Array.copy m.im }
-
 let dims m = (m.rows, m.cols)
 
 let get m i j =

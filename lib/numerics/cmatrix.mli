@@ -14,8 +14,6 @@ val init : int -> int -> (int -> int -> Complex.t) -> t
 
 val identity : int -> t
 
-val copy : t -> t
-
 val dims : t -> int * int
 
 val get : t -> int -> int -> Complex.t

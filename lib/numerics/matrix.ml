@@ -21,8 +21,6 @@ let of_arrays rows =
     rows;
   init r c (fun i j -> rows.(i).(j))
 
-let copy m = { m with data = Array.copy m.data }
-
 let dims m = (m.rows, m.cols)
 
 let get m i j = m.data.((i * m.cols) + j)

@@ -15,8 +15,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Rows must be non-empty and of equal length. *)
 
-val copy : t -> t
-
 val dims : t -> int * int
 
 val get : t -> int -> int -> float

@@ -45,7 +45,3 @@ let normal t =
     r *. cos theta
 
 let gaussian t ~mean ~sigma = mean +. (sigma *. normal t)
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))

@@ -31,6 +31,3 @@ val normal : t -> float
 
 val gaussian : t -> mean:float -> sigma:float -> float
 (** Normal deviate with the given mean and standard deviation. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

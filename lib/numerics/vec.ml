@@ -6,13 +6,6 @@ let linspace a b n =
     Array.init n (fun i -> a +. (h *. float_of_int i))
   end
 
-let init = Array.init
-
-let fill_with dst src =
-  if Array.length dst <> Array.length src then
-    invalid_arg "Vec.fill_with: length mismatch";
-  Array.blit src 0 dst 0 (Array.length src)
-
 let dot x y =
   if Array.length x <> Array.length y then invalid_arg "Vec.dot: length mismatch";
   let acc = ref 0. in
@@ -75,7 +68,3 @@ let arg_extremum better x =
 let argmin x = arg_extremum ( < ) x
 
 let argmax x = arg_extremum ( > ) x
-
-let map2 f x y =
-  if Array.length x <> Array.length y then invalid_arg "Vec.map2: length mismatch";
-  Array.init (Array.length x) (fun i -> f x.(i) y.(i))

@@ -4,12 +4,6 @@ val linspace : float -> float -> int -> float array
 (** [linspace a b n] is [n] evenly spaced points from [a] to [b] inclusive.
     Requires [n >= 2] unless [n = 1], in which case the result is [[|a|]]. *)
 
-val init : int -> (int -> float) -> float array
-(** Alias of [Array.init] with the argument order used throughout. *)
-
-val fill_with : float array -> float array -> unit
-(** [fill_with dst src] copies [src] into [dst] (same length required). *)
-
 val dot : float array -> float array -> float
 (** Euclidean inner product. Lengths must agree. *)
 
@@ -47,5 +41,3 @@ val argmin : float array -> int
 
 val argmax : float array -> int
 (** Index of the largest element (first occurrence). *)
-
-val map2 : (float -> float -> float) -> float array -> float array -> float array

@@ -1,17 +1,9 @@
-type config = {
-  queue_capacity : int;
-  workers : int;
-  retry_after_ms : int;
-  ctx : Ctx.t;
-}
+type config = { max_generations : int; ctx : Ctx.t }
 
-let default_config =
-  {
-    queue_capacity = 8;
-    workers = 2;
-    retry_after_ms = 250;
-    ctx = Ctx.default;
-  }
+let default_config = { max_generations = 2; ctx = Ctx.default }
+
+(* Hint attached to every busy rejection. *)
+let retry_after_ms = 250
 
 type metrics = {
   c_requests : Obs.Counter.t;
@@ -21,23 +13,17 @@ type metrics = {
   c_jobs : Obs.Counter.t;
   c_errors : Obs.Counter.t;
   c_disconnects : Obs.Counter.t;
-  h_queue_depth : Obs.Histogram.t;
 }
 
 type t = {
   config : config;
   sf : Iv_table.t Single_flight.t;
-  queue : (unit -> unit) Work_queue.t;
-  workers : Thread.t list;
   m : metrics;
-  state_mu : Mutex.t;  (* guards [stopping_flag] and [stopped] *)
-  mutable stopping_flag : bool;
-  mutable stopped : bool;
+  stopping_flag : bool Atomic.t;
 }
 
-exception Busy
-
 let create ?(config = default_config) () =
+  let sf = Single_flight.create ~capacity:config.max_generations in
   (* A client that vanishes mid-response must surface as EPIPE on the
      write (counted below), not as a process-killing SIGPIPE.  No-op
      where the signal does not exist. *)
@@ -65,104 +51,24 @@ let create ?(config = default_config) () =
       c_jobs = Obs.Counter.make ~obs "serve.jobs";
       c_errors = Obs.Counter.make ~obs "serve.errors";
       c_disconnects = Obs.Counter.make ~obs "serve.client_disconnects";
-      h_queue_depth = Obs.Histogram.make ~obs "serve.queue_depth";
     }
   in
-  let queue = Work_queue.create ~capacity:config.queue_capacity in
-  let worker () =
-    let rec loop () =
-      match Work_queue.pop queue with
-      | Some job ->
-        job ();
-        loop ()
-      | None -> ()
-    in
-    loop ()
-  in
-  let workers =
-    List.init (max 1 config.workers) (fun _ -> Thread.create worker ())
-  in
-  {
-    config;
-    sf = Single_flight.create ();
-    queue;
-    workers;
-    m;
-    state_mu = Mutex.create ();
-    stopping_flag = false;
-    stopped = false;
-  }
+  { config; sf; m; stopping_flag = Atomic.make false }
 
-let stopping t = Mutex.protect t.state_mu (fun () -> t.stopping_flag)
+let stopping t = Atomic.get t.stopping_flag
 
-let stop t =
-  let join =
-    Mutex.protect t.state_mu (fun () ->
-        t.stopping_flag <- true;
-        if t.stopped then false
-        else begin
-          t.stopped <- true;
-          true
-        end)
-  in
-  if join then begin
-    Work_queue.close t.queue;
-    List.iter Thread.join t.workers
-  end
+let stop t = Atomic.set t.stopping_flag true
 
 (* ------------------------------------------------------------------ *)
-(* Table acquisition: Table_cache -> single-flight -> queue -> workers *)
+(* Table acquisition: Table_cache, then single-flight                 *)
 
-type promise = {
-  p_mu : Mutex.t;
-  p_done : Condition.t;
-  mutable p_res : (Iv_table.t, exn) result option;
-}
-
-let await p =
-  Mutex.protect p.p_mu (fun () ->
-      let rec go () =
-        match p.p_res with
-        | Some r -> r
-        | None ->
-          Condition.wait p.p_done p.p_mu;
-          go ()
-      in
-      go ())
-
-let fulfill p r =
-  Mutex.protect p.p_mu (fun () ->
-      p.p_res <- Some r;
-      Condition.broadcast p.p_done)
-
-(* Leader path of the single-flight: enqueue a generation job and wait.
-   Runs on the connection thread; the Table_cache.get runs on a worker so
-   the bounded queue + worker pool cap concurrent SCF sweeps. *)
-let generate_via_queue t ~ctx ~grid p =
-  let promise =
-    { p_mu = Mutex.create (); p_done = Condition.create (); p_res = None }
-  in
-  let job () =
-    Obs.Counter.incr t.m.c_jobs;
-    let r =
-      match
-        Obs.Span.run ~obs:ctx.Ctx.obs "serve.generate" (fun () ->
-            Table_cache.get ?grid ~ctx p)
-      with
-      | table -> Ok table
-      | exception e -> Error e
-    in
-    fulfill promise r
-  in
-  Obs.Histogram.observe t.m.h_queue_depth (Work_queue.length t.queue);
-  if not (Work_queue.try_push t.queue job) then raise Busy;
-  match await promise with Ok table -> table | Error e -> raise e
-
-(* A cached table (Table_cache memory or disk) is answered on the
-   connection thread and never touches the queue, so it cannot be
-   rejected.  Only a miss goes through the single-flight map and the
-   queue; the worker's own lookup still finds a table that a leader for
-   the same key stored after this thread's lookup missed. *)
+(* A cached table (Table_cache memory or disk) is answered straight
+   away, so it cannot be rejected.  Only a miss goes through the
+   single-flight map, which runs the generation on this thread as the
+   key's leader, or raises Single_flight.Full when max_generations keys
+   are already generating.  The leader's own lookup inside
+   Table_cache.get still finds a table that another leader for the same
+   key stored after this thread's lookup missed. *)
 let table_for t ~grid p =
   let ctx = t.config.ctx in
   match Table_cache.lookup ?grid ~ctx p with
@@ -170,7 +76,9 @@ let table_for t ~grid p =
   | None ->
     let outcome =
       Single_flight.run t.sf (Table_cache.key ?grid p) (fun () ->
-          generate_via_queue t ~ctx ~grid p)
+          Obs.Counter.incr t.m.c_jobs;
+          Obs.Span.run ~obs:ctx.Ctx.obs "serve.generate" (fun () ->
+              Table_cache.get ?grid ~ctx p))
     in
     if outcome.Single_flight.coalesced then Obs.Counter.incr t.m.c_coalesced;
     outcome.Single_flight.value
@@ -188,7 +96,6 @@ let stats_json t =
           (List.map
              (fun (name, v) -> (name, Sjson.Num (float_of_int v)))
              snap.Obs.snap_counters) );
-      ("queue_length", Sjson.Num (float_of_int (Work_queue.length t.queue)));
       ("in_flight", Sjson.Num (float_of_int (Single_flight.in_flight t.sf)));
     ]
 
@@ -197,7 +104,7 @@ let eval t (op : Serve_protocol.op) =
   | Serve_protocol.Ping -> Sjson.Obj [ ("pong", Sjson.Bool true) ]
   | Serve_protocol.Stats -> stats_json t
   | Serve_protocol.Shutdown ->
-    Mutex.protect t.state_mu (fun () -> t.stopping_flag <- true);
+    stop t;
     Sjson.Obj [ ("stopping", Sjson.Bool true) ]
   | Serve_protocol.Table { params; grid } ->
     Serve_protocol.table_to_json (table_for t ~grid params)
@@ -240,13 +147,13 @@ let handle_line t line =
             eval t op)
       with
       | result -> Serve_protocol.ok_line ~id result
-      | exception Busy ->
+      | exception Single_flight.Full ->
         Obs.Counter.incr t.m.c_rejected;
         Serve_protocol.error_line ~id
           {
             Serve_protocol.kind = "busy";
-            detail = "generation queue is full; retry later";
-            retry_after_ms = Some t.config.retry_after_ms;
+            detail = "no generation slot is free; retry later";
+            retry_after_ms = Some retry_after_ms;
           }
       | exception Robust_error.Error e ->
         Obs.Counter.incr t.m.c_errors;

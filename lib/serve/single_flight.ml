@@ -3,11 +3,19 @@ type 'a entry = {
   done_ : Condition.t;
 }
 
-type 'a t = { mu : Mutex.t; inflight : (string, 'a entry) Hashtbl.t }
+type 'a t = {
+  capacity : int;
+  mu : Mutex.t;
+  inflight : (string, 'a entry) Hashtbl.t;
+}
 
 type 'a outcome = { value : 'a; coalesced : bool }
 
-let create () = { mu = Mutex.create (); inflight = Hashtbl.create 16 }
+exception Full
+
+let create ~capacity =
+  if capacity < 0 then invalid_arg "Single_flight.create: negative capacity";
+  { capacity; mu = Mutex.create (); inflight = Hashtbl.create 16 }
 
 let in_flight t = Mutex.protect t.mu (fun () -> Hashtbl.length t.inflight)
 
@@ -30,6 +38,9 @@ let run t key f =
     (match r with
     | Ok value -> { value; coalesced = true }
     | Error e -> raise e)
+  | None when Hashtbl.length t.inflight >= t.capacity ->
+    Mutex.unlock t.mu;
+    raise Full
   | None ->
     (* Leader: publish the entry, compute outside the lock, then
        broadcast.  The key is removed before waking followers so the

@@ -90,6 +90,8 @@ let test_spec_codec () =
       ("missing ops", {|{"name":"x","samples":4}|});
       ("zero samples", {|{"name":"x","samples":0,"ops":[[0.4,0.13]]}|});
       ("malformed op pair", {|{"name":"x","samples":4,"ops":[[0.4]]}|});
+      ( "fractional widths",
+        {|{"name":"x","samples":4,"ops":[[0.4,0.13]],"widths":[12.5,9.9]}|} );
       ("not an object", {|[1,2]|});
     ]
 

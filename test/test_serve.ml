@@ -1,9 +1,9 @@
-(* The table-serving daemon: JSON codec, work queue, single-flight
-   coalescing, bounded-queue backpressure and the two transports.  The
-   server tests pin the two contracts of docs/SERVE.md: N concurrent
-   requests for one uncached table cost exactly one generation, and a
-   cached table is answered without queueing, even when the queue has
-   no room. *)
+(* The table-serving daemon: JSON codec, single-flight coalescing, the
+   admission bound on generations and the two transports.  The server
+   tests pin the contracts of docs/SERVE.md: N concurrent requests for
+   one uncached table cost exactly one generation, a cached table is
+   answered even when no generation may start, and a miss beyond the
+   bound is answered busy while a generation runs. *)
 
 open Support
 
@@ -61,27 +61,11 @@ let test_sjson_roundtrip () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":1} x"; "nul"; "\"unterminated"; "01" ]
 
-(* --- Work_queue ------------------------------------------------------ *)
-
-let test_work_queue () =
-  let q = Work_queue.create ~capacity:2 in
-  Alcotest.(check bool) "push 1" true (Work_queue.try_push q 1);
-  Alcotest.(check bool) "push 2" true (Work_queue.try_push q 2);
-  Alcotest.(check bool) "push 3 rejected (full)" false (Work_queue.try_push q 3);
-  Alcotest.(check (option int)) "pop fifo" (Some 1) (Work_queue.pop q);
-  Alcotest.(check bool) "room again" true (Work_queue.try_push q 3);
-  Work_queue.close q;
-  Work_queue.close q;
-  Alcotest.(check bool) "push after close" false (Work_queue.try_push q 4);
-  Alcotest.(check (option int)) "drains after close" (Some 2) (Work_queue.pop q);
-  Alcotest.(check (option int)) "drains after close (2)" (Some 3)
-    (Work_queue.pop q);
-  Alcotest.(check (option int)) "empty+closed" None (Work_queue.pop q)
-
 (* --- Single_flight --------------------------------------------------- *)
 
 let test_single_flight_coalesces () =
-  let sf = Single_flight.create () in
+  (* Room for one leader: the seven followers do not count against it. *)
+  let sf = Single_flight.create ~capacity:1 in
   let calls = Atomic.make 0 in
   let release = Mutex.create () in
   Mutex.lock release;
@@ -103,6 +87,8 @@ let test_single_flight_coalesces () =
     Thread.yield ()
   done;
   Thread.delay 0.05;
+  Alcotest.check_raises "another key is over capacity" Single_flight.Full
+    (fun () -> ignore (Single_flight.run sf "other" (fun () -> 0)));
   Mutex.unlock release;
   Array.iter Thread.join threads;
   Alcotest.(check int) "computed once" 1 (Atomic.get calls);
@@ -122,7 +108,10 @@ let test_single_flight_coalesces () =
   Alcotest.(check int) "fresh call recomputes" 2 (Atomic.get calls)
 
 let test_single_flight_exception () =
-  let sf = Single_flight.create () in
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Single_flight.create: negative capacity") (fun () ->
+      ignore (Single_flight.create ~capacity:(-1) : int Single_flight.t));
+  let sf = Single_flight.create ~capacity:1 in
   match Single_flight.run sf "boom" (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "expected the leader's exception"
   | exception Failure m ->
@@ -215,16 +204,9 @@ let test_response_roundtrip () =
 
 (* --- server ---------------------------------------------------------- *)
 
-let make_server ?(queue = 8) ?(workers = 2) () =
+let make_server ?(max_generations = 2) () =
   let obs = Obs.create ~enabled:true () in
-  let config =
-    {
-      Serve.default_config with
-      Serve.queue_capacity = queue;
-      workers;
-      ctx = Ctx.make ~obs ();
-    }
-  in
+  let config = { Serve.max_generations; ctx = Ctx.make ~obs () } in
   (Serve.create ~config (), obs)
 
 let table_line ?(id = 1) ?(params = tiny) ?(grid = micro_grid) () =
@@ -236,10 +218,10 @@ let table_line ?(id = 1) ?(params = tiny) ?(grid = micro_grid) () =
 
 (* The coalescing acceptance test needs the leader's generation to
    outlast the followers' start-up.  Followers compete with the
-   generating worker for the runtime lock: each blocking call a follower
+   generating leader for the runtime lock: each blocking call a follower
    makes before it joins the single-flight map (the start barrier, and
    the disk probe of its Table_cache lookup) can leave it waiting for a
-   50 ms runtime-lock tick while the worker computes, longer in a loaded
+   50 ms runtime-lock tick while the leader computes, longer in a loaded
    suite (idle pool domains, a large major heap), so the seven followers
    can take up to about 0.7 s to join.  Once earlier tests have warmed
    the process, 36 points take about 90 ms, which late followers missed
@@ -254,9 +236,9 @@ let expect_ok line =
       e.Serve_protocol.detail
   | Error e -> Alcotest.failf "unparseable response %s: %s" line e
 
-(* Cached tables never queue: with no queue slots at all, a table
-   staged on disk is still answered (a disk hit), and a second request
-   for it is a memory hit.  Neither reaches the worker pool. *)
+(* Cached tables are never rejected: with no generation allowed at all,
+   a table staged on disk is still answered (a disk hit), and a second
+   request for it is a memory hit.  Neither starts a generation. *)
 let test_serve_cached_tables_never_queue () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun () ->
@@ -264,8 +246,7 @@ let test_serve_cached_tables_never_queue () =
   Sys.mkdir (Table_cache.cache_dir ()) 0o755;
   Tbl_format.write ~path:(Table_cache.gnrtbl_path key) ~cache_key:key
     (synthetic_table ~key ());
-  let server, obs = make_server ~queue:0 () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+  let server, obs = make_server ~max_generations:0 () in
   let count name = Obs.counter_value ~obs name in
   ignore (expect_ok (Serve.handle_line server (table_line ())));
   Alcotest.(check int) "disk hit" 1 (count "table_cache.disk_hits");
@@ -280,7 +261,6 @@ let test_serve_single_flight_acceptance () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun () ->
   let server, obs = make_server () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   let n = 8 in
   let line = table_line ~grid:coalescing_grid () in
   let responses = Array.make n "" in
@@ -321,7 +301,7 @@ let test_serve_single_flight_acceptance () =
   Alcotest.(check int) "no rejections" 0
     (Obs.counter_value ~obs "serve.rejected");
   (* A request after the dust settles is a Table_cache memory hit that
-     never reaches the worker pool. *)
+     starts no generation. *)
   let memory_hits = Obs.counter_value ~obs "table_cache.memory_hits" in
   ignore (expect_ok (Serve.handle_line server line));
   Alcotest.(check int) "one more memory hit" (memory_hits + 1)
@@ -347,8 +327,7 @@ let test_serve_table_wire_bits () =
   let staged = { staged with Iv_table.failed_points = [ (0, 0); (4, 5) ] } in
   Sys.mkdir (Table_cache.cache_dir ()) 0o755;
   Tbl_format.write ~path:(Table_cache.gnrtbl_path key) ~cache_key:key staged;
-  let server, _obs = make_server ~queue:0 () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+  let server, _obs = make_server ~max_generations:0 () in
   let result = expect_ok (Serve.handle_line server (table_line ())) in
   let bits = Array.map Int64.bits_of_float in
   let check_plane name expected actual =
@@ -409,10 +388,9 @@ let test_serve_table_wire_bits () =
 
 let test_serve_backpressure () =
   with_temp_cache @@ fun () ->
-  (* Zero queue slots: every generation attempt is rejected up front, so
-     the test is deterministic (no timing on worker progress). *)
-  let server, obs = make_server ~queue:0 () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+  (* No generation allowed: every miss is rejected up front, so the
+     test is deterministic (no timing on generation progress). *)
+  let server, obs = make_server ~max_generations:0 () in
   match Serve_protocol.parse_response (Serve.handle_line server (table_line ())) with
   | Ok { Serve_protocol.result = Error e; _ } ->
     Alcotest.(check string) "busy" "busy" e.Serve_protocol.kind;
@@ -423,12 +401,46 @@ let test_serve_backpressure () =
       (Obs.counter_value ~obs "table_cache.generates")
   | _ -> Alcotest.fail "expected a busy rejection"
 
+(* The bound while a generation runs: with room for one generation, a
+   miss for another table is answered busy at once, and once the
+   running generation is done the same request generates. *)
+let test_serve_admission_bound () =
+  skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
+  with_temp_cache @@ fun () ->
+  let server, obs = make_server ~max_generations:1 () in
+  let count name = Obs.counter_value ~obs name in
+  let slow = ref "" in
+  let th =
+    Thread.create
+      (fun () ->
+        slow := Serve.handle_line server (table_line ~grid:coalescing_grid ()))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while count "serve.jobs" = 0 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "the first generation never started";
+    Thread.delay 0.01
+  done;
+  (match
+     Serve_protocol.parse_response (Serve.handle_line server (table_line ~id:2 ()))
+   with
+  | Ok { Serve_protocol.result = Error e; _ } ->
+    Alcotest.(check string) "busy" "busy" e.Serve_protocol.kind;
+    Alcotest.(check (option int)) "retry hint" (Some 250)
+      e.Serve_protocol.retry_after_ms
+  | _ -> Alcotest.fail "expected a busy rejection while the bound is taken");
+  Thread.join th;
+  ignore (expect_ok !slow);
+  ignore (expect_ok (Serve.handle_line server (table_line ~id:3 ())));
+  Alcotest.(check int) "two generations" 2 (count "serve.jobs");
+  Alcotest.(check int) "one rejection" 1 (count "serve.rejected")
+
 let test_serve_stats_reports_table_cache () =
   (* A fresh server's stats snapshot must already carry the table-cache
      hit-path counters (at 0) — table_cache.mmap_hits included, the
      copy of disk_hits that perfbench and stats readers consume. *)
   let server, _obs = make_server () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   let line =
     Serve_protocol.request_to_line
       { Serve_protocol.id = Some 1; op = Serve_protocol.Stats }
@@ -452,7 +464,6 @@ let test_serve_stats_reports_table_cache () =
 
 let test_serve_bad_request_and_ping () =
   let server, obs = make_server () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   (match
      Serve_protocol.parse_response
        (Serve.handle_line server {|{"id":9,"op":"frobnicate"}|})
@@ -534,7 +545,7 @@ let test_serve_unix_transport () =
 let suite =
   [
     Alcotest.test_case "sjson roundtrip + rejects" `Quick test_sjson_roundtrip;
-    Alcotest.test_case "work queue" `Quick test_work_queue;
+    Alcotest.test_case "admission bound" `Quick test_serve_admission_bound;
     Alcotest.test_case "single-flight coalesces" `Quick
       test_single_flight_coalesces;
     Alcotest.test_case "single-flight exception" `Quick
