@@ -493,13 +493,27 @@ let serve_cmd =
              drive).  Without this flag the daemon listens on --socket.")
   in
   let max_generations_arg =
+    (* A negative count is a usage error, not an uncaught
+       Invalid_argument from Serve.create. *)
+    let count =
+      let parse s =
+        match Arg.conv_parser Arg.int s with
+        | Ok k when k < 0 ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "invalid value '%s', expected a non-negative integer" s))
+        | r -> r
+      in
+      Arg.conv ~docv:"K" (parse, Arg.conv_printer Arg.int)
+    in
     Arg.(
       value
-      & opt int Serve.default_config.Serve.max_generations
+      & opt count Serve.default_config.Serve.max_generations
       & info [ "max-generations" ] ~docv:"K"
           ~doc:
-            "Tables generated at once; a miss beyond them is answered busy. \
-             0 serves cached tables only.")
+            "Tables generated at once, 0 or more; a miss beyond them is \
+             answered busy. 0 serves cached tables only.")
   in
   let run stdio socket max_generations =
     let config = { Serve.default_config with Serve.max_generations } in

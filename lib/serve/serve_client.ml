@@ -34,7 +34,11 @@ type t = {
   path : string;
   cfg : config;
   mutable fd : Unix.file_descr option;
-  buf : Buffer.t;  (* bytes read past the last extracted line *)
+  chunk : Bytes.t;  (* the read buffer, one per client *)
+  mutable lo : int;  (* chunk.[lo, hi) was read past the last line *)
+  mutable hi : int;
+  mutable scanned : int;  (* chunk.[lo, scanned) holds no newline *)
+  partial : Buffer.t;  (* head of a line longer than [chunk] *)
   mutable failures : int;  (* consecutive connection-level failures *)
   mutable open_until : float;  (* breaker: fail fast until this time *)
   mutable rng : int64;  (* deterministic jitter stream *)
@@ -87,11 +91,21 @@ let connect ?(config = default_config) ~path () =
     path;
     cfg = config;
     fd = Some fd;
-    buf = Buffer.create 256;
+    chunk = Bytes.create 65536;
+    lo = 0;
+    hi = 0;
+    scanned = 0;
+    partial = Buffer.create 256;
     failures = 0;
     open_until = 0.;
     rng = Int64.of_int (config.jitter_seed lxor 0x6A5D);
   }
+
+let reset_buffer t =
+  t.lo <- 0;
+  t.hi <- 0;
+  t.scanned <- 0;
+  Buffer.clear t.partial
 
 let mark_dead t =
   (match t.fd with
@@ -101,7 +115,7 @@ let mark_dead t =
     | exception Unix.Unix_error _ -> ())
   | None -> ());
   t.fd <- None;
-  Buffer.clear t.buf
+  reset_buffer t
 
 let close t = mark_dead t
 
@@ -118,18 +132,18 @@ let ensure_fd t ~op =
     (match connect_fd t.path with
     | fd ->
       Obs.Counter.incr c_reconnects;
-      Buffer.clear t.buf;
+      reset_buffer t;
       t.fd <- Some fd;
       fd
     | exception Unix.Unix_error (e, _, _) ->
       disconnected ~op ("reconnect failed: " ^ Unix.error_message e))
 
 let write_all t fd ~op line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
+  let s = line ^ "\n" in
+  let len = String.length s in
   let rec go pos =
     if pos < len then begin
-      match Unix.write fd b pos (len - pos) with
+      match Unix.write_substring fd s pos (len - pos) with
       | n -> go (pos + n)
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
         ->
@@ -139,18 +153,46 @@ let write_all t fd ~op line =
   in
   go 0
 
-(* Extract the first full line from [t.buf], leaving the rest. *)
+let rec find_newline b i hi =
+  if i >= hi then i
+  else if Bytes.unsafe_get b i = '\n' then i
+  else find_newline b (i + 1) hi
+
+(* Extract the first full line read so far, leaving the rest; only the
+   bytes no earlier call scanned are searched for the newline. *)
 let take_line t =
-  let s = Buffer.contents t.buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-    Buffer.clear t.buf;
-    Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
-    Some (String.sub s 0 i)
+  let i = find_newline t.chunk t.scanned t.hi in
+  if i = t.hi then begin
+    t.scanned <- i;
+    None
+  end
+  else begin
+    let line =
+      if Buffer.length t.partial = 0 then Bytes.sub_string t.chunk t.lo (i - t.lo)
+      else begin
+        Buffer.add_subbytes t.partial t.chunk t.lo (i - t.lo);
+        let line = Buffer.contents t.partial in
+        Buffer.clear t.partial;
+        line
+      end
+    in
+    t.lo <- i + 1;
+    t.scanned <- i + 1;
+    Some line
+  end
+
+(* Make room in [t.chunk] for the next read: when every byte was
+   consumed, or the unfinished line reaches the end of the chunk, move
+   what is left into [t.partial] and read from the start again. *)
+let make_room t =
+  if t.lo = t.hi || t.hi = Bytes.length t.chunk then begin
+    Buffer.add_subbytes t.partial t.chunk t.lo (t.hi - t.lo);
+    t.lo <- 0;
+    t.hi <- 0;
+    t.scanned <- 0
+  end
 
 let read_line_deadline t fd ~op ~deadline =
-  let chunk = Bytes.create 65536 in
   let rec go () =
     match take_line t with
     | Some line -> line
@@ -168,18 +210,20 @@ let read_line_deadline t fd ~op ~deadline =
       else begin
         let readable, _, _ = Unix.select [ fd ] [] [] remaining in
         if readable = [] then go ()
-        else
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
+        else begin
+          make_room t;
+          match Unix.read fd t.chunk t.hi (Bytes.length t.chunk - t.hi) with
           | 0 ->
             mark_dead t;
             disconnected ~op "connection closed by daemon"
           | n ->
-            Buffer.add_subbytes t.buf chunk 0 n;
+            t.hi <- t.hi + n;
             go ()
           | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
             ->
             mark_dead t;
             disconnected ~op "read failed (connection reset)"
+        end
       end
   in
   go ()

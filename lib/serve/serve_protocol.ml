@@ -193,9 +193,9 @@ let table_to_json (t : Iv_table.t) =
   let bin = Tbl_format.encode ~cache_key:t.Iv_table.key t in
   let hex = Bytes.create (2 * String.length bin) in
   for i = 0 to String.length bin - 1 do
-    let b = Char.code bin.[i] in
-    Bytes.set hex (2 * i) hex_digits.[b lsr 4];
-    Bytes.set hex ((2 * i) + 1) hex_digits.[b land 15]
+    let b = Char.code (String.unsafe_get bin i) in
+    Bytes.unsafe_set hex (2 * i) (String.unsafe_get hex_digits (b lsr 4));
+    Bytes.unsafe_set hex ((2 * i) + 1) (String.unsafe_get hex_digits (b land 15))
   done;
   Sjson.Obj
     [
@@ -203,10 +203,13 @@ let table_to_json (t : Iv_table.t) =
       ("gnrtbl", Sjson.Str (Bytes.unsafe_to_string hex));
     ]
 
-let nibble = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | _ -> -1
+(* The value of each byte as a lowercase hex digit, -1 for any other. *)
+let nibble =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - Char.code '0'
+      | 'a' .. 'f' -> c - Char.code 'a' + 10
+      | _ -> -1)
 
 let bytes_of_hex hex =
   let n = String.length hex / 2 in
@@ -214,13 +217,16 @@ let bytes_of_hex hex =
   let rec fill i =
     if i = n then Ok (Bytes.unsafe_to_string bin)
     else
-      let hi = nibble hex.[2 * i] and lo = nibble hex.[(2 * i) + 1] in
+      let hi = Array.unsafe_get nibble (Char.code (String.unsafe_get hex (2 * i)))
+      and lo =
+        Array.unsafe_get nibble (Char.code (String.unsafe_get hex ((2 * i) + 1)))
+      in
       if hi < 0 || lo < 0 then
         Error
           (Printf.sprintf "table.gnrtbl: byte %d is not a lowercase hex digit"
              (if hi < 0 then 2 * i else (2 * i) + 1))
       else begin
-        Bytes.set bin i (Char.chr ((hi lsl 4) lor lo));
+        Bytes.unsafe_set bin i (Char.unsafe_chr ((hi lsl 4) lor lo));
         fill (i + 1)
       end
   in

@@ -10,11 +10,24 @@ type t =
 (* Printer                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Index of the first byte at or after [i] that a JSON string cannot
+   carry as is ('"', '\\' or a control byte), or the length of [s].
+   Three tests in a row, not a [match]: a match on byte ranges compiles
+   to a decision tree whose branches hex digits mispredict. *)
+let rec plain_end s i =
+  if i >= String.length s then i
+  else
+    let c = Char.code (String.unsafe_get s i) in
+    if c < 0x20 || c = Char.code '"' || c = Char.code '\\' then i
+    else plain_end s (i + 1)
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
+  let rec go i =
+    let j = plain_end s i in
+    Buffer.add_substring buf s i (j - i);
+    if j < String.length s then begin
+      (match String.unsafe_get s j with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -22,10 +35,11 @@ let add_escaped buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      go (j + 1)
+    end
+  in
+  go 0;
   Buffer.add_char buf '"'
 
 let add_num buf v =
@@ -140,9 +154,13 @@ let parse_exn s =
     pos := !pos + 4;
     v
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  (* The string from [start] on, whose first byte that is not plain is
+     at [stop] and is not the closing quote: each plain run goes into
+     the buffer with one [Buffer.add_substring], escapes one at a time. *)
+  let parse_escaped start stop =
+    pos := stop;
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf s start (stop - start);
     let rec go () =
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
@@ -182,13 +200,25 @@ let parse_exn s =
          | c -> fail (Printf.sprintf "invalid escape '\\%c'" c));
         go ()
       | c when Char.code c < 0x20 -> fail "raw control character in string"
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
+      | _ ->
+        let stop = plain_end s !pos in
+        Buffer.add_substring buf s !pos (stop - !pos);
+        pos := stop;
         go ()
     in
     go ();
     Buffer.contents buf
+  in
+  (* A string without escapes is one [String.sub]. *)
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let stop = plain_end s start in
+    if stop < n && s.[stop] = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else parse_escaped start stop
   in
   let parse_number () =
     let start = !pos in

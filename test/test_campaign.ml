@@ -613,7 +613,12 @@ let test_run_quarantines_injected_fault () =
 
 (* --- hardened serve client vs a scripted stub daemon ----------------- *)
 
-type stub_reply = Busy of int option | Pong | Silent | Close_conn
+type stub_reply =
+  | Busy of int option
+  | Pong
+  | Silent
+  | Close_conn
+  | Pieces of string list  (* raw bytes, one write each, 5 ms apart *)
 
 let sock_counter = ref 0
 
@@ -662,6 +667,20 @@ let with_stub scripts f =
             (* swallow the request; keep reading until the client gives
                up and closes (EOF above ends the connection) *)
             go script
+          | Pieces pieces ->
+            List.iteri
+              (fun i piece ->
+                if i > 0 then Thread.delay 0.005;
+                let rec write pos =
+                  if pos < String.length piece then
+                    write
+                      (pos
+                      + Unix.write_substring fd piece pos
+                          (String.length piece - pos))
+                in
+                write 0)
+              pieces;
+            go rest
           | Close_conn -> ()))
     in
     go script;
@@ -984,6 +1003,63 @@ let test_daemon_counts_client_disconnects () =
   Serve_client.close c;
   Thread.join th
 
+(* --- client line framing across reads ---------------------------------- *)
+
+(* Responses that do not arrive one per read: a line longer than the
+   client's 64 KiB read buffer, written in uneven pieces whose last one
+   also carries the head of the next response, and one write carrying
+   two whole lines.  Every response comes back intact and in order, on
+   one connection. *)
+let test_client_framing_across_reads () =
+  let line result = Serve_protocol.ok_line ~id:None result ^ "\n" in
+  let big = String.init 150_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let first = line (Sjson.Str big) and second = line (Sjson.Str "second") in
+  let n1 = String.length first and n2 = String.length second in
+  let script =
+    [
+      Pieces
+        [
+          String.sub first 0 1;
+          String.sub first 1 7;
+          String.sub first 8 4096;
+          String.sub first 4104 (n1 - 4104) ^ String.sub second 0 10;
+        ];
+      Pieces [ String.sub second 10 (n2 - 10) ];
+      Pieces [ line (Sjson.Num 3.) ^ line (Sjson.Str "fourth") ];
+      Pieces [];
+    ]
+  in
+  let sleeps = ref [] in
+  let was_enabled = Obs.enabled Obs.global in
+  Obs.set_enabled Obs.global true;
+  let disconnects () = Obs.counter_value "serve_client.disconnects" in
+  let before = disconnects () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled Obs.global was_enabled)
+      (fun () ->
+        with_stub [ script ] (fun path ->
+            let t =
+              Serve_client.connect ~config:(recording_config sleeps) ~path ()
+            in
+            Fun.protect
+              ~finally:(fun () -> Serve_client.close t)
+              (fun () ->
+                List.init 4 (fun _ ->
+                    match Serve_client.call t ping with
+                    | { Serve_protocol.result = Ok r; _ } -> r
+                    | _ -> Alcotest.fail "expected an ok response"))))
+  in
+  (match results with
+  | [ Sjson.Str s1; Sjson.Str s2; Sjson.Num 3.; Sjson.Str s4 ] ->
+    Alcotest.(check int) "long line length" 150_000 (String.length s1);
+    Alcotest.(check bool) "long line intact" true (String.equal s1 big);
+    Alcotest.(check string) "second" "second" s2;
+    Alcotest.(check string) "fourth" "fourth" s4
+  | _ -> Alcotest.fail "responses out of order or damaged");
+  Alcotest.(check int) "no disconnects" before (disconnects ());
+  Alcotest.(check int) "no retries" 0 (List.length !sleeps)
+
 let suite =
   [
     Alcotest.test_case "spec codec roundtrip + rejects" `Quick test_spec_codec;
@@ -1028,4 +1104,6 @@ let suite =
       test_serve_executor_fallback;
     Alcotest.test_case "daemon counts client disconnects" `Quick
       test_daemon_counts_client_disconnects;
+    Alcotest.test_case "client framing across reads" `Quick
+      test_client_framing_across_reads;
   ]

@@ -59,7 +59,57 @@ let test_sjson_roundtrip () =
       match Sjson.parse bad with
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":1} x"; "nul"; "\"unterminated"; "01" ]
+    [ ""; "{"; "[1,]"; "{\"a\":1} x"; "nul"; "\"unterminated"; "01" ];
+  (* Printed bytes, pinned: escapes at the start, middle and end, every
+     control byte, and plain runs around an escape.  Each one parses
+     back. *)
+  let check_printed label s expected =
+    let printed = Sjson.to_string (Sjson.Str s) in
+    Alcotest.(check string) ("print " ^ label) expected printed;
+    match Sjson.parse printed with
+    | Ok (Sjson.Str s') -> Alcotest.(check string) ("reparse " ^ label) s s'
+    | _ -> Alcotest.failf "reparse %s: not a string" label
+  in
+  check_printed "start" "\nstart" {|"\nstart"|};
+  check_printed "middle" "mid\tdle" {|"mid\tdle"|};
+  check_printed "end" "end\\" {|"end\\"|};
+  check_printed "quotes" "\"both\"" {|"\"both\""|};
+  check_printed "controls" (String.init 32 Char.chr ^ "\"\\")
+    ({|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r|}
+   ^ {|\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018|}
+   ^ {|\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\"|});
+  check_printed "no escape above 0x1f" "caf\xc3\xa9 \x7f/" "\"caf\xc3\xa9 \x7f/\"";
+  let p = String.make 100 'p' and q = String.make 100 'q' in
+  check_printed "runs around an escape" (p ^ "\r" ^ q) ("\"" ^ p ^ {|\r|} ^ q ^ "\"");
+  (* 40 KB of every byte a string carries unescaped. *)
+  let plain =
+    String.init 40_000 (fun i ->
+        let c = 0x20 + (i mod 0xE0) in
+        Char.chr (if c = 0x22 || c = 0x5C then c + 1 else c))
+  in
+  check_printed "40 KB plain" plain ("\"" ^ plain ^ "\"");
+  check_printed "40 KB, newline, 40 KB" (plain ^ "\n" ^ plain)
+    ("\"" ^ plain ^ {|\n|} ^ plain ^ "\"");
+  (* Parse errors after a plain run of 120 bytes: the message and the
+     byte offset it names are pinned. *)
+  let run = String.make 120 'r' in
+  List.iter
+    (fun (input, expected) ->
+      match Sjson.parse input with
+      | Ok _ -> Alcotest.failf "accepted %s" expected
+      | Error e -> Alcotest.(check string) expected expected e)
+    [
+      ("\"" ^ run ^ "\x01\"", "byte 121: raw control character in string");
+      ("{\"s\":\"" ^ run ^ {|\q"}|}, {|byte 128: invalid escape '\q'|});
+      ("[\"" ^ run ^ {|\ud800x"]|}, "byte 128: lone high surrogate");
+      ("\"" ^ run ^ {|\udc00"|}, "byte 127: lone low surrogate");
+      ("\"" ^ run ^ {|\ud800\u0041"|}, "byte 133: invalid low surrogate");
+      ("\"" ^ run ^ {|\u12g4"|}, {|byte 123: invalid \u escape|});
+      ("\"" ^ run, "byte 121: unterminated string");
+      ("\"" ^ run ^ "\\", "byte 122: unterminated escape");
+      ({|"\n|} ^ run ^ "\x1f\"", "byte 123: raw control character in string");
+      ({|"\t|} ^ run, "byte 123: unterminated string");
+    ]
 
 (* --- Single_flight --------------------------------------------------- *)
 
@@ -382,6 +432,12 @@ let test_serve_table_wire_bits () =
   expect_error "non-hex byte"
     (with_payload (String.mapi (fun i c -> if i = 7 then 'x' else c) hex))
     "table.gnrtbl: byte 7 is not a lowercase hex digit";
+  expect_error "uppercase digit at an odd index"
+    (with_payload (String.mapi (fun i c -> if i = 9 then 'D' else c) hex))
+    "table.gnrtbl: byte 9 is not a lowercase hex digit";
+  expect_error "0xff byte"
+    (with_payload (String.mapi (fun i c -> if i = 30 then '\xff' else c) hex))
+    "table.gnrtbl: byte 30 is not a lowercase hex digit";
   expect_error "no gnrtbl field"
     (Sjson.Obj [ ("key", Sjson.Str key) ])
     {|table: missing string "gnrtbl"|}

@@ -59,6 +59,19 @@ let test_crc32c_self () =
   done;
   Alcotest.(check int) "table = bitwise (15 KB)" (crc32c_bitwise big)
     (Crc32.string big ~pos:0 ~len:n);
+  (* Every length around the four-byte steps, at every alignment, and
+     the size of a default-grid gnrtbl file. *)
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "table = bitwise (pos %d, len %d)" pos len)
+        (crc32c_bitwise (String.sub big pos len))
+        (Crc32.string big ~pos ~len)
+    done
+  done;
+  let file = String.init 15_328 (fun i -> Char.chr (((i * 61) + (i / 97)) land 0xFF)) in
+  Alcotest.(check int) "table = bitwise (15,328 bytes)" (crc32c_bitwise file)
+    (Crc32.string file ~pos:0 ~len:15_328);
   List.iter
     (fun (pos, len) ->
       check_raises_invalid
