@@ -53,6 +53,7 @@ let patch_failed ~failed ~vg ~current ~charge =
 
 let generate ?(grid = default_grid) ?(ctx = Ctx.default) p =
   let obs = ctx.Ctx.obs in
+  Parallel.scoped @@ fun () ->
   Obs.Span.run ~obs "iv_table.generate" @@ fun () ->
   Obs.Counter.incr (Obs.Counter.make ~obs "iv_table.generates");
   let c_quarantined = Obs.Counter.make ~obs "robust.iv_table.quarantined" in

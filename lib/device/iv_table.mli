@@ -56,8 +56,9 @@ val generate : ?grid:grid_spec -> ?ctx:Ctx.t -> Params.t -> t
     {!default_grid}.  [ctx] (default {!Ctx.default}) is forwarded to
     {!Scf.solve}: callers fanning several devices out across the domain
     pool ({!Table_cache.get_many}) pass a sequential context so the
-    inner energy loop stays sequential under the outer fan-out.  Each
-    generation runs inside an [iv_table.generate] span and bumps
+    inner energy loop stays sequential under the outer fan-out.  The
+    generation is one {!Parallel.scoped} scope, so one set of pool
+    domains serves all its bias points.  Each generation runs inside an [iv_table.generate] span and bumps
     [iv_table.generates] in [ctx.obs] (see docs/OBS.md). *)
 
 val current_at : t -> vg:float -> vd:float -> float

@@ -78,6 +78,7 @@ let chains_for p =
 let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
     ?(ctx = Ctx.default) p ~vg ~vd =
   let obs = ctx.Ctx.obs in
+  Parallel.scoped @@ fun () ->
   Obs.Span.run ~obs "scf.solve" @@ fun () ->
   let c_solves = Obs.Counter.make ~obs "scf.solves" in
   let c_iters = Obs.Counter.make ~obs "scf.iterations" in

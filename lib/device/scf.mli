@@ -79,7 +79,9 @@ val solve :
     (table generation) pass a sequential context so nesting does not
     oversubscribe the cores.  The solution is bit-for-bit identical
     either way (the energy reduction is deterministic; see
-    docs/PERF.md).
+    docs/PERF.md).  The call is one {!Parallel.scoped} scope, so the
+    pool's domains serve all its charge evaluations and are joined when
+    it returns, unless an enclosing scope keeps them.
 
     {b Observability.}  Each call runs inside an [scf.solve] span and
     bumps [scf.solves], [scf.iterations] (plus the iteration histogram),

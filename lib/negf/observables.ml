@@ -7,14 +7,15 @@ let energy_grid ~lo ~hi ~de =
   Vec.linspace lo hi n
 
 (* Energy points are embarrassingly parallel; both observables fan
-   the grid out over the persistent domain pool in fixed contiguous
-   chunks and combine per-chunk partials in chunk order, so the result
-   is bit-for-bit identical for every GNRFET_DOMAINS setting including
-   the sequential [ctx.parallel = false] path (see docs/PERF.md).  Each
-   chunk's trapezoid partial needs the sample at its first grid point:
-   [current] evaluates it again, [site_charge] reuses it when the same
-   worker has just ended the previous chunk there.  Both are the same
-   bits, so a partial depends on its range only. *)
+   the grid out over the domain pool in fixed contiguous chunks and
+   combine per-chunk partials in chunk order, so the result is
+   bit-for-bit identical for every GNRFET_DOMAINS setting including the
+   sequential [ctx.parallel = false] path (see docs/PERF.md).  Each
+   chunk's trapezoid partial needs the sample at its first grid point;
+   both observables reuse it when the same worker has just ended the
+   previous chunk there, which is every chunk but a slot's first.  A
+   reused sample is the same bits as a fresh one, so a partial depends
+   on its range only. *)
 
 let domains_of parallel = if parallel then None else Some 1
 
@@ -22,6 +23,11 @@ let domains_of parallel = if parallel then None else Some 1
    observable call (never per energy point) and per-chunk counter adds,
    so the energy loop itself stays allocation-free; energies/sec is the
    counter divided by the timer (docs/OBS.md). *)
+(* Per-worker scratch for the current: the RGF workspace and the
+   integrand at grid index [last] (-1: none yet), which the next chunk
+   reuses when it starts there. *)
+type current_scratch = { ws : Rgf.workspace; mutable prev : float; mutable last : int }
+
 let current ?eta ?(ctx = Ctx.default) ~bias ~egrid chain_at =
   let { Ctx.parallel; obs } = ctx in
   let tm = Obs.Timer.make ~obs "negf.current" in
@@ -38,16 +44,19 @@ let current ?eta ?(ctx = Ctx.default) ~bias ~egrid chain_at =
   let integral =
     Parallel.map_reduce ?domains:(domains_of parallel)
       ~n:(Array.length egrid - 1)
-      ~worker:(fun _ -> Rgf.workspace ())
-      ~body:(fun ws ~lo ~hi ->
-        Obs.Counter.add c_energies (hi - lo + 1);
+      ~worker:(fun _ -> { ws = Rgf.workspace (); prev = 0.; last = -1 })
+      ~body:(fun w ~lo ~hi ->
+        let reused = w.last = lo in
+        Obs.Counter.add c_energies (if reused then hi - lo else hi - lo + 1);
         let acc = ref 0. in
-        let prev = ref (integrand ws lo) in
+        let prev = ref (if reused then w.prev else integrand w.ws lo) in
         for k = lo to hi - 1 do
-          let cur = integrand ws (k + 1) in
+          let cur = integrand w.ws (k + 1) in
           acc := !acc +. (0.5 *. (egrid.(k + 1) -. egrid.(k)) *. (!prev +. cur));
           prev := cur
         done;
+        w.prev <- !prev;
+        w.last <- hi;
         !acc)
       ~combine:( +. ) 0.
   in

@@ -2,8 +2,8 @@
     charge from the RGF spectra.
 
     Both observables treat energy points as embarrassingly parallel
-    and fan the grid out over the persistent {!Parallel} pool in fixed
-    contiguous chunks.  {b Determinism:} the chunk grid and the
+    and fan the grid out over the {!Parallel} pool in fixed contiguous
+    chunks.  {b Determinism:} the chunk grid and the
     chunk-order combine depend only on the energy grid, never on the
     worker count, so results are bit-for-bit identical for every
     [GNRFET_DOMAINS] setting and [ctx.parallel = false] reproduces the
@@ -14,18 +14,19 @@
 
     {b Charge integral.}  {!site_charge} walks each chunk two energy
     intervals at a time, with one two-lane RGF sweep
-    ({!Rgf.spectra_pair_into}) per pair, and a worker that runs the next
-    chunk right after the previous one reuses the sample it ended on.
-    Results are bit-identical to a one-energy-at-a-time walk; on one
-    worker the integral sweeps each grid energy exactly once.
+    ({!Rgf.spectra_pair_into}) per pair.  Both observables reuse the
+    sample a worker's previous chunk ended on, so every chunk but each
+    slot's first sweeps no energy twice.  Results are bit-identical to a
+    one-energy-at-a-time walk.
 
     {b Observability.}  Each observable times itself as one wall-clock
     interval ([negf.site_charge], [negf.current]) and counts the energy
     points swept ([rgf.spectra_energies] for the charge integration,
     [rgf.transmission_energies] for the current), so
-    energies-per-second falls out of the snapshot.  With more than one
-    worker, [rgf.spectra_energies] depends on which chunks a worker runs
-    in a row (the results do not).  Metrics land in [ctx.obs]; counters
+    energies-per-second falls out of the snapshot.  A call on a grid of
+    [ne] energies run by [s] pool slots counts [ne + s - 1] in either
+    counter: a function of the grid and the width, never of the
+    schedule.  Metrics land in [ctx.obs]; counters
     are bumped once per chunk, never per energy point, and everything is
     a no-op while the registry is disabled.  See docs/OBS.md.
 

@@ -2,7 +2,7 @@
    unsetenv, so restoring an unset variable leaves it empty. *)
 let num_domains () =
   match Option.map String.trim (Sys.getenv_opt "GNRFET_DOMAINS") with
-  | None | Some "" -> max 1 (Domain.recommended_domain_count () - 1)
+  | None | Some "" -> max 1 (Domain.recommended_domain_count ())
   | Some s -> (try max 1 (int_of_string s) with Failure _ -> 1)
 
 type 'b outcome = Value of 'b | Error of exn
@@ -10,24 +10,41 @@ type 'b outcome = Value of 'b | Error of exn
 exception Missing_result
 
 (* ------------------------------------------------------------------ *)
-(* Persistent domain pool.                                            *)
+(* Scoped domain pool.                                                *)
 (*                                                                    *)
-(* Workers are spawned once (lazily, up to the largest parallelism a  *)
-(* run has asked for) and fed through a single task queue, so the     *)
+(* Workers are spawned lazily (up to the largest parallelism a run    *)
+(* has asked for) and fed through a single task queue, so the         *)
 (* thousands of map_reduce calls an SCF sweep makes do not pay a      *)
-(* Domain.spawn/join round-trip each.  A caller waiting for its run   *)
-(* to finish helps by executing queued tasks (possibly its own), so a *)
-(* nested run started from inside a pool worker can never deadlock:   *)
-(* the nested caller drains its own sub-tasks if no worker is free.   *)
+(* Domain.spawn/join round-trip each.  They live only as long as the  *)
+(* outermost scope: when the last open scope closes they are told to  *)
+(* stop and are joined, so no idle domain is left to join every       *)
+(* stop-the-world collection of the code that runs next.  A caller    *)
+(* waiting for its run to finish helps by executing queued tasks      *)
+(* (possibly its own), so a nested run started from inside a pool     *)
+(* worker can never deadlock.                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Minor heap, in words, of every domain that takes part in a pool run
+   (the runtime's default is 256k).  Each domain's minor heap is its
+   own, so a second 256k-word domain costs peak RSS that the benchmark's
+   bound does not allow; 32k words was slower and saved no memory
+   (docs/PERF.md). *)
+let minor_heap_words = 65_536
+
+(* [Gc.set] resizes the calling domain's minor heap only. *)
+let use_small_minor_heap () =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size > minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = minor_heap_words }
 
 type pool = {
   mutex : Mutex.t;
-  wake : Condition.t;  (** signals both "task queued" and "slot finished" *)
+  wake : Condition.t;  (** signals "task queued", "slot finished" and "retire" *)
   tasks : (unit -> unit) Queue.t;
-  mutable spawned : int;
-  mutable handles : unit Domain.t list;
-  mutable stop : bool;
+  mutable depth : int;  (** open scopes, runs included *)
+  mutable generation : int;  (** bumped at retire: older workers stop *)
+  mutable handles : unit Domain.t list;  (** the current generation's workers *)
+  mutable live : int;  (** workers spawned and not yet joined, any generation *)
 }
 
 let pool =
@@ -35,9 +52,10 @@ let pool =
     mutex = Mutex.create ();
     wake = Condition.create ();
     tasks = Queue.create ();
-    spawned = 0;
+    depth = 0;
+    generation = 0;
     handles = [];
-    stop = false;
+    live = 0;
   }
 
 (* Pool observability (docs/OBS.md): how many runs hit the pool, how the
@@ -62,54 +80,89 @@ let with_queue_stamp task =
 
 (* Tasks are wrapped at submission so they never raise (run_slots folds
    exceptions into per-run state); the worker loop therefore needs no
-   catch-all of its own. *)
-let rec worker_loop tasks_done =
+   catch-all of its own.  A worker of a retired generation exits without
+   taking another task: a retire happens only with no run open, so the
+   queue then holds nothing of its generation. *)
+let rec worker_loop generation tasks_done =
   Mutex.lock pool.mutex;
-  while Queue.is_empty pool.tasks && not pool.stop do
+  while Queue.is_empty pool.tasks && pool.generation = generation do
     Condition.wait pool.wake pool.mutex
   done;
-  if Queue.is_empty pool.tasks then Mutex.unlock pool.mutex (* stop *)
+  if pool.generation <> generation then begin
+    Mutex.unlock pool.mutex;
+    (* The runtime keeps a joined domain's minor heap committed: shrink
+       it to the runtime's minimum (4096 words) on the way out. *)
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4096 }
+  end
   else begin
     let task = Queue.pop pool.tasks in
     Mutex.unlock pool.mutex;
     task ();
     Obs.Counter.incr tasks_done;
     Obs.Counter.incr obs_pool_tasks;
-    worker_loop tasks_done
+    worker_loop generation tasks_done
   end
 
-let shutdown_pool () =
-  Mutex.lock pool.mutex;
-  pool.stop <- true;
-  Condition.broadcast pool.wake;
-  let handles = pool.handles in
-  pool.handles <- [];
-  pool.spawned <- 0;
-  Mutex.unlock pool.mutex;
-  List.iter Domain.join handles
+(* Close one scope, or at exit every open one ([~all:true]).  When none
+   is left open, the current generation's workers are told to stop and
+   are joined outside the mutex, so a scope that opens meanwhile spawns
+   a generation of its own.  Every task a pool worker runs belongs to a
+   run, and a run is a scope that stays open until all its tasks are
+   done, so the last scope closes only on a caller outside the pool: a
+   worker never joins itself. *)
+let close_scope ~all =
+  let retired =
+    Mutex.protect pool.mutex (fun () ->
+        pool.depth <- (if all then 0 else pool.depth - 1);
+        if pool.depth > 0 then []
+        else begin
+          let handles = pool.handles in
+          pool.generation <- pool.generation + 1;
+          pool.handles <- [];
+          Condition.broadcast pool.wake;
+          handles
+        end)
+  in
+  if retired <> [] then begin
+    List.iter Domain.join retired;
+    Mutex.protect pool.mutex (fun () -> pool.live <- pool.live - List.length retired)
+  end
 
-let () = at_exit shutdown_pool
+(* The net for an [exit] taken inside a scope. *)
+let () = at_exit (fun () -> close_scope ~all:true)
+
+let live_domains () = Mutex.protect pool.mutex (fun () -> pool.live)
+
+let scoped body =
+  Mutex.protect pool.mutex (fun () -> pool.depth <- pool.depth + 1);
+  Fun.protect body ~finally:(fun () -> close_scope ~all:false)
 
 (* Workers communicate only through the mutex-protected queue; submitted
    tasks own disjoint result slots.  gnrlint: allow-shared *)
-let spawn_worker idx =
+let spawn_worker generation idx =
   let tasks_done = Obs.Counter.make (Printf.sprintf "parallel.worker.%d.tasks" idx) in
-  Domain.spawn (fun () -> worker_loop tasks_done)
+  Domain.spawn (fun () ->
+      use_small_minor_heap ();
+      worker_loop generation tasks_done)
 
 let ensure_workers n =
   Mutex.lock pool.mutex;
-  while pool.spawned < n && not pool.stop do
-    pool.spawned <- pool.spawned + 1;
-    pool.handles <- spawn_worker (pool.spawned - 1) :: pool.handles
+  let spawned = List.length pool.handles in
+  for idx = spawned to n - 1 do
+    pool.handles <- spawn_worker pool.generation idx :: pool.handles;
+    pool.live <- pool.live + 1
   done;
   Mutex.unlock pool.mutex
 
 (* Run [job 0 .. job (slots-1)], slot 0 on the calling domain, the rest
-   through the pool.  Exceptions raised by jobs are collected and the
-   first one is re-raised after every slot has finished. *)
+   through the pool, inside a scope of its own.  Exceptions raised by
+   jobs are collected and the first one is re-raised after every slot
+   has finished. *)
 let run_slots ~slots job =
   if slots <= 1 then job 0
-  else begin
+  else
+    scoped @@ fun () ->
+    use_small_minor_heap ();
     ensure_workers (slots - 1);
     Obs.Counter.incr obs_runs;
     let remaining = ref slots in
@@ -154,7 +207,6 @@ let run_slots ~slots job =
     let failed = !failures in
     Mutex.unlock pool.mutex;
     match failed with [] -> () | e :: _ -> raise e
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Chunked primitives.                                                *)
@@ -177,34 +229,27 @@ let map_reduce ?domains ?(chunk = default_chunk) ~n ~worker ~body ~combine init 
       match domains with Some d -> max 1 d | None -> num_domains ()
     in
     let slots = min requested nchunks in
+    let first slot = slot * nchunks / slots in
     let partials = Array.make nchunks None in
-    let bounds i = (i * chunk, min n ((i + 1) * chunk)) in
-    if slots <= 1 then begin
-      let w = worker 0 in
-      for i = 0 to nchunks - 1 do
-        let lo, hi = bounds i in
-        partials.(i) <- Some (body w ~lo ~hi)
-      done
-    end
-    else begin
-      let next = Atomic.make 0 in
-      (* Slots claim disjoint [partials] entries via the atomic counter. *)
-      run_slots ~slots (fun slot ->
-          let w = worker slot in
-          let rec go () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < nchunks then begin
-              let lo, hi = bounds i in
-              partials.(i) <- Some (body w ~lo ~hi);
-              go ()
-            end
-          in
-          go ())
-    end;
-    Array.fold_left
-      (fun acc p ->
-        match p with Some p -> combine acc p | None -> raise Missing_result)
-      init partials
+    let acc = ref init in
+    (* Slot [s] runs the contiguous chunks [s·c/w, (s+1)·c/w) in
+       ascending order, so which chunks one worker's scratch sees in a
+       row depends on the width alone, never on the schedule.  Slot 0's
+       run is the prefix of the fold, so it folds each partial as it
+       comes; the other slots write disjoint [partials] entries. *)
+    run_slots ~slots (fun slot ->
+        let w = worker slot in
+        for i = first slot to first (slot + 1) - 1 do
+          let lo = i * chunk in
+          let p = body w ~lo ~hi:(min n (lo + chunk)) in
+          if slot = 0 then acc := combine !acc p else partials.(i) <- Some p
+        done);
+    for i = first 1 to nchunks - 1 do
+      match partials.(i) with
+      | Some p -> acc := combine !acc p
+      | None -> raise Missing_result
+    done;
+    !acc
   end
 
 let parallel_for ?domains ?chunk ~n body =

@@ -1,9 +1,13 @@
-(** Domain-based parallel primitives backed by a persistent worker pool.
+(** Domain-based parallel primitives backed by a scoped worker pool.
 
-    Workers are spawned once (lazily, growing to the largest parallelism
-    any call has requested) and fed through a task queue, so per-call
-    overhead is a queue push rather than a [Domain.spawn]/[join]
-    round-trip.  The pool is shut down automatically [at_exit].  A caller
+    Workers are spawned lazily, growing to the largest parallelism a run
+    has requested, and fed through a task queue, so within a scope the
+    per-call overhead is a queue push rather than a
+    [Domain.spawn]/[join] round-trip.  They live only as long as the
+    outermost {!scoped} call, and every run is a scope of its own: when
+    the last open scope closes the workers are stopped and joined, so
+    no idle domain outlives the work it was spawned for.  Every domain
+    that takes part in a run uses a 64k-word minor heap.  A caller
     waiting on its own batch executes queued tasks itself ("work
     helping"), so nested parallel calls issued from inside a worker make
     progress instead of deadlocking.
@@ -14,7 +18,10 @@
     order.  A [body] whose chunk result is a pure function of [(lo, hi)]
     (per-worker scratch reuse aside) therefore produces bit-for-bit
     identical reductions for every [GNRFET_DOMAINS] setting, including
-    the sequential [domains = 1] path.  See docs/PERF.md.
+    the sequential [domains = 1] path.  Each slot runs one contiguous
+    run of chunks in ascending order, so what a slot's scratch carries
+    from chunk to chunk depends on the width alone, and work counters
+    that follow it repeat exactly.  See docs/PERF.md.
 
     {b Observability.}  The pool reports into {!Obs.global} (counters
     only, so scheduling and results are never perturbed):
@@ -28,12 +35,22 @@
 val num_domains : unit -> int
 (** Pool width: the number of slots a run uses {e including the calling
     domain}, which runs slot 0 itself, so a width of [w] keeps [w - 1]
-    pool domains busy.  Default [max 1 (recommended_domain_count () - 1)]
-    — 1, i.e. sequential, on a 2-vCPU host (docs/PERF.md says why that
-    default stays) — overridable with the [GNRFET_DOMAINS] environment
+    pool domains busy.  Default [max 1 (recommended_domain_count ())],
+    the core count — overridable with the [GNRFET_DOMAINS] environment
     variable (read on every call, so tests and benchmarks can toggle it
     at runtime; an empty or blank value counts as unset, an unparsable
     one as 1). *)
+
+val scoped : (unit -> 'a) -> 'a
+(** [scoped body] runs [body] with the pool's workers kept alive across
+    every run inside it.  Scopes nest and may open concurrently on
+    several threads; when the last open one closes, normally or by an
+    exception, the workers are stopped and joined.  Wrap a sequence of
+    many runs (an SCF solve, a table) so its workers are spawned once. *)
+
+val live_domains : unit -> int
+(** Pool domains spawned and not yet joined: 0 once the last open
+    scope has closed. *)
 
 val default_chunk : int
 (** Chunk width used by {!map_reduce} and {!parallel_for} when [?chunk]
@@ -62,10 +79,14 @@ val map_reduce :
     [worker slot] builds per-slot scratch state (slot ids are dense in
     [0, slots)); it is handed to every chunk the slot processes, so
     preallocated workspaces are reused across chunks instead of being
-    allocated per element.  [combine] may mutate and return its first
-    argument (each partial is consumed exactly once).  Exceptions raised
-    by [worker] or [body] are re-raised in the caller once all slots have
-    drained.  [n <= 0] returns [init]. *)
+    allocated per element.  Slot [s] of [w] processes the chunks
+    [\[s·c/w, (s+1)·c/w)] of the [c] chunks, in ascending order.
+    [combine] runs on the calling domain, which folds slot 0's partials
+    as they come, while the other slots may still be running; it may
+    mutate and return its first argument (each partial is consumed
+    exactly once).  Exceptions raised by [worker], [body] or [combine]
+    are re-raised in the caller once all slots have drained.  [n <= 0]
+    returns [init]. *)
 
 val parallel_for : ?domains:int -> ?chunk:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
 (** [parallel_for ~n body] runs [body ~lo ~hi] over a chunked partition

@@ -691,10 +691,34 @@ let test_site_charge_matches_oracle () =
   let old = Obs.enabled Obs.global in
   Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
   Obs.set_enabled Obs.global true;
-  let before = Obs.counter_value "rgf.spectra_energies" in
-  charge ();
-  Alcotest.(check int) "rgf.spectra_energies per call" (Array.length egrid)
-    (Obs.counter_value "rgf.spectra_energies" - before);
+  let ne = Array.length egrid in
+  let adds counter f =
+    let before = Obs.counter_value counter in
+    f ();
+    Obs.counter_value counter - before
+  in
+  Alcotest.(check int) "rgf.spectra_energies per call" ne (adds "rgf.spectra_energies" charge);
+  let current ctx () =
+    ignore (Observables.current ~eta ~ctx ~bias ~egrid (fun _ -> fixed) : float)
+  in
+  Alcotest.(check int) "rgf.transmission_energies per call" ne
+    (adds "rgf.transmission_energies" (current sequential));
+  (* At width 3 each slot sweeps its first chunk's start again, so the
+     count is [ne + 2] on every call, whatever the schedule. *)
+  with_env "GNRFET_DOMAINS" "3" (fun () ->
+      for call = 1 to 2 do
+        Alcotest.(check int)
+          (Printf.sprintf "rgf.spectra_energies, GNRFET_DOMAINS=3, call %d" call)
+          (ne + 2)
+          (adds "rgf.spectra_energies" (fun () ->
+               ignore
+                 (Observables.site_charge ~eta ~ctx:par ~bias ~egrid ~midgap:slope
+                    (fun _ -> fixed))));
+        Alcotest.(check int)
+          (Printf.sprintf "rgf.transmission_energies, GNRFET_DOMAINS=3, call %d" call)
+          (ne + 2)
+          (adds "rgf.transmission_energies" (current par))
+      done);
   (* Allocation guard: this call measured 3,615 minor words with obs off
      and 3,619 with it on, mostly the per-chunk accumulators and the
      boxed Fermi factors; the bound is 4x the larger. *)

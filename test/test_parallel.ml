@@ -1,7 +1,8 @@
 (* Parallel pool: agreement of map/map_reduce/parallel_for with the
    sequential path (bit-for-bit, per the determinism contract), exception
    propagation from pool workers, pool reuse across many calls, nested
-   runs, and the GNRFET_DOMAINS environment override. *)
+   runs, the GNRFET_DOMAINS environment override, each slot's contiguous
+   chunk run, and pool domains retired when the last scope closes. *)
 
 open Support
 
@@ -40,7 +41,7 @@ let test_env_override () =
       Alcotest.(check int) "clamped to at least one domain" 1 (Parallel.num_domains ()));
   with_env "GNRFET_DOMAINS" "junk" (fun () ->
       Alcotest.(check int) "unparsable value falls back to 1" 1 (Parallel.num_domains ()));
-  let default_width = max 1 (Domain.recommended_domain_count () - 1) in
+  let default_width = max 1 (Domain.recommended_domain_count ()) in
   with_env "GNRFET_DOMAINS" "" (fun () ->
       Alcotest.(check int) "empty value means unset" default_width (Parallel.num_domains ()));
   with_env "GNRFET_DOMAINS" "  " (fun () ->
@@ -54,25 +55,27 @@ let test_env_override_map () =
         "map under GNRFET_DOMAINS matches sequential" expected (Parallel.map succ input))
 
 let test_pool_reuse () =
-  (* Many small batches in a row exercise the persistent pool (workers
-     are reused, not respawned); failure mode is a hang or a crash. *)
+  (* Many small batches in a row, each an unscoped run that spawns and
+     retires its own workers; failure mode is a hang or a crash. *)
   let input = Array.init 64 (fun i -> i) in
   for round = 1 to 100 do
     let out = Parallel.map ~domains:4 (fun x -> x + round) input in
     Alcotest.(check int) "round result" (63 + round) out.(63)
   done
 
+let harmonic_range ~lo ~hi =
+  let s = ref 0. in
+  for i = lo to hi - 1 do
+    s := !s +. (1. /. float_of_int (i + 1))
+  done;
+  !s
+
 (* Non-associative floating-point reduction: any change of summation
    order (worker count, chunk scheduling) would change the result. *)
 let harmonic_sum ?domains ?chunk n =
   Parallel.map_reduce ?domains ?chunk ~n
     ~worker:(fun _ -> ())
-    ~body:(fun () ~lo ~hi ->
-      let s = ref 0. in
-      for i = lo to hi - 1 do
-        s := !s +. (1. /. float_of_int (i + 1))
-      done;
-      !s)
+    ~body:(fun () ~lo ~hi -> harmonic_range ~lo ~hi)
     ~combine:( +. ) 0.
 
 let test_map_reduce_deterministic () =
@@ -167,6 +170,78 @@ let test_nested_runs () =
       Alcotest.(check bool) "nested reduction equals sequential" true (v = reference))
     out
 
+let test_contiguous_runs () =
+  (* 125 chunks over 3 slots: slot s takes [s*125/3, (s+1)*125/3). *)
+  let chunk = 8 and n = 1000 in
+  (* Each slot conses onto its own entry.  gnrlint: allow-shared *)
+  let runs = Array.make 3 [] in
+  let total =
+    Parallel.map_reduce ~domains:3 ~chunk ~n
+      ~worker:(fun slot -> slot)
+      ~body:(fun slot ~lo ~hi ->
+        runs.(slot) <- (lo / chunk) :: runs.(slot);
+        harmonic_range ~lo ~hi)
+      ~combine:( +. ) 0.
+  in
+  List.iteri
+    (fun slot (first, last) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "slot %d runs chunks %d..%d in order" slot first (last - 1))
+        (List.init (last - first) (fun i -> first + i))
+        (List.rev runs.(slot)))
+    [ (0, 41); (41, 83); (83, 125) ];
+  Alcotest.(check bool)
+    "domains=3 bit-for-bit equal to domains=1" true
+    (total = harmonic_sum ~domains:1 ~chunk n)
+
+let no_live_domains what =
+  Alcotest.(check int) (what ^ ": no pool domain alive") 0 (Parallel.live_domains ())
+
+let test_domains_retire () =
+  ignore (harmonic_sum ~domains:3 2000 : float);
+  no_live_domains "after an unscoped run";
+  Parallel.scoped (fun () ->
+      ignore (harmonic_sum ~domains:3 2000 : float);
+      Alcotest.(check int) "a scope keeps its workers" 2 (Parallel.live_domains ());
+      ignore (harmonic_sum ~domains:3 2000 : float));
+  no_live_domains "after a scoped run";
+  Alcotest.check_raises "the scope's exception propagates" (Boom 7) (fun () ->
+      Parallel.scoped (fun () ->
+          ignore (harmonic_sum ~domains:3 2000 : float);
+          raise (Boom 7)));
+  no_live_domains "after a scope whose body raised"
+
+let test_scopes_inside_pool_tasks () =
+  (* Each task opens and closes a scope on whichever domain runs it,
+     pool workers included; closing it must not retire the pool under
+     the outer run (a worker joining itself hangs). *)
+  let reference = harmonic_sum ~domains:1 2000 in
+  let out =
+    Parallel.map ~domains:2
+      (fun _ -> Parallel.scoped (fun () -> harmonic_sum ~domains:2 2000))
+      (Array.init 6 Fun.id)
+  in
+  Array.iter
+    (fun v -> Alcotest.(check bool) "scoped reduction in a task is exact" true (v = reference))
+    out;
+  no_live_domains "after the outer map"
+
+let test_concurrent_scopes () =
+  (* Two systhreads open and close scopes independently, so a scope
+     often opens while the other thread's workers are being joined. *)
+  let reference = harmonic_sum ~domains:1 2000 in
+  let exact = Atomic.make 0 in
+  let loop () =
+    for _ = 1 to 50 do
+      if Parallel.scoped (fun () -> harmonic_sum ~domains:2 2000) = reference then
+        Atomic.incr exact
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create loop ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "every result exact" 100 (Atomic.get exact);
+  no_live_domains "after both threads"
+
 let suite =
   [
     Alcotest.test_case "map matches sequential" `Quick test_matches_sequential;
@@ -181,4 +256,8 @@ let suite =
     Alcotest.test_case "map_reduce exception" `Quick test_map_reduce_exception;
     Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers;
     Alcotest.test_case "nested parallel runs" `Quick test_nested_runs;
+    Alcotest.test_case "map_reduce contiguous slot runs" `Quick test_contiguous_runs;
+    Alcotest.test_case "pool domains retire with the scope" `Quick test_domains_retire;
+    Alcotest.test_case "scopes inside pool tasks" `Quick test_scopes_inside_pool_tasks;
+    Alcotest.test_case "concurrent scopes on two threads" `Quick test_concurrent_scopes;
   ]
