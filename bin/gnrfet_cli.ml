@@ -650,10 +650,10 @@ let campaign_cmd =
       | None -> f None
       | Some socket ->
         let client = Serve_client.connect ~path:socket () in
-        let fallback = if no_fallback then None else Some Ctx.default in
+        let fallback = not no_fallback in
         Fun.protect
           ~finally:(fun () -> Serve_client.close client)
-          (fun () -> f (Some (Campaign.serve_executor ?fallback client ())))
+          (fun () -> f (Some (Campaign.serve_executor ~fallback client ())))
     in
     match
       with_executor (fun executor ->

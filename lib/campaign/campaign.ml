@@ -217,17 +217,17 @@ type executor = Params.t -> Iv_table.grid_spec option -> Iv_table.t
 
 let c_fallbacks = Obs.Counter.make "campaign.serve_fallbacks"
 
-let local_executor ~ctx () : executor =
- fun p grid -> Table_cache.get ?grid ~ctx p
+let local_executor ?obs () : executor =
+ fun p grid -> Table_cache.get ?grid ?obs p
 
-let serve_executor ?fallback client () : executor =
+let serve_executor ~fallback client () : executor =
  fun p grid ->
   let degrade e =
-    match fallback with
-    | Some ctx ->
+    if fallback then begin
       Obs.Counter.incr c_fallbacks;
-      Table_cache.get ?grid ~ctx p
-    | None -> raise e
+      Table_cache.get ?grid p
+    end
+    else raise e
   in
   match
     Serve_client.call client
@@ -485,12 +485,11 @@ let run_with ?(obs = Obs.global) ?journal ?(resume = false)
   in
   { report; resumed = start; evaluated = !evaluated; torn; duplicates }
 
-let run ?(ctx = Ctx.default) ?executor ?journal ?resume ?checkpoint_every
-    ?kill_after spec =
+let run ?obs ?executor ?journal ?resume ?checkpoint_every ?kill_after spec =
   let exec =
-    match executor with Some e -> e | None -> local_executor ~ctx ()
+    match executor with Some e -> e | None -> local_executor ?obs ()
   in
-  run_with ~obs:ctx.Ctx.obs ?journal ?resume ?checkpoint_every ?kill_after
+  run_with ?obs ?journal ?resume ?checkpoint_every ?kill_after
     ~evaluate:(evaluate_sample exec spec) spec
 
 (* ------------------------------------------------------------------ *)

@@ -78,18 +78,20 @@ type executor = Params.t -> Iv_table.grid_spec option -> Iv_table.t
 (** How a sample's device table is obtained.  May raise typed solver
     errors (quarantining the sample) or typed client errors. *)
 
-val local_executor : ctx:Ctx.t -> unit -> executor
-(** {!Table_cache.get} under [ctx] (the default executor of {!run}). *)
+val local_executor : ?obs:Obs.t -> unit -> executor
+(** {!Table_cache.get} reporting to [obs] (default {!Obs.global}); the
+    default executor of {!run}. *)
 
-val serve_executor : ?fallback:Ctx.t -> Serve_client.t -> unit -> executor
+val serve_executor : fallback:bool -> Serve_client.t -> unit -> executor
 (** Fetch tables from the serve daemon via {!Serve_client.call} (so
     busy rejections are retried honoring [retry_after_ms]).  Daemon-side
     solver errors re-raise as [Robust_error] and quarantine the sample
-    like a local failure.  With [fallback], a typed {e client} failure
-    (timeout, disconnect, breaker open, busy through the whole retry
-    budget) degrades to local {!Table_cache.get} under the fallback
-    context — counted in [campaign.serve_fallbacks] — so a dead or
-    saturated daemon costs time, never samples. *)
+    like a local failure.  With [~fallback:true], a typed {e client}
+    failure (timeout, disconnect, breaker open, busy through the whole
+    retry budget) degrades to a local {!Table_cache.get} reporting to
+    {!Obs.global}, counted there in [campaign.serve_fallbacks], so a
+    dead or saturated daemon costs time, never samples; with
+    [~fallback:false] it re-raises. *)
 
 (** {2 Reports} *)
 
@@ -145,7 +147,7 @@ val run_with :
     whose synced prefix then resumes). *)
 
 val run :
-  ?ctx:Ctx.t ->
+  ?obs:Obs.t ->
   ?executor:executor ->
   ?journal:string ->
   ?resume:bool ->
@@ -160,7 +162,8 @@ val run :
     resume.  [kill_after:n] is the chaos hook: the process SIGKILLs
     itself at the first checkpoint boundary after evaluating [n]
     samples (CI uses it to die deterministically between records).
-    Obs accounting (under [ctx.obs]): [campaign.samples] (evaluated
+    Obs accounting (in [obs], default {!Obs.global}, which the default
+    {!local_executor} also reports to): [campaign.samples] (evaluated
     here), [campaign.quarantined], [campaign.replayed],
     [campaign.journal.records], [campaign.journal.duplicates],
     [campaign.journal.torn.<label>], timer [campaign.checkpoint].

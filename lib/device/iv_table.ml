@@ -51,8 +51,7 @@ let patch_failed ~failed ~vg ~current ~charge =
       patch charge)
     failed
 
-let generate ?(grid = default_grid) ?(ctx = Ctx.default) p =
-  let obs = ctx.Ctx.obs in
+let generate ?(grid = default_grid) ?(obs = Obs.global) p =
   Parallel.scoped @@ fun () ->
   Obs.Span.run ~obs "iv_table.generate" @@ fun () ->
   Obs.Counter.incr (Obs.Counter.make ~obs "iv_table.generates");
@@ -79,7 +78,7 @@ let generate ?(grid = default_grid) ?(ctx = Ctx.default) p =
         (fun ig vgv ->
           let outcome =
             Scf_robust.solve_robust ?init:!init ?neighbor:!last_converged
-              ~ctx p ~vg:vgv ~vd:vdv
+              ~obs p ~vg:vgv ~vd:vdv
           in
           match outcome.Scf_robust.solution with
           | Some s ->

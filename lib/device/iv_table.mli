@@ -44,7 +44,7 @@ val grid_key : grid_spec -> string
     and the on-disk cache is addressed by a digest of that key, so the
     format must not change. *)
 
-val generate : ?grid:grid_spec -> ?ctx:Ctx.t -> Params.t -> t
+val generate : ?grid:grid_spec -> ?obs:Obs.t -> Params.t -> t
 (** Run the self-consistent solver over the grid (warm-starting each VG
     sweep from the previous bias point).  Each point goes through the
     {!Scf_robust} escalation ladder in continuation order: the first rung
@@ -53,13 +53,13 @@ val generate : ?grid:grid_spec -> ?ctx:Ctx.t -> Params.t -> t
     points are quarantined into [failed_points] (counted in
     [robust.iv_table.quarantined]) and interpolated from converged
     neighbors instead of aborting the sweep.  [grid] defaults to
-    {!default_grid}.  [ctx] (default {!Ctx.default}) is forwarded to
-    {!Scf.solve}: callers fanning several devices out across the domain
-    pool ({!Table_cache.get_many}) pass a sequential context so the
-    inner energy loop stays sequential under the outer fan-out.  The
-    generation is one {!Parallel.scoped} scope, so one set of pool
-    domains serves all its bias points.  Each generation runs inside an [iv_table.generate] span and bumps
-    [iv_table.generates] in [ctx.obs] (see docs/OBS.md). *)
+    {!default_grid}.  The generation is one {!Parallel.scoped} scope,
+    so one set of pool domains serves all its bias points; a generation
+    running inside a task of {!Table_cache.get_many}'s device fan-out
+    nests its energy runs in that same pool.  Each generation runs
+    inside an [iv_table.generate] span and bumps [iv_table.generates]
+    in [obs] (default {!Obs.global}), which is forwarded to
+    {!Scf_robust.solve_robust} (see docs/OBS.md). *)
 
 val current_at : t -> vg:float -> vd:float -> float
 (** Bilinear interpolation; requires [vd >= 0] (the circuit layer owns the

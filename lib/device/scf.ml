@@ -76,8 +76,7 @@ let chains_for p =
   Array.map (fun m -> (m, sigma)) ms.Modespace.modes
 
 let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
-    ?(ctx = Ctx.default) p ~vg ~vd =
-  let obs = ctx.Ctx.obs in
+    ?(obs = Obs.global) p ~vg ~vd =
   Parallel.scoped @@ fun () ->
   Obs.Span.run ~obs "scf.solve" @@ fun () ->
   let c_solves = Obs.Counter.make ~obs "scf.solves" in
@@ -127,7 +126,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         in
         let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
         let q =
-          Observables.site_charge ~eta:1.5e-3 ~ctx ~bias ~egrid
+          Observables.site_charge ~eta:1.5e-3 ~obs ~bias ~egrid
             ~midgap:onsite
             (fun _ -> chain)
         in
@@ -272,7 +271,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         in
         let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
         acc
-        +. Observables.current ~eta:1.5e-3 ~ctx ~bias ~egrid
+        +. Observables.current ~eta:1.5e-3 ~obs ~bias ~egrid
              (fun _ -> chain))
       0. modes
   in

@@ -59,7 +59,7 @@ val solve :
   ?max_iter:int ->
   ?init:float array ->
   ?mixing:[ `Anderson | `Anderson_damped of float | `Linear of float ] ->
-  ?ctx:Ctx.t ->
+  ?obs:Obs.t ->
   Params.t ->
   vg:float ->
   vd:float ->
@@ -74,18 +74,19 @@ val solve :
     [`Anderson_damped alpha] is Anderson restarted with heavier damping —
     the second escalation rung; [`Linear alpha] is the plain
     under-relaxation baseline used by the convergence ablation).
-    [ctx] (default {!Ctx.default}): [ctx.parallel] runs the per-energy
-    NEGF loop across the domain pool; outer device-level fan-outs
-    (table generation) pass a sequential context so nesting does not
-    oversubscribe the cores.  The solution is bit-for-bit identical
-    either way (the energy reduction is deterministic; see
-    docs/PERF.md).  The call is one {!Parallel.scoped} scope, so the
-    pool's domains serve all its charge evaluations and are joined when
-    it returns, unless an enclosing scope keeps them.
+    The per-energy NEGF loop runs across the domain pool at
+    {!Parallel.num_domains} slots; a solve running inside a task of an
+    outer run (a device of {!Table_cache.get_many}) nests in the same
+    pool.  The solution is bit-for-bit identical at every width (the
+    energy reduction is deterministic; see docs/PERF.md).  The call is
+    one {!Parallel.scoped} scope, so the pool's domains serve all its
+    charge evaluations and are joined when it returns, unless an
+    enclosing scope keeps them.
 
     {b Observability.}  Each call runs inside an [scf.solve] span and
     bumps [scf.solves], [scf.iterations] (plus the iteration histogram),
-    [scf.charge_evals] and [scf.poisson_solves] in [ctx.obs]; the NEGF
-    and Poisson layers underneath report their own metrics.  All no-ops
+    [scf.charge_evals] and [scf.poisson_solves] in [obs] (default
+    {!Obs.global}), which is also handed to the NEGF observables; the
+    Poisson layer underneath reports to {!Obs.global}.  All no-ops
     while the registry is disabled; the {!trace} field is collected
     regardless.  See docs/OBS.md. *)

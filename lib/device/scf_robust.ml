@@ -17,9 +17,8 @@ type outcome = {
 (* Matches the Scf.solve default; the slow-linear rungs scale it. *)
 let default_max_iter = 120
 
-let solve_robust ?tol ?max_iter ?init ?neighbor ?(ctx = Ctx.default) p ~vg
+let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
     ~vd =
-  let obs = ctx.Ctx.obs in
   let c_retries = Obs.Counter.make ~obs "robust.scf.retries" in
   let c_escalations = Obs.Counter.make ~obs "robust.scf.escalations" in
   let c_recovered = Obs.Counter.make ~obs "robust.scf.recovered" in
@@ -33,15 +32,15 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(ctx = Ctx.default) p ~vg
     [
       ( Anderson,
         fun ~warm ->
-          Scf.solve ?tol ?max_iter ?init:warm ~ctx p ~vg ~vd );
+          Scf.solve ?tol ?max_iter ?init:warm ~obs p ~vg ~vd );
       ( Damped_restart,
         fun ~warm ->
           Scf.solve ?tol ?max_iter ?init:warm
-            ~mixing:(`Anderson_damped 0.2) ~ctx p ~vg ~vd );
+            ~mixing:(`Anderson_damped 0.2) ~obs p ~vg ~vd );
       ( Linear_slow,
         fun ~warm ->
           Scf.solve ?tol ~max_iter:budget ?init:warm ~mixing:(`Linear 0.1)
-            ~ctx p ~vg ~vd );
+            ~obs p ~vg ~vd );
     ]
     @
     match neighbor with
@@ -51,7 +50,7 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(ctx = Ctx.default) p ~vg
         ( Neighbor_continuation,
           fun ~warm:_ ->
             Scf.solve ?tol ~max_iter:budget ~init:nb ~mixing:(`Linear 0.1)
-              ~ctx p ~vg ~vd );
+              ~obs p ~vg ~vd );
       ]
   in
   let best = ref None in

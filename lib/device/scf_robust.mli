@@ -51,14 +51,14 @@ val solve_robust :
   ?max_iter:int ->
   ?init:float array ->
   ?neighbor:float array ->
-  ?ctx:Ctx.t ->
+  ?obs:Obs.t ->
   Params.t ->
   vg:float ->
   vd:float ->
   outcome
-(** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter]/[ctx] default
+(** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter]/[obs] default
     exactly as in {!Scf.solve} (the first rung {e is} that call, with
-    the optional knobs forwarded as given); [ctx.obs] also receives the
+    the optional knobs forwarded as given); [obs] also receives the
     ladder counters.  Raised failures ([Fault.Injected],
     [Sparse.No_convergence], solver [Failure]) are recorded per attempt
     and trigger the next rung; [Invalid_argument] (caller bugs)

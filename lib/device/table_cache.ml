@@ -77,8 +77,7 @@ let probe_key ?obs key =
     | exception Sys_error _ ->
       Absent (* raced deletion or unreadable: a plain miss, not corrupt *)
 
-let probe_disk ?grid ?(ctx = Ctx.default) p =
-  probe_key ~obs:ctx.Ctx.obs (key ?grid p)
+let probe_disk ?grid ?obs p = probe_key ?obs (key ?grid p)
 
 (* Writes are atomic (tmp + rename) and best-effort — a cache store
    failure must never kill the computation that produced the table — but
@@ -124,44 +123,41 @@ let store_file ?obs key table =
    cache-initiated table generations.  [table_cache.mmap_hits] is a
    copy of [table_cache.disk_hits], kept because perfbench and daemon
    [stats] readers consume it. *)
-let lookup ?grid ?(ctx = Ctx.default) p =
-  let obs = ctx.Ctx.obs in
+let lookup ?grid ?obs p =
   let key = key ?grid p in
   match Mutex.protect memory_mutex (fun () -> Hashtbl.find_opt memory key) with
   | Some t ->
-    Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.memory_hits");
+    Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.memory_hits");
     Some t
   | None -> begin
-    match probe_key ~obs key with
+    match probe_key ?obs key with
     | Table t ->
-      Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.disk_hits");
-      Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.mmap_hits");
+      Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.disk_hits");
+      Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.mmap_hits");
       Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
       Some t
     | Absent | Stale | Corrupt _ ->
-      Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.misses");
+      Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.misses");
       None
   end
 
 (* A cache-initiated generation: counted, kept in memory and persisted
    before it is returned. *)
-let generate_and_store ?grid ~ctx p =
-  let obs = ctx.Ctx.obs in
+let generate_and_store ?grid ?obs p =
   let key = key ?grid p in
-  Obs.Counter.incr (Obs.Counter.make ~obs "table_cache.generates");
-  let t = Iv_table.generate ?grid ~ctx p in
+  Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.generates");
+  let t = Iv_table.generate ?grid ?obs p in
   Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
-  store_file ~obs key t;
+  store_file ?obs key t;
   t
 
-let get ?grid ?(ctx = Ctx.default) p =
-  match lookup ?grid ~ctx p with
+let get ?grid ?obs p =
+  match lookup ?grid ?obs p with
   | Some t -> t
-  | None -> generate_and_store ?grid ~ctx p
+  | None -> generate_and_store ?grid ?obs p
 
-let get_many ?grid ?(ctx = Ctx.default) ps =
-  let obs = ctx.Ctx.obs in
-  let missing = List.filter (fun p -> Option.is_none (lookup ?grid ~ctx p)) ps in
+let get_many ?grid ?obs ps =
+  let missing = List.filter (fun p -> Option.is_none (lookup ?grid ?obs p)) ps in
   (* A batch may name the same device twice (duplicate Params in the
      request list): generate each unique key exactly once, counting the
      dropped duplicates in [table_cache.deduped].  Output order is
@@ -169,7 +165,7 @@ let get_many ?grid ?(ctx = Ctx.default) ps =
      to memory hits). *)
   let missing =
     let seen = Hashtbl.create 16 in
-    let c_deduped = Obs.Counter.make ~obs "table_cache.deduped" in
+    let c_deduped = Obs.Counter.make ?obs "table_cache.deduped" in
     List.filter
       (fun p ->
         let k = key ?grid p in
@@ -184,22 +180,11 @@ let get_many ?grid ?(ctx = Ctx.default) ps =
       missing
   in
   (* Each table is persisted as soon as it is generated, so an
-     interrupted batch keeps its completed work.  One missing device:
-     let its energy loop use the whole pool.  Several: parallelise
-     across devices instead and force the inner energy loop sequential,
-     so device x energy nesting does not oversubscribe the cores. *)
-  if
-    List.compare_length_with missing 1 > 0
-    && ctx.Ctx.parallel
-    && Parallel.num_domains () > 1
-  then
-    ignore
-      (Parallel.map
-         (generate_and_store ?grid ~ctx:(Ctx.sequential ctx))
-         (Array.of_list missing)
-        : Iv_table.t array)
-  else
-    List.iter
-      (fun p -> ignore (generate_and_store ?grid ~ctx p : Iv_table.t))
-      missing;
-  List.map (fun p -> get ?grid ~ctx p) ps
+     interrupted batch keeps its completed work.  The devices fan out
+     over the pool, and each device's energy runs nest in the same pool:
+     one pool cannot oversubscribe the cores, and every table is
+     bit-identical at every width (docs/PERF.md). *)
+  ignore
+    (Parallel.map (generate_and_store ?grid ?obs) (Array.of_list missing)
+      : Iv_table.t array);
+  List.map (fun p -> get ?grid ?obs p) ps

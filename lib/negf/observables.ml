@@ -10,14 +10,12 @@ let energy_grid ~lo ~hi ~de =
    the grid out over the domain pool in fixed contiguous chunks and
    combine per-chunk partials in chunk order, so the result is
    bit-for-bit identical for every GNRFET_DOMAINS setting including the
-   sequential [ctx.parallel = false] path (see docs/PERF.md).  Each
+   sequential width-1 path (see docs/PERF.md).  Each
    chunk's trapezoid partial needs the sample at its first grid point;
    both observables reuse it when the same worker has just ended the
    previous chunk there, which is every chunk but a slot's first.  A
    reused sample is the same bits as a fresh one, so a partial depends
    on its range only. *)
-
-let domains_of parallel = if parallel then None else Some 1
 
 (* Per-energy-grid instrumentation: one timer start/stop pair per
    observable call (never per energy point) and per-chunk counter adds,
@@ -28,8 +26,7 @@ let domains_of parallel = if parallel then None else Some 1
    reuses when it starts there. *)
 type current_scratch = { ws : Rgf.workspace; mutable prev : float; mutable last : int }
 
-let current ?eta ?(ctx = Ctx.default) ~bias ~egrid chain_at =
-  let { Ctx.parallel; obs } = ctx in
+let current ?eta ?(obs = Obs.global) ~bias ~egrid chain_at =
   let tm = Obs.Timer.make ~obs "negf.current" in
   let c_energies = Obs.Counter.make ~obs "rgf.transmission_energies" in
   let t0 = Obs.Timer.start tm in
@@ -42,7 +39,7 @@ let current ?eta ?(ctx = Ctx.default) ~bias ~egrid chain_at =
   in
   (* Trapezoid rule as a chunked reduction over the ne-1 intervals. *)
   let integral =
-    Parallel.map_reduce ?domains:(domains_of parallel)
+    Parallel.map_reduce
       ~n:(Array.length egrid - 1)
       ~worker:(fun _ -> { ws = Rgf.workspace (); prev = 0.; last = -1 })
       ~body:(fun w ~lo ~hi ->
@@ -89,8 +86,7 @@ type charge_scratch = {
   mutable last : int;
 }
 
-let site_charge ?eta ?(ctx = Ctx.default) ~bias ~egrid ~midgap chain_at =
-  let { Ctx.parallel; obs } = ctx in
+let site_charge ?eta ?(obs = Obs.global) ~bias ~egrid ~midgap chain_at =
   let tm = Obs.Timer.make ~obs "negf.site_charge" in
   let c_energies = Obs.Counter.make ~obs "rgf.spectra_energies" in
   let t0 = Obs.Timer.start tm in
@@ -118,7 +114,7 @@ let site_charge ?eta ?(ctx = Ctx.default) ~bias ~egrid ~midgap chain_at =
      into fresh electron/hole accumulators, two intervals per kernel
      call. *)
   let electrons, holes =
-    Parallel.map_reduce ?domains:(domains_of parallel)
+    Parallel.map_reduce
       ~n:(Array.length egrid - 1)
       ~worker:(fun _ ->
         { wx = Rgf.workspace ~hint:n (); wy = Rgf.workspace ~hint:n ();

@@ -6,11 +6,10 @@
     chunks.  {b Determinism:} the chunk grid and the
     chunk-order combine depend only on the energy grid, never on the
     worker count, so results are bit-for-bit identical for every
-    [GNRFET_DOMAINS] setting and [ctx.parallel = false] reproduces the
-    parallel result exactly (see docs/PERF.md).  Pass a sequential
-    [?ctx] ({!Ctx.sequential}) from code that is already running under
-    an outer parallel fan-out (device-level table generation) to avoid
-    oversubscription.
+    [GNRFET_DOMAINS] setting (see docs/PERF.md).  A call made from a
+    task of an outer run (device-level table generation,
+    [Table_cache.get_many]) nests in the same pool, so it cannot
+    oversubscribe the cores either.
 
     {b Charge integral.}  {!site_charge} walks each chunk two energy
     intervals at a time, with one two-lane RGF sweep
@@ -26,13 +25,10 @@
     energies-per-second falls out of the snapshot.  A call on a grid of
     [ne] energies run by [s] pool slots counts [ne + s - 1] in either
     counter: a function of the grid and the width, never of the
-    schedule.  Metrics land in [ctx.obs]; counters
-    are bumped once per chunk, never per energy point, and everything is
-    a no-op while the registry is disabled.  See docs/OBS.md.
-
-    {b Contexts.}  Both observables take [?ctx:Ctx.t] (default
-    {!Ctx.default}), which carries the [parallel] and [obs] knobs
-    (docs/API.md). *)
+    schedule.  Metrics land in the [?obs] registry (default
+    {!Obs.global}, docs/API.md); counters are bumped once per chunk,
+    never per energy point, and everything is a no-op while the
+    registry is disabled.  See docs/OBS.md. *)
 
 type bias = {
   mu_s : float;  (** source electro-chemical potential, eV *)
@@ -46,7 +42,7 @@ val energy_grid : lo:float -> hi:float -> de:float -> float array
 
 val current :
   ?eta:float ->
-  ?ctx:Ctx.t ->
+  ?obs:Obs.t ->
   bias:bias ->
   egrid:float array ->
   (float -> Rgf.chain) ->
@@ -56,12 +52,12 @@ val current :
     The chain is requested per energy point so energy-dependent contact
     self-energies are handled exactly (wide-band contacts may ignore the
     argument).  Positive current flows source to drain when
-    [mu_s > mu_d].  [ctx.parallel] chunks the trapezoid reduction over
-    the energy grid across the domain pool. *)
+    [mu_s > mu_d].  The trapezoid reduction over the energy grid is
+    chunked across the domain pool. *)
 
 val site_charge :
   ?eta:float ->
-  ?ctx:Ctx.t ->
+  ?obs:Obs.t ->
   bias:bias ->
   egrid:float array ->
   midgap:float array ->

@@ -220,15 +220,12 @@ let run_slots ~slots job =
 
 let default_chunk = 16
 
-let map_reduce ?domains ?(chunk = default_chunk) ~n ~worker ~body ~combine init =
+let map_reduce ?(chunk = default_chunk) ~n ~worker ~body ~combine init =
   if n <= 0 then init
   else begin
     let chunk = max 1 chunk in
     let nchunks = (n + chunk - 1) / chunk in
-    let requested =
-      match domains with Some d -> max 1 d | None -> num_domains ()
-    in
-    let slots = min requested nchunks in
+    let slots = min (num_domains ()) nchunks in
     let first slot = slot * nchunks / slots in
     let partials = Array.make nchunks None in
     let acc = ref init in
@@ -252,20 +249,17 @@ let map_reduce ?domains ?(chunk = default_chunk) ~n ~worker ~body ~combine init 
     !acc
   end
 
-let parallel_for ?domains ?chunk ~n body =
-  map_reduce ?domains ?chunk ~n
+let parallel_for ?chunk ~n body =
+  map_reduce ?chunk ~n
     ~worker:(fun _ -> ())
     ~body:(fun () ~lo ~hi -> body ~lo ~hi)
     ~combine:(fun () () -> ())
     ()
 
-let map ?domains f inputs =
+let map f inputs =
   let n = Array.length inputs in
-  let requested =
-    match domains with Some d -> max 1 d | None -> num_domains ()
-  in
-  let slots = min requested n in
-  if slots <= 1 || n <= 1 then Array.map f inputs
+  let slots = min (num_domains ()) n in
+  if slots <= 1 then Array.map f inputs
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in

@@ -18,7 +18,8 @@
     order.  A [body] whose chunk result is a pure function of [(lo, hi)]
     (per-worker scratch reuse aside) therefore produces bit-for-bit
     identical reductions for every [GNRFET_DOMAINS] setting, including
-    the sequential [domains = 1] path.  Each slot runs one contiguous
+    the sequential width-1 path, and for runs nested inside another
+    run's tasks.  Each slot runs one contiguous
     run of chunks in ascending order, so what a slot's scratch carries
     from chunk to chunk depends on the width alone, and work counters
     that follow it repeat exactly.  See docs/PERF.md.
@@ -33,9 +34,11 @@
     the registry is disabled; see docs/OBS.md. *)
 
 val num_domains : unit -> int
-(** Pool width: the number of slots a run uses {e including the calling
-    domain}, which runs slot 0 itself, so a width of [w] keeps [w - 1]
-    pool domains busy.  Default [max 1 (recommended_domain_count ())],
+(** Pool width, the one width setting of every run: the number of slots
+    a run uses {e including the calling domain}, which runs slot 0
+    itself, so a width of [w] keeps [w - 1] pool domains busy.  A run
+    nested inside another run's task shares the same pool, so nesting
+    never spawns more than [w - 1] domains.  Default [max 1 (recommended_domain_count ())],
     the core count — overridable with the [GNRFET_DOMAINS] environment
     variable (read on every call, so tests and benchmarks can toggle it
     at runtime; an empty or blank value counts as unset, an unparsable
@@ -52,18 +55,13 @@ val live_domains : unit -> int
 (** Pool domains spawned and not yet joined: 0 once the last open
     scope has closed. *)
 
-val default_chunk : int
-(** Chunk width used by {!map_reduce} and {!parallel_for} when [?chunk]
-    is omitted.  Fixed (16): it must not depend on the worker count, or
-    the determinism contract above would break. *)
-
-val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map], preserving order. Falls back to the sequential
-    map when [domains <= 1] or the input is small. Exceptions raised by
-    [f] are re-raised in the caller (lowest failing index first). *)
+val map : ('a -> 'b) -> 'a array -> 'b array
+(** Parallel [Array.map], preserving order.  Runs as a plain
+    [Array.map] on the calling domain when the width is 1 or the input
+    has at most one element.  Exceptions raised by [f] are re-raised in
+    the caller (lowest failing index first). *)
 
 val map_reduce :
-  ?domains:int ->
   ?chunk:int ->
   n:int ->
   worker:(int -> 'w) ->
@@ -72,9 +70,13 @@ val map_reduce :
   'acc ->
   'acc
 (** [map_reduce ~n ~worker ~body ~combine init] splits [0, n) into
-    contiguous chunks, evaluates [body w ~lo ~hi] once per chunk and
-    left-folds the per-chunk partial results with [combine] in ascending
-    chunk order, starting from [init].
+    contiguous chunks of [chunk] indices (default 16; the last may be
+    shorter), evaluates [body w ~lo ~hi] once per chunk and left-folds
+    the per-chunk partial results with [combine] in ascending chunk
+    order, starting from [init].  The chunk grid must not depend on the
+    worker count, or the determinism contract above would break: pass a
+    [chunk] that is fixed by the problem, never one derived from
+    {!num_domains}.
 
     [worker slot] builds per-slot scratch state (slot ids are dense in
     [0, slots)); it is handed to every chunk the slot processes, so
@@ -88,7 +90,7 @@ val map_reduce :
     are re-raised in the caller once all slots have drained.  [n <= 0]
     returns [init]. *)
 
-val parallel_for : ?domains:int -> ?chunk:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** [parallel_for ~n body] runs [body ~lo ~hi] over a chunked partition
-    of [0, n).  The chunks are disjoint, so bodies writing to disjoint
+val parallel_for : ?chunk:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
+(** [parallel_for ~n body] runs [body ~lo ~hi] over the chunked
+    partition of [0, n) that {!map_reduce} uses.  The chunks are disjoint, so bodies writing to disjoint
     index ranges of a shared array need no further synchronisation. *)

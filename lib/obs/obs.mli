@@ -15,10 +15,11 @@
 
     {b Registries.}  [global] is the process-wide registry used by the
     static instrumentation in the numerics/NEGF/Poisson/circuit layers.
-    The solver entry points ({!Scf.solve} → {!Iv_table.generate} →
-    {!Table_cache.get_many}) report to the [obs] field of their
-    [?ctx:Ctx.t] execution context (default [global]) so a caller can
-    collect an isolated snapshot.  The default enabled state of
+    The solver entry points ([Observables] → [Scf.solve] →
+    [Iv_table.generate] → [Table_cache.get_many], the serve daemon and
+    the campaign engine) take the registry as [?obs] (default [global])
+    and pass it down, so a caller can collect an isolated snapshot
+    (docs/API.md).  The default enabled state of
     [global] comes from the [GNRFET_OBS] environment variable: unset,
     ["0"], ["false"] or ["off"] mean disabled (the test-suite default);
     anything else means enabled.  The CLI turns it on explicitly

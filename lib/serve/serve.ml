@@ -1,6 +1,6 @@
-type config = { max_generations : int; ctx : Ctx.t }
+type config = { max_generations : int; obs : Obs.t }
 
-let default_config = { max_generations = 2; ctx = Ctx.default }
+let default_config = { max_generations = 2; obs = Obs.global }
 
 (* Hint attached to every busy rejection. *)
 let retry_after_ms = 250
@@ -30,7 +30,7 @@ let create ?(config = default_config) () =
   (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
   | () -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ());
-  let obs = config.ctx.Ctx.obs in
+  let obs = config.obs in
   (* Pre-register the table-cache tier counters so a [stats] snapshot
      reports them (as 0) even before the first lookup, instead of
      omitting the row. *)
@@ -70,15 +70,15 @@ let stop t = Atomic.set t.stopping_flag true
    Table_cache.get still finds a table that another leader for the same
    key stored after this thread's lookup missed. *)
 let table_for t ~grid p =
-  let ctx = t.config.ctx in
-  match Table_cache.lookup ?grid ~ctx p with
+  let obs = t.config.obs in
+  match Table_cache.lookup ?grid ~obs p with
   | Some table -> table
   | None ->
     let outcome =
       Single_flight.run t.sf (Table_cache.key ?grid p) (fun () ->
           Obs.Counter.incr t.m.c_jobs;
-          Obs.Span.run ~obs:ctx.Ctx.obs "serve.generate" (fun () ->
-              Table_cache.get ?grid ~ctx p))
+          Obs.Span.run ~obs "serve.generate" (fun () ->
+              Table_cache.get ?grid ~obs p))
     in
     if outcome.Single_flight.coalesced then Obs.Counter.incr t.m.c_coalesced;
     outcome.Single_flight.value
@@ -87,7 +87,7 @@ let table_for t ~grid p =
 (* Request evaluation                                                  *)
 
 let stats_json t =
-  let snap = Obs.snapshot ~obs:t.config.ctx.Ctx.obs () in
+  let snap = Obs.snapshot ~obs:t.config.obs () in
   Sjson.Obj
     [
       ("enabled", Sjson.Bool snap.Obs.snap_enabled);
@@ -143,7 +143,7 @@ let handle_line t line =
         }
     else (
       match
-        Obs.Span.run ~obs:t.config.ctx.Ctx.obs "serve.request" (fun () ->
+        Obs.Span.run ~obs:t.config.obs "serve.request" (fun () ->
             eval t op)
       with
       | result -> Serve_protocol.ok_line ~id result

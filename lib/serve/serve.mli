@@ -19,14 +19,15 @@ type config = {
   max_generations : int;
       (** tables generated at once before a miss is answered [busy]
           (default 2); 0 serves cached tables only *)
-  ctx : Ctx.t;
-      (** execution context for generations; [ctx.obs] also receives the
-          server's own [serve.*] metrics.  The bias grid is not part of
-          it: each request names its own (docs/SERVE.md). *)
+  obs : Obs.t;
+      (** metric registry for the server's own [serve.*] metrics and for
+          the table lookups and generations it runs (default
+          {!Obs.global}).  The bias grid is not part of the config: each
+          request names its own (docs/SERVE.md). *)
 }
 
 val default_config : config
-(** Defaults above with [ctx = Ctx.default]. *)
+(** Defaults above with [obs = Obs.global]. *)
 
 type t
 

@@ -34,7 +34,7 @@ let vd = 0.3
 
 let write gnr_index path =
   let p = golden_device gnr_index in
-  let s = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
+  let s = Scf.solve p ~vg ~vd in
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "# gnrfet golden SCF convergence trace\n";

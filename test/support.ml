@@ -46,6 +46,11 @@ let with_env key value f =
     ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
     f
 
+(* Run [f] at pool width [d]: GNRFET_DOMAINS is the only width setting.
+   Call it on the test's own thread, around any pool tasks or threads
+   that read the width: putenv from several domains at once races. *)
+let at_width d f = with_env "GNRFET_DOMAINS" (string_of_int d) f
+
 (* Small deterministic RNG for fixtures. *)
 let rng = Rng.create 2024
 

@@ -920,12 +920,13 @@ let test_serve_executor_fallback () =
   let sleeps = ref [] in
   let was_enabled = Obs.enabled Obs.global in
   Obs.set_enabled Obs.global true;
-  let before = Obs.counter_value "campaign.serve_fallbacks" in
+  let fallbacks0 = Obs.counter_value "campaign.serve_fallbacks" in
+  let generates0 = Obs.counter_value "table_cache.generates" in
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled Obs.global was_enabled)
     (fun () ->
       with_stub
-        [ [ Busy (Some 5); Busy (Some 5) ] ]
+        [ [ Busy (Some 5); Busy (Some 5); Busy (Some 5); Busy (Some 5) ] ]
         (fun path ->
           let client =
             Serve_client.connect
@@ -935,26 +936,35 @@ let test_serve_executor_fallback () =
           Fun.protect
             ~finally:(fun () -> Serve_client.close client)
             (fun () ->
-              let ctx = Ctx.make ~parallel:false () in
-              let exec = Campaign.serve_executor ~fallback:ctx client () in
+              (* Without the fallback the typed client failure is the
+                 caller's. *)
+              (match
+                 Campaign.serve_executor ~fallback:false client ()
+                   (tiny_device ()) (Some micro_grid)
+               with
+              | exception
+                  Robust_error.Error (Robust_error.Client_disconnected _) ->
+                ()
+              | _ -> Alcotest.fail "expected the busy daemon to fail the call");
+              let exec = Campaign.serve_executor ~fallback:true client () in
               (* A daemon busy through the whole retry budget costs
                  time, never the sample: the table still materializes
                  locally. *)
               let table = exec (tiny_device ()) (Some micro_grid) in
               Alcotest.(check int) "table generated locally" 3
                 (Array.length table.Iv_table.vg))));
-  Alcotest.(check int) "client backed off before degrading" 1
+  Alcotest.(check int) "client backed off once per call" 2
     (List.length !sleeps);
   Alcotest.(check int) "fallback counted" 1
-    (Obs.counter_value "campaign.serve_fallbacks" - before)
+    (Obs.counter_value "campaign.serve_fallbacks" - fallbacks0);
+  Alcotest.(check int) "fallback generation reports to the global registry" 1
+    (Obs.counter_value "table_cache.generates" - generates0)
 
 (* --- daemon counts mid-response client disconnects ------------------- *)
 
 let test_daemon_counts_client_disconnects () =
   let obs = Obs.create ~enabled:true () in
-  let config =
-    { Serve.default_config with Serve.ctx = Ctx.make ~parallel:false ~obs () }
-  in
+  let config = { Serve.default_config with Serve.obs } in
   let server = Serve.create ~config () in
   let path = fresh_sock () in
   let th = Thread.create (fun () -> Serve.serve_unix server ~path) () in

@@ -276,6 +276,35 @@ let test_params_cache_key_stability () =
     ("v2|" ^ device ^ "-[-1@2e-09/4e-10/e4/s2.5e-09]|vg0:0.4:3-vd0.3:2")
     (Table_cache.key ~grid:micro (Params.with_impurity_charge p (-1.)))
 
+let test_get_many_nested_bits () =
+  skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
+  (* [get_many] fans its missing devices out over the pool and each
+     device's energy runs nest in that same pool: the tables must carry
+     the bits of each device generated alone on one domain. *)
+  let micro_grid =
+    { Iv_table.vg_min = 0.; vg_max = 0.4; n_vg = 3; vd_max = 0.3; n_vd = 2 }
+  in
+  let devices = [ tiny; tiny_device ~gnr_index:9 () ] in
+  let bits rows = Array.map (Array.map Int64.bits_of_float) rows in
+  let alone =
+    at_width 1 (fun () -> List.map (Iv_table.generate ~grid:micro_grid) devices)
+  in
+  let batch =
+    with_temp_cache (fun () ->
+        at_width 3 (fun () -> Table_cache.get_many ~grid:micro_grid devices))
+  in
+  List.iter2
+    (fun (a : Iv_table.t) (b : Iv_table.t) ->
+      Alcotest.(check (array (array int64)))
+        (a.Iv_table.key ^ ": current bits") (bits a.Iv_table.current)
+        (bits b.Iv_table.current);
+      Alcotest.(check (array (array int64)))
+        (a.Iv_table.key ^ ": charge bits") (bits a.Iv_table.charge)
+        (bits b.Iv_table.charge))
+    alone batch;
+  Alcotest.(check int) "no pool domain alive afterwards" 0
+    (Parallel.live_domains ())
+
 let suite =
   [
     Alcotest.test_case "scf converges" `Quick test_scf_converges;
@@ -298,4 +327,6 @@ let suite =
     Alcotest.test_case "get_many dedups duplicates" `Quick
       test_get_many_dedups_duplicates;
     Alcotest.test_case "cache key stability" `Quick test_params_cache_key_stability;
+    Alcotest.test_case "get_many nests energy runs bit-identically" `Quick
+      test_get_many_nested_bits;
   ]

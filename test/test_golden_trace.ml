@@ -7,9 +7,9 @@
    - run-to-run: two solves in one process produce bit-identical traces;
    - sequential vs parallel: the trace, converged potential, current,
      total charge and iteration count are bit-for-bit identical with the
-     energy loop sequential, on the default pool, and with
-     GNRFET_DOMAINS=5 (the determinism contract, observable per
-     iteration);
+     energy loop sequential (GNRFET_DOMAINS=1), on the default pool,
+     and with GNRFET_DOMAINS=5 (the determinism contract, observable
+     per iteration);
    - against the golden files in test/golden/: iteration counts, step
      structure, mixing factors and Poisson-solve counts exactly; update
      norms to 1e-6 relative (libm differences across platforms move the
@@ -133,8 +133,8 @@ let test_run_to_run () =
   skip_under_scf_faults ();
   List.iter
     (fun (name, p, _) ->
-      let a = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
-      let b = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
+      let a = Scf.solve p ~vg ~vd in
+      let b = Scf.solve p ~vg ~vd in
       check_solution_equal (name ^ " run-to-run") a b;
       check_trace_shape name a;
       check_monotone_tail name a)
@@ -144,13 +144,11 @@ let test_sequential_vs_parallel () =
   skip_under_scf_faults ();
   List.iter
     (fun (name, p, _) ->
-      let seq = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
-      check_solution_equal (name ^ " seq-vs-par")
-        seq
-        (Scf.solve ~ctx:(Ctx.make ~parallel:true ()) p ~vg ~vd);
-      with_env "GNRFET_DOMAINS" "5" (fun () ->
+      let seq = at_width 1 (fun () -> Scf.solve p ~vg ~vd) in
+      check_solution_equal (name ^ " seq-vs-par") seq (Scf.solve p ~vg ~vd);
+      at_width 5 (fun () ->
           check_solution_equal (name ^ " seq-vs-par domains=5") seq
-            (Scf.solve ~ctx:(Ctx.make ~parallel:true ()) p ~vg ~vd)))
+            (Scf.solve p ~vg ~vd)))
     golden_cases
 
 let test_against_golden_files () =
@@ -158,7 +156,7 @@ let test_against_golden_files () =
   List.iter
     (fun (name, p, path) ->
       let g = parse_golden path in
-      let s = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg ~vd in
+      let s = Scf.solve p ~vg ~vd in
       Alcotest.(check int) (name ^ ": golden iteration count") g.g_iterations
         s.Scf.iterations;
       Alcotest.(check int)

@@ -9,7 +9,6 @@ let () =
       ("physics+gnr", Test_gnr.suite);
       ("negf", Test_negf.suite);
       ("poisson", Test_poisson.suite);
-      ("ctx", Test_ctx.suite);
       ("device", Test_device.suite);
       ("device:tbl-format", Test_tbl_format.suite);
       ("device:golden-trace", Test_golden_trace.suite);

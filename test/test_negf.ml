@@ -227,36 +227,34 @@ let exact_array name a b =
 (* The determinism contract: the parallel energy loop must reproduce the
    sequential path exactly (not approximately), for any worker count. *)
 
-let seq = Ctx.make ~parallel:false ()
-
-let par = Ctx.make ~parallel:true ()
-
 let test_site_charge_parallel_exact () =
   let chain = flat_chain ~n:20 () in
   let egrid = Observables.energy_grid ~lo:(-3.4) ~hi:3.4 ~de:0.01 in
   let midgap = (chain 0.).Rgf.onsite in
-  let q_seq = Observables.site_charge ~ctx:seq ~bias ~egrid ~midgap chain in
-  let q_par = Observables.site_charge ~ctx:par ~bias ~egrid ~midgap chain in
+  let q_seq =
+    at_width 1 (fun () -> Observables.site_charge ~bias ~egrid ~midgap chain)
+  in
+  let q_par = Observables.site_charge ~bias ~egrid ~midgap chain in
   exact_array "site_charge parallel vs sequential" q_seq q_par;
   List.iter
     (fun d ->
-      with_env "GNRFET_DOMAINS" (string_of_int d) (fun () ->
-          let q = Observables.site_charge ~ctx:par ~bias ~egrid ~midgap chain in
+      at_width d (fun () ->
+          let q = Observables.site_charge ~bias ~egrid ~midgap chain in
           exact_array (Printf.sprintf "site_charge GNRFET_DOMAINS=%d" d) q_seq q))
-    [ 1; 3; 7 ]
+    [ 3; 7 ]
 
 let test_current_parallel_exact () =
   let chain = flat_chain ~n:20 () in
   let egrid = Observables.energy_grid ~lo:(-0.7) ~hi:0.4 ~de:0.004 in
-  let i_seq = Observables.current ~ctx:seq ~bias ~egrid chain in
+  let i_seq = at_width 1 (fun () -> Observables.current ~bias ~egrid chain) in
   List.iter
     (fun d ->
-      with_env "GNRFET_DOMAINS" (string_of_int d) (fun () ->
-          let i = Observables.current ~ctx:par ~bias ~egrid chain in
+      at_width d (fun () ->
+          let i = Observables.current ~bias ~egrid chain in
           Alcotest.(check bool)
             (Printf.sprintf "current bit-for-bit under %d domains" d)
             true (i = i_seq)))
-    [ 1; 4 ]
+    [ 2; 4 ]
 
 let test_spectra_into_matches_spectra () =
   let chain = flat_chain ~n:14 () in
@@ -601,7 +599,7 @@ let test_spectra_matches_sequential_oracle () =
    (less its instrumentation, and with the two-pass kernel above as its
    spectra): one sweep per sample, the chunk's first sample swept again
    by every chunk, and a separate accumulate pass per interval. *)
-let site_charge_oracle ~eta ~ctx ~bias ~egrid ~midgap chain_at =
+let site_charge_oracle ~eta ~bias ~egrid ~midgap chain_at =
   let { Observables.mu_s; mu_d; kt } = bias in
   let chain0 = chain_at egrid.(0) in
   let n = Array.length chain0.Rgf.onsite in
@@ -619,7 +617,6 @@ let site_charge_oracle ~eta ~ctx ~bias ~egrid ~midgap chain_at =
   in
   let electrons, holes =
     Parallel.map_reduce
-      ?domains:(if ctx.Ctx.parallel then None else Some 1)
       ~n:(Array.length egrid - 1)
       ~worker:(fun _ -> (ref (Array.make n 0.), ref (Array.make n 0.)))
       ~body:(fun (s_prev, s_cur) ~lo ~hi ->
@@ -653,7 +650,6 @@ let bits a = Array.map Int64.bits_of_float a
 
 let test_site_charge_matches_oracle () =
   let eta = 1.5e-3 in
-  let sequential = Ctx.sequential Ctx.default in
   (* An energy-dependent chain (sigma moves with E), and a fixed chain
      whose potential, and so mid-gap, slopes along the channel so the
      electron/hole split moves from site to site. *)
@@ -669,24 +665,25 @@ let test_site_charge_matches_oracle () =
         (fun intervals ->
           let egrid = Vec.linspace (-1.3) 1.1 (intervals + 1) in
           let name = Printf.sprintf "%s, %d intervals" label intervals in
-          let expected =
-            site_charge_oracle ~eta ~ctx:sequential ~bias ~egrid ~midgap chain_at
+          let expected = site_charge_oracle ~eta ~bias ~egrid ~midgap chain_at in
+          let q =
+            at_width 1 (fun () ->
+                Observables.site_charge ~eta ~bias ~egrid ~midgap chain_at)
           in
-          let q = Observables.site_charge ~eta ~ctx:sequential ~bias ~egrid ~midgap chain_at in
           Alcotest.(check (array int64)) (name ^ ", sequential") (bits expected) (bits q);
-          with_env "GNRFET_DOMAINS" "3" (fun () ->
-              let q = Observables.site_charge ~eta ~ctx:par ~bias ~egrid ~midgap chain_at in
+          at_width 3 (fun () ->
+              let q = Observables.site_charge ~eta ~bias ~egrid ~midgap chain_at in
               Alcotest.(check (array int64))
                 (name ^ ", GNRFET_DOMAINS=3") (bits expected) (bits q)))
         [ 1; 2; 3; 15; 16; 17; 32; 33; 201 ])
     cases;
-  (* One sweep per grid sample on one worker: each chunk reuses the
-     sample its predecessor ended on. *)
   let egrid = Vec.linspace (-1.3) 1.1 202 in
   let charge () =
     ignore
-      (Observables.site_charge ~eta ~ctx:sequential ~bias ~egrid ~midgap:slope
-         (fun _ -> fixed))
+      (Observables.site_charge ~eta ~bias ~egrid ~midgap:slope (fun _ -> fixed))
+  in
+  let current () =
+    ignore (Observables.current ~eta ~bias ~egrid (fun _ -> fixed) : float)
   in
   let old = Obs.enabled Obs.global in
   Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
@@ -697,31 +694,30 @@ let test_site_charge_matches_oracle () =
     f ();
     Obs.counter_value counter - before
   in
-  Alcotest.(check int) "rgf.spectra_energies per call" ne (adds "rgf.spectra_energies" charge);
-  let current ctx () =
-    ignore (Observables.current ~eta ~ctx ~bias ~egrid (fun _ -> fixed) : float)
-  in
-  Alcotest.(check int) "rgf.transmission_energies per call" ne
-    (adds "rgf.transmission_energies" (current sequential));
+  (* One sweep per grid sample on one worker: each chunk reuses the
+     sample its predecessor ended on. *)
+  at_width 1 (fun () ->
+      Alcotest.(check int) "rgf.spectra_energies per call" ne
+        (adds "rgf.spectra_energies" charge);
+      Alcotest.(check int) "rgf.transmission_energies per call" ne
+        (adds "rgf.transmission_energies" current));
   (* At width 3 each slot sweeps its first chunk's start again, so the
      count is [ne + 2] on every call, whatever the schedule. *)
-  with_env "GNRFET_DOMAINS" "3" (fun () ->
+  at_width 3 (fun () ->
       for call = 1 to 2 do
         Alcotest.(check int)
           (Printf.sprintf "rgf.spectra_energies, GNRFET_DOMAINS=3, call %d" call)
           (ne + 2)
-          (adds "rgf.spectra_energies" (fun () ->
-               ignore
-                 (Observables.site_charge ~eta ~ctx:par ~bias ~egrid ~midgap:slope
-                    (fun _ -> fixed))));
+          (adds "rgf.spectra_energies" charge);
         Alcotest.(check int)
           (Printf.sprintf "rgf.transmission_energies, GNRFET_DOMAINS=3, call %d" call)
           (ne + 2)
-          (adds "rgf.transmission_energies" (current par))
+          (adds "rgf.transmission_energies" current)
       done);
   (* Allocation guard: this call measured 3,615 minor words with obs off
-     and 3,619 with it on, mostly the per-chunk accumulators and the
-     boxed Fermi factors; the bound is 4x the larger. *)
+     and 3,619 with it on at width 1, mostly the per-chunk accumulators
+     and the boxed Fermi factors; the bound is 4x the larger. *)
+  at_width 1 @@ fun () ->
   List.iter
     (fun on ->
       Obs.set_enabled Obs.global on;

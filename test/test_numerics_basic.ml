@@ -154,9 +154,10 @@ let test_mixing_anderson_converges () =
 let test_parallel_map () =
   let xs = Array.init 37 (fun i -> i) in
   let expected = Array.map (fun i -> i * i) xs in
-  let got = Parallel.map ~domains:3 (fun i -> i * i) xs in
+  let got = at_width 3 (fun () -> Parallel.map (fun i -> i * i) xs) in
   Alcotest.(check (array int)) "order preserved" expected got;
-  match Parallel.map ~domains:2 (fun i -> if i = 5 then failwith "boom" else i) xs with
+  at_width 2 @@ fun () ->
+  match Parallel.map (fun i -> if i = 5 then failwith "boom" else i) xs with
   | exception Failure msg -> Alcotest.(check string) "exn propagates" "boom" msg
   | _ -> Alcotest.fail "expected failure to propagate"
 

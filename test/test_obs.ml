@@ -197,7 +197,7 @@ let test_disabled_mode_same_cg_result () =
 let test_disabled_mode_same_scf_result () =
   skip_if_fault_armed [ "scf.charge"; "scf.poisson" ];
   let p = tiny_device () in
-  let solve () = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) p ~vg:0.3 ~vd:0.2 in
+  let solve () = Scf.solve p ~vg:0.3 ~vd:0.2 in
   let off = with_global_obs false solve in
   let on = with_global_obs true solve in
   Alcotest.(check int) "same iterations" off.Scf.iterations on.Scf.iterations;

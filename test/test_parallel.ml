@@ -2,7 +2,8 @@
    sequential path (bit-for-bit, per the determinism contract), exception
    propagation from pool workers, pool reuse across many calls, nested
    runs, the GNRFET_DOMAINS environment override, each slot's contiguous
-   chunk run, and pool domains retired when the last scope closes. *)
+   chunk run, and pool domains retired when the last scope closes.
+   Each test sets its width once with [at_width] (test/support.ml). *)
 
 open Support
 
@@ -14,14 +15,14 @@ let test_matches_sequential () =
   let expected = Array.map f input in
   Alcotest.(check (array int))
     "parallel result equals Array.map" expected
-    (Parallel.map ~domains:4 f input);
+    (at_width 4 (fun () -> Parallel.map f input));
   Alcotest.(check (array int))
     "single-domain fallback equals Array.map" expected
-    (Parallel.map ~domains:1 f input)
+    (at_width 1 (fun () -> Parallel.map f input))
 
 let test_order_preserved () =
   let input = Array.init 100 (fun i -> float_of_int i) in
-  let out = Parallel.map ~domains:3 (fun x -> 2. *. x) input in
+  let out = at_width 3 (fun () -> Parallel.map (fun x -> 2. *. x) input) in
   Array.iteri
     (fun i v -> Support.approx (Printf.sprintf "slot %d" i) (2. *. float_of_int i) v)
     out
@@ -30,7 +31,8 @@ let test_exception_propagation () =
   let input = Array.init 64 (fun i -> i) in
   Alcotest.check_raises "worker exception is re-raised in the caller" (Boom 13)
     (fun () ->
-      ignore (Parallel.map ~domains:4 (fun x -> if x = 13 then raise (Boom 13) else x) input))
+      at_width 4 (fun () ->
+          ignore (Parallel.map (fun x -> if x = 13 then raise (Boom 13) else x) input)))
 
 let test_env_override () =
   with_env "GNRFET_DOMAINS" "3" (fun () ->
@@ -58,8 +60,9 @@ let test_pool_reuse () =
   (* Many small batches in a row, each an unscoped run that spawns and
      retires its own workers; failure mode is a hang or a crash. *)
   let input = Array.init 64 (fun i -> i) in
+  at_width 4 @@ fun () ->
   for round = 1 to 100 do
-    let out = Parallel.map ~domains:4 (fun x -> x + round) input in
+    let out = Parallel.map (fun x -> x + round) input in
     Alcotest.(check int) "round result" (63 + round) out.(63)
   done
 
@@ -72,36 +75,29 @@ let harmonic_range ~lo ~hi =
 
 (* Non-associative floating-point reduction: any change of summation
    order (worker count, chunk scheduling) would change the result. *)
-let harmonic_sum ?domains ?chunk n =
-  Parallel.map_reduce ?domains ?chunk ~n
+let harmonic_sum ?chunk n =
+  Parallel.map_reduce ?chunk ~n
     ~worker:(fun _ -> ())
     ~body:(fun () ~lo ~hi -> harmonic_range ~lo ~hi)
     ~combine:( +. ) 0.
 
 let test_map_reduce_deterministic () =
-  let reference = harmonic_sum ~domains:1 9973 in
+  let reference = at_width 1 (fun () -> harmonic_sum 9973) in
   List.iter
     (fun d ->
       Alcotest.(check bool)
-        (Printf.sprintf "domains=%d bit-for-bit equal to domains=1" d)
+        (Printf.sprintf "width %d bit-for-bit equal to width 1" d)
         true
-        (harmonic_sum ~domains:d 9973 = reference))
-    [ 2; 3; 4; 8 ];
-  with_env "GNRFET_DOMAINS" "1" (fun () ->
-      Alcotest.(check bool)
-        "GNRFET_DOMAINS=1 equals explicit domains=1" true
-        (harmonic_sum 9973 = reference));
-  with_env "GNRFET_DOMAINS" "4" (fun () ->
-      Alcotest.(check bool)
-        "GNRFET_DOMAINS=4 equals domains=1" true
-        (harmonic_sum 9973 = reference))
+        (at_width d (fun () -> harmonic_sum 9973) = reference))
+    [ 2; 3; 4; 8 ]
 
 let test_map_reduce_worker_state () =
   (* Per-slot workers must be created once per slot and handed to every
      chunk that slot processes: count distinct worker states used. *)
   let created = Atomic.make 0 in
   let total =
-    Parallel.map_reduce ~domains:3 ~chunk:8 ~n:1000
+    at_width 3 @@ fun () ->
+    Parallel.map_reduce ~chunk:8 ~n:1000
       ~worker:(fun _ ->
         Atomic.incr created;
         ref 0)
@@ -116,23 +112,25 @@ let test_map_reduce_worker_state () =
     (Atomic.get created <= 3)
 
 let test_map_reduce_empty_and_small () =
+  at_width 4 @@ fun () ->
   Alcotest.(check int) "n=0 returns init" 42
-    (Parallel.map_reduce ~domains:4 ~n:0
+    (Parallel.map_reduce ~n:0
        ~worker:(fun _ -> ())
        ~body:(fun () ~lo:_ ~hi:_ -> 1)
        ~combine:( + ) 42);
   Alcotest.(check int) "n=1" 1
-    (Parallel.map_reduce ~domains:4 ~n:1
+    (Parallel.map_reduce ~n:1
        ~worker:(fun _ -> ())
        ~body:(fun () ~lo ~hi -> hi - lo)
        ~combine:( + ) 0)
 
 let test_map_reduce_exception () =
+  at_width 4 @@ fun () ->
   Alcotest.check_raises "body exception propagates through the pool"
     (Boom 99)
     (fun () ->
       ignore
-        (Parallel.map_reduce ~domains:4 ~chunk:4 ~n:256
+        (Parallel.map_reduce ~chunk:4 ~n:256
            ~worker:(fun _ -> ())
            ~body:(fun () ~lo ~hi -> if lo <= 99 && 99 < hi then raise (Boom 99) else 0)
            ~combine:( + ) 0));
@@ -140,30 +138,31 @@ let test_map_reduce_exception () =
     (Boom 1)
     (fun () ->
       ignore
-        (Parallel.map_reduce ~domains:4 ~chunk:4 ~n:256
+        (Parallel.map_reduce ~chunk:4 ~n:256
            ~worker:(fun slot -> if slot > 0 then raise (Boom 1))
            ~body:(fun () ~lo ~hi -> hi - lo)
            ~combine:( + ) 0))
 
 let test_parallel_for_covers () =
   let out = Array.make 1000 (-1) in
-  (* Chunks are disjoint index ranges of [out].  gnrlint: allow-shared *)
-  Parallel.parallel_for ~domains:5 ~n:1000 (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- i
-      done);
+  at_width 5 (fun () ->
+      (* Chunks are disjoint index ranges of [out].  gnrlint: allow-shared *)
+      Parallel.parallel_for ~n:1000 (fun ~lo ~hi ->
+          for i = lo to hi - 1 do
+            out.(i) <- i
+          done));
   Array.iteri
     (fun i v -> Alcotest.(check int) (Printf.sprintf "index %d" i) i v)
     out
 
 let test_nested_runs () =
-  (* map_reduce inside pool workers of an outer map: the inner runs must
-     complete (work helping prevents deadlock) and stay deterministic. *)
-  let reference = harmonic_sum ~domains:1 2000 in
+  (* map_reduce inside pool workers of an outer map, both at the one
+     width: the inner runs must complete (work helping prevents
+     deadlock) and stay deterministic. *)
+  let reference = at_width 1 (fun () -> harmonic_sum 2000) in
   let out =
-    Parallel.map ~domains:4
-      (fun _ -> harmonic_sum ~domains:3 2000)
-      (Array.init 8 (fun i -> i))
+    at_width 4 (fun () ->
+        Parallel.map (fun _ -> harmonic_sum 2000) (Array.init 8 (fun i -> i)))
   in
   Array.iter
     (fun v ->
@@ -176,7 +175,8 @@ let test_contiguous_runs () =
   (* Each slot conses onto its own entry.  gnrlint: allow-shared *)
   let runs = Array.make 3 [] in
   let total =
-    Parallel.map_reduce ~domains:3 ~chunk ~n
+    at_width 3 @@ fun () ->
+    Parallel.map_reduce ~chunk ~n
       ~worker:(fun slot -> slot)
       ~body:(fun slot ~lo ~hi ->
         runs.(slot) <- (lo / chunk) :: runs.(slot);
@@ -191,23 +191,24 @@ let test_contiguous_runs () =
         (List.rev runs.(slot)))
     [ (0, 41); (41, 83); (83, 125) ];
   Alcotest.(check bool)
-    "domains=3 bit-for-bit equal to domains=1" true
-    (total = harmonic_sum ~domains:1 ~chunk n)
+    "width 3 bit-for-bit equal to width 1" true
+    (total = at_width 1 (fun () -> harmonic_sum ~chunk n))
 
 let no_live_domains what =
   Alcotest.(check int) (what ^ ": no pool domain alive") 0 (Parallel.live_domains ())
 
 let test_domains_retire () =
-  ignore (harmonic_sum ~domains:3 2000 : float);
+  at_width 3 @@ fun () ->
+  ignore (harmonic_sum 2000 : float);
   no_live_domains "after an unscoped run";
   Parallel.scoped (fun () ->
-      ignore (harmonic_sum ~domains:3 2000 : float);
+      ignore (harmonic_sum 2000 : float);
       Alcotest.(check int) "a scope keeps its workers" 2 (Parallel.live_domains ());
-      ignore (harmonic_sum ~domains:3 2000 : float));
+      ignore (harmonic_sum 2000 : float));
   no_live_domains "after a scoped run";
   Alcotest.check_raises "the scope's exception propagates" (Boom 7) (fun () ->
       Parallel.scoped (fun () ->
-          ignore (harmonic_sum ~domains:3 2000 : float);
+          ignore (harmonic_sum 2000 : float);
           raise (Boom 7)));
   no_live_domains "after a scope whose body raised"
 
@@ -215,11 +216,12 @@ let test_scopes_inside_pool_tasks () =
   (* Each task opens and closes a scope on whichever domain runs it,
      pool workers included; closing it must not retire the pool under
      the outer run (a worker joining itself hangs). *)
-  let reference = harmonic_sum ~domains:1 2000 in
+  let reference = at_width 1 (fun () -> harmonic_sum 2000) in
   let out =
-    Parallel.map ~domains:2
-      (fun _ -> Parallel.scoped (fun () -> harmonic_sum ~domains:2 2000))
-      (Array.init 6 Fun.id)
+    at_width 2 (fun () ->
+        Parallel.map
+          (fun _ -> Parallel.scoped (fun () -> harmonic_sum 2000))
+          (Array.init 6 Fun.id))
   in
   Array.iter
     (fun v -> Alcotest.(check bool) "scoped reduction in a task is exact" true (v = reference))
@@ -229,16 +231,17 @@ let test_scopes_inside_pool_tasks () =
 let test_concurrent_scopes () =
   (* Two systhreads open and close scopes independently, so a scope
      often opens while the other thread's workers are being joined. *)
-  let reference = harmonic_sum ~domains:1 2000 in
+  let reference = at_width 1 (fun () -> harmonic_sum 2000) in
   let exact = Atomic.make 0 in
   let loop () =
     for _ = 1 to 50 do
-      if Parallel.scoped (fun () -> harmonic_sum ~domains:2 2000) = reference then
+      if Parallel.scoped (fun () -> harmonic_sum 2000) = reference then
         Atomic.incr exact
     done
   in
-  let threads = List.init 2 (fun _ -> Thread.create loop ()) in
-  List.iter Thread.join threads;
+  at_width 2 (fun () ->
+      let threads = List.init 2 (fun _ -> Thread.create loop ()) in
+      List.iter Thread.join threads);
   Alcotest.(check int) "every result exact" 100 (Atomic.get exact);
   no_live_domains "after both threads"
 

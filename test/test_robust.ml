@@ -112,9 +112,9 @@ let check_bit_identical label (a : Scf.solution) (b : Scf.solution) =
 
 let test_ladder_noop_on_healthy_input () =
   skip_if_fault_armed scf_sites;
-  let plain = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) tiny ~vg:0.4 ~vd:0.3 in
+  let plain = Scf.solve tiny ~vg:0.4 ~vd:0.3 in
   let o =
-    Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ()) tiny ~vg:0.4 ~vd:0.3
+    Robust.Scf.solve_robust tiny ~vg:0.4 ~vd:0.3
   in
   (match o.Scf_robust.solution with
   | Some s -> check_bit_identical "wrapped" plain s
@@ -133,7 +133,7 @@ let test_ladder_damped_restart_rung () =
   let obs = Obs.create ~enabled:true () in
   let o =
     Fault.with_spec "scf.charge#1" (fun () ->
-        Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ~obs ()) tiny
+        Robust.Scf.solve_robust ~obs tiny
           ~vg:0.4 ~vd:0.3)
   in
   (match o.Scf_robust.attempts with
@@ -161,7 +161,7 @@ let test_ladder_slow_linear_rung () =
   skip_if_fault_armed scf_sites;
   let o =
     Fault.with_spec "scf.charge#1-2" (fun () ->
-        Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ()) tiny ~vg:0.4 ~vd:0.3)
+        Robust.Scf.solve_robust tiny ~vg:0.4 ~vd:0.3)
   in
   Alcotest.(check (list bool)) "rung sequence anderson/damped/linear"
     [ true; true; true ]
@@ -177,12 +177,12 @@ let test_ladder_slow_linear_rung () =
 
 let test_ladder_neighbor_rung_and_unrecovered () =
   skip_if_fault_armed scf_sites;
-  let clean = Scf.solve ~ctx:(Ctx.make ~parallel:false ()) tiny ~vg:0.4 ~vd:0.3 in
+  let clean = Scf.solve tiny ~vg:0.4 ~vd:0.3 in
   (* Without a neighbor the same campaign exhausts the ladder... *)
   let obs = Obs.create ~enabled:true () in
   let dead =
     Fault.with_spec "scf.charge#1-3" (fun () ->
-        Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ~obs ()) tiny
+        Robust.Scf.solve_robust ~obs tiny
           ~vg:0.4 ~vd:0.3)
   in
   Alcotest.(check bool) "no solution without the neighbor rung" true
@@ -199,7 +199,7 @@ let test_ladder_neighbor_rung_and_unrecovered () =
   (* ...while a neighbor profile opens the continuation rung. *)
   let o =
     Fault.with_spec "scf.charge#1-3" (fun () ->
-        Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ())
+        Robust.Scf.solve_robust
           ~neighbor:clean.Scf.potential tiny ~vg:0.4 ~vd:0.3)
   in
   (match List.rev o.Scf_robust.attempts with
@@ -217,7 +217,7 @@ let test_ladder_escalates_on_status () =
      must run (status-driven escalation, no exception involved) and the
      outcome must surface the typed verdict with the best iterate. *)
   let o =
-    Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ()) ~max_iter:2 tiny
+    Robust.Scf.solve_robust ~max_iter:2 tiny
       ~vg:0.4 ~vd:0.3
   in
   Alcotest.(check int) "all ladder rungs attempted" 3
@@ -238,10 +238,10 @@ let test_ladder_escalates_on_status () =
 
 let test_scf_init_length_validated () =
   check_raises_invalid "Scf.solve rejects a wrong-length init" (fun () ->
-      Scf.solve ~ctx:(Ctx.make ~parallel:false ()) ~init:(Array.make 3 0.) tiny
+      Scf.solve ~init:(Array.make 3 0.) tiny
         ~vg:0.1 ~vd:0.1);
   check_raises_invalid "solve_robust propagates the caller bug" (fun () ->
-      Robust.Scf.solve_robust ~ctx:(Ctx.make ~parallel:false ())
+      Robust.Scf.solve_robust
         ~init:(Array.make 3 0.) tiny ~vg:0.1 ~vd:0.1)
 
 (* --- table-cache hardening ------------------------------------------- *)
@@ -280,9 +280,8 @@ let test_cache_corruption_matrix () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun dir ->
   let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs () in
   let read_counter name = Obs.counter_value ~obs name in
-  let t0 = Table_cache.get ~grid:micro_grid ~ctx tiny in
+  let t0 = Table_cache.get ~grid:micro_grid ~obs tiny in
   let path =
     match
       Sys.readdir dir |> Array.to_list
@@ -298,7 +297,7 @@ let test_cache_corruption_matrix () =
   in
   let expect_miss label =
     Alcotest.(check bool) (label ^ " reads as a miss") true
-      (Option.is_none (Table_cache.lookup ~grid:micro_grid ~ctx tiny))
+      (Option.is_none (Table_cache.lookup ~grid:micro_grid ~obs tiny))
   in
   (* 1. Truncated file: quarantined with the precise reason counted. *)
   write_file path (String.sub good_bytes 0 (String.length good_bytes / 2));
@@ -342,7 +341,7 @@ let test_cache_corruption_matrix () =
   (* 5. And an intact gnrtbl file still round-trips from disk. *)
   reseed ();
   let mmap_before = read_counter "table_cache.mmap_hits" in
-  match Table_cache.lookup ~grid:micro_grid ~ctx tiny with
+  match Table_cache.lookup ~grid:micro_grid ~obs tiny with
   | Some t ->
     approx "intact file round-trips" t0.Iv_table.current.(1).(1)
       t.Iv_table.current.(1).(1);
@@ -364,8 +363,7 @@ let test_cache_store_failure_counted () =
   @@ fun () ->
   Table_cache.clear_memory ();
   let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs () in
-  let t = Table_cache.get ~grid:micro_grid ~ctx tiny in
+  let t = Table_cache.get ~grid:micro_grid ~obs tiny in
   Alcotest.(check int) "table still produced" 3 (Array.length t.Iv_table.vg);
   Alcotest.(check int) "store failure counted" 1
     (Obs.counter_value ~obs "table_cache.store_failures")
@@ -381,7 +379,7 @@ let test_iv_table_quarantines_and_patches () =
      linear rung; everything after runs clean. *)
   let t =
     Fault.with_spec "scf.charge#1-8" (fun () ->
-        Iv_table.generate ~grid:micro_grid ~ctx:(Ctx.make ~parallel:false ~obs ()) tiny)
+        Iv_table.generate ~grid:micro_grid ~obs tiny)
   in
   Alcotest.(check (list (pair int int))) "quarantined points"
     [ (0, 0); (1, 0) ] t.Iv_table.failed_points;

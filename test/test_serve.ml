@@ -256,7 +256,7 @@ let test_response_roundtrip () =
 
 let make_server ?(max_generations = 2) () =
   let obs = Obs.create ~enabled:true () in
-  let config = { Serve.max_generations; ctx = Ctx.make ~obs () } in
+  let config = { Serve.max_generations; obs } in
   (Serve.create ~config (), obs)
 
 let table_line ?(id = 1) ?(params = tiny) ?(grid = micro_grid) () =

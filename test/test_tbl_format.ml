@@ -284,7 +284,6 @@ let test_corruption_matrix () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun _dir ->
   let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs () in
   let table = specials_table () in
   let key = Table_cache.key ~grid:micro_grid tiny in
   let good = Tbl_format.encode ~cache_key:key table in
@@ -304,7 +303,7 @@ let test_corruption_matrix () =
     write_file path bytes;
     Table_cache.clear_memory ();
     let q0 = Obs.counter_value ~obs "table_cache.corrupt_quarantined" in
-    (match Table_cache.probe_disk ~grid:micro_grid ~ctx tiny with
+    (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
     | Table_cache.Corrupt reason ->
       if reason <> expected then
         Alcotest.failf "%s: probe_disk expected %s, got %s" label
@@ -320,7 +319,7 @@ let test_corruption_matrix () =
     if Sys.file_exists (path ^ ".corrupt") then Sys.remove (path ^ ".corrupt");
     (* lookup never raises and degrades to a miss (file already gone). *)
     Table_cache.clear_memory ();
-    match Table_cache.lookup ~grid:micro_grid ~ctx tiny with
+    match Table_cache.lookup ~grid:micro_grid ~obs tiny with
     | None -> ()
     | Some _ -> Alcotest.failf "%s: lookup returned a table" label
     | exception e ->
@@ -376,7 +375,7 @@ let test_corruption_matrix () =
     (* The intact bytes still read back, exactly. *)
     write_file path good;
     Table_cache.clear_memory ();
-    match Table_cache.lookup ~grid:micro_grid ~ctx tiny with
+    match Table_cache.lookup ~grid:micro_grid ~obs tiny with
     | Some t -> check_table_bits "post-fuzz intact read" table t
     | None -> Alcotest.fail "intact file must read back after the fuzz run"
   in
@@ -556,7 +555,6 @@ let test_quarantine_rename_failure_counted () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun _dir ->
   let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs () in
   let key = Table_cache.key ~grid:micro_grid tiny in
   let path = Table_cache.gnrtbl_path key in
   write_file path (String.make 96 'x');
@@ -564,7 +562,7 @@ let test_quarantine_rename_failure_counted () =
      even for root, so this pins the quarantine-rename failure path
      without needing an unwritable cache directory. *)
   Sys.mkdir (path ^ ".corrupt") 0o755;
-  (match Table_cache.lookup ~grid:micro_grid ~ctx tiny with
+  (match Table_cache.lookup ~grid:micro_grid ~obs tiny with
   | None -> ()
   | Some _ -> Alcotest.fail "corrupt file must read as a miss"
   | exception e ->
@@ -584,16 +582,15 @@ let test_probe_disk_outcomes () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun _dir ->
   let obs = Obs.create ~enabled:true () in
-  let ctx = Ctx.make ~obs () in
   let key = Table_cache.key ~grid:micro_grid tiny in
   let table = specials_table () in
   let is_absent = function Table_cache.Absent -> true | _ -> false in
   Alcotest.(check bool) "no file -> Absent" true
-    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~ctx tiny));
+    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~obs tiny));
   (* gnrtbl stored under a different cache key -> Stale, untouched. *)
   write_file (Table_cache.gnrtbl_path key)
     (Tbl_format.encode ~cache_key:"some-other-key" table);
-  (match Table_cache.probe_disk ~grid:micro_grid ~ctx tiny with
+  (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
   | Table_cache.Stale -> ()
   | _ -> Alcotest.fail "wrong-key gnrtbl must probe as Stale");
   Alcotest.(check bool) "stale file left in place" true
@@ -601,7 +598,7 @@ let test_probe_disk_outcomes () =
   (* Correct key -> Table, bit-exact. *)
   write_file (Table_cache.gnrtbl_path key)
     (Tbl_format.encode ~cache_key:key table);
-  (match Table_cache.probe_disk ~grid:micro_grid ~ctx tiny with
+  (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
   | Table_cache.Table t -> check_table_bits "probe Table" table t
   | _ -> Alcotest.fail "matching gnrtbl must probe as Table");
   (* A pre-gnrtbl Marshal [<digest>.table] next to a missing gnrtbl is
@@ -614,7 +611,7 @@ let test_probe_disk_outcomes () =
   Marshal.to_channel oc (key, table) [];
   close_out oc;
   Alcotest.(check bool) "Marshal file -> Absent" true
-    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~ctx tiny));
+    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~obs tiny));
   Alcotest.(check bool) "Marshal file left in place" true
     (Sys.file_exists marshal_path);
   let corrupt_counts =
