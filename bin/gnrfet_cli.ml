@@ -405,23 +405,23 @@ let robust_report_cmd =
           ~doc:"Also emit the full obs snapshot as JSON after the report.")
   in
   let rung_name = function
-    | Robust.Scf.Anderson -> "anderson"
-    | Robust.Scf.Damped_restart -> "damped-restart"
-    | Robust.Scf.Linear_slow -> "linear-slow"
-    | Robust.Scf.Neighbor_continuation -> "neighbor"
+    | Scf_robust.Anderson -> "anderson"
+    | Scf_robust.Damped_restart -> "damped-restart"
+    | Scf_robust.Linear_slow -> "linear-slow"
+    | Scf_robust.Neighbor_continuation -> "neighbor"
   in
   let run index fault json =
     (match fault with
-    | Some "" -> Robust.Fault.disarm ()
+    | Some "" -> Fault.disarm ()
     | Some spec -> begin
-      match Robust.Fault.arm spec with
+      match Fault.arm spec with
       | () -> ()
       | exception Invalid_argument msg ->
         prerr_endline msg;
         exit 1
     end
     | None ->
-      if not (Robust.Fault.active ()) then Robust.Fault.arm "scf.charge#1:1");
+      if not (Fault.active ()) then Fault.arm "scf.charge#1:1");
     (* Same reduced device as obs-report: a short warm-started sweep
        through the escalation ladder, with the last converged point
        offered as the neighbor-continuation rung. *)
@@ -437,11 +437,11 @@ let robust_report_cmd =
     Array.iter
       (fun vg ->
         let o =
-          Robust.Scf.solve_robust ?init:!init ?neighbor:!neighbor p ~vg ~vd:0.3
+          Scf_robust.solve_robust ?init:!init ?neighbor:!neighbor p ~vg ~vd:0.3
         in
         let attempts =
           List.map
-            (fun (a : Robust.Scf.attempt) ->
+            (fun (a : Scf_robust.attempt) ->
               match (a.status, a.error) with
               | Some Scf.Converged, _ ->
                 Printf.sprintf "%s: converged in %d" (rung_name a.rung)
@@ -452,10 +452,10 @@ let robust_report_cmd =
               | None, err ->
                 Printf.sprintf "%s: raised %s" (rung_name a.rung)
                   (Option.value err ~default:"?"))
-            o.Robust.Scf.attempts
+            o.Scf_robust.attempts
         in
         Printf.printf "vg=%.2f  %s\n%!" vg (String.concat " -> " attempts);
-        match o.Robust.Scf.solution with
+        match o.Scf_robust.solution with
         | Some s ->
           init := Some s.Scf.potential;
           if s.Scf.status = Scf.Converged then neighbor := Some s.Scf.potential

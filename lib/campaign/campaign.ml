@@ -299,8 +299,6 @@ let evaluate_sample (exec : executor) spec s =
 
 let quarantine_reason = function
   | Robust_error.Error e -> Robust_error.to_string e
-  | Fault.Injected { site; hit } ->
-    Printf.sprintf "injected fault at site %s (hit %d)" site hit
   | e -> Printexc.to_string e
 
 (* ------------------------------------------------------------------ *)

@@ -10,14 +10,12 @@ let fault_sample = Fault.site "montecarlo.sample"
 let c_quarantined = Obs.Counter.make "robust.mc.quarantined"
 
 (* The one definition of "this sample failed for a reason the study can
-   survive": typed solver errors, injected faults, solver [Failure]s
-   and the numerics-layer exceptions.  The campaign engine
-   (lib/campaign) quarantines on exactly the same predicate so the two
-   statistical layers cannot drift apart. *)
+   survive": typed solver errors (injected faults among them) and
+   solver [Failure]s.  The campaign engine (lib/campaign) quarantines on
+   exactly the same predicate so the two statistical layers cannot
+   drift apart. *)
 let quarantineable = function
-  | Robust_error.Error _ | Sparse.No_convergence _ | Fault.Injected _
-  | Failure _ | Numerics_error.Singular _ | Numerics_error.Stalled _ ->
-    true
+  | Robust_error.Error _ | Failure _ -> true
   | _ -> false
 
 (* The nine per-FET variants of the study. *)

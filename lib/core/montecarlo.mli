@@ -29,12 +29,11 @@ type result = {
 
 val quarantineable : exn -> bool
 (** True for the exceptions a statistical study survives by dropping
-    the sample: [Robust_error.Error], [Sparse.No_convergence],
-    [Fault.Injected], [Failure] and the numerics-layer
-    [Singular]/[Stalled].  Shared by {!run_with} and the campaign
-    engine (lib/campaign) so the two quarantine policies stay
-    identical; anything else (out-of-memory, programming errors)
-    propagates. *)
+    the sample: [Robust_error.Error] (singular solves, non-converged
+    iterations and injected faults among them) and [Failure].  Shared
+    by {!run_with} and the campaign engine (lib/campaign) so the two
+    quarantine policies stay identical; anything else (out-of-memory,
+    programming errors) propagates. *)
 
 val run : ?samples:int -> ?seed:int -> unit -> result
 (** A 15-stage ring at operating point B; defaults 2000 samples, seed

@@ -30,7 +30,7 @@ type status =
   | Max_iter  (** the iteration cap interrupted a still-improving run *)
       (** Typed convergence verdict, so sweeps can react to an
           unconverged point instead of silently keeping the best
-          iterate.  [Robust.Scf.solve_robust] escalates non-[Converged]
+          iterate.  [Scf_robust.solve_robust] escalates non-[Converged]
           points up a recovery ladder; see docs/ROBUST.md. *)
 
 type solution = {

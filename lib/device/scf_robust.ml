@@ -89,9 +89,12 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
               error = None;
             },
             s.status = Scf.Converged )
-        | exception ((Fault.Injected _ | Sparse.No_convergence _ | Failure _
-                     | Numerics_error.Singular _ | Numerics_error.Stalled _)
-                     as e) ->
+        | exception
+            (( Robust_error.Error
+                 ( Robust_error.Singular _
+                 | Robust_error.Iterative_no_convergence _
+                 | Robust_error.Injected_fault _ )
+             | Failure _ ) as e) ->
           ( {
               rung;
               status = None;
@@ -114,36 +117,3 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
   if recovered then Obs.Counter.incr c_recovered;
   if not converged then Obs.Counter.incr c_unrecovered;
   { solution = !best; attempts; recovered }
-
-let error_of_outcome = function
-  | { solution = Some s; _ } when s.Scf.status = Scf.Converged -> None
-  | { solution = Some s; _ } ->
-    let payload =
-      match s.Scf.status with
-      | Scf.Stalled ->
-        Robust_error.Scf_stalled
-          {
-            vg = s.Scf.vg;
-            vd = s.Scf.vd;
-            iterations = s.Scf.iterations;
-            residual = s.Scf.residual;
-          }
-      | Scf.Max_iter | Scf.Converged ->
-        Robust_error.Scf_max_iter
-          {
-            vg = s.Scf.vg;
-            vd = s.Scf.vd;
-            iterations = s.Scf.iterations;
-            residual = s.Scf.residual;
-          }
-    in
-    Some payload
-  | { solution = None; attempts; _ } ->
-    let detail =
-      match List.rev attempts with
-      | { error = Some e; _ } :: _ -> e
-      | _ -> "no attempt ran"
-    in
-    Some
-      (Robust_error.Unrecovered
-         { stage = "scf"; attempts = List.length attempts; detail })

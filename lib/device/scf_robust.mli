@@ -1,10 +1,9 @@
-(** Escalation-ladder recovery for SCF bias points (re-exported as
-    [Robust.Scf]).
+(** Escalation-ladder recovery for SCF bias points.
 
     A point that {!Scf.solve} cannot converge — or that dies in a raised
-    solver failure (injected fault, linear-solver breakdown, pivot
-    [Failure]) — is retried up a fixed ladder of increasingly
-    conservative configurations:
+    solver failure (singular pivot, non-converged iteration, injected
+    fault, solver [Failure]) — is retried up a fixed ladder of
+    increasingly conservative configurations:
 
     + {b Anderson} — the exact plain [Scf.solve] call (bit-for-bit
       identical to calling [Scf.solve] directly when it converges, so
@@ -59,12 +58,7 @@ val solve_robust :
 (** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter]/[obs] default
     exactly as in {!Scf.solve} (the first rung {e is} that call, with
     the optional knobs forwarded as given); [obs] also receives the
-    ladder counters.  Raised failures ([Fault.Injected],
-    [Sparse.No_convergence], solver [Failure]) are recorded per attempt
-    and trigger the next rung; [Invalid_argument] (caller bugs)
-    propagates. *)
-
-val error_of_outcome : outcome -> Robust_error.t option
-(** [None] when the outcome converged; otherwise the typed failure for
-    the best attempt ([Scf_stalled]/[Scf_max_iter]) or [Unrecovered]
-    when every attempt raised. *)
+    ladder counters.  Raised failures ([Robust_error.Error] carrying
+    [Singular], [Iterative_no_convergence] or [Injected_fault], and
+    solver [Failure]) are recorded per attempt and trigger the next
+    rung; [Invalid_argument] (caller bugs) propagates. *)

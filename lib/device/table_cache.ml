@@ -70,7 +70,8 @@ let probe_key ?obs key =
     | exception Robust_error.Error (Robust_error.Cache_corrupt { reason; _ }) ->
       quarantine ?obs path reason;
       Corrupt reason
-    | exception Fault.Injected { site; hit } ->
+    | exception Robust_error.Error (Robust_error.Injected_fault { site; hit })
+      ->
       let reason = injected_reason site hit in
       quarantine ?obs path reason;
       Corrupt reason

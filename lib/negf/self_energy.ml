@@ -45,8 +45,8 @@ let sancho_rubio ?(eta = 1e-6) ?(tol = 1e-12) ?(max_iter = 200) ~h00 ~h01 e =
       Cmatrix.inverse (Cmatrix.sub energy eps_s)
     end
     else if k >= max_iter then
-      raise
-        (Numerics_error.Stalled
+      Robust_error.raise_
+        (Robust_error.Iterative_no_convergence
            { solver = "Self_energy.sancho_rubio"; iterations = k; residual })
     else begin
       let g = Cmatrix.inverse (Cmatrix.sub energy eps) in

@@ -29,7 +29,8 @@ val sancho_rubio :
     Sancho–Rubio decimation on {!Cmatrix} (one inverse and six
     multiplies per iteration); the lead self-energy is
     [h01† · g_s · h01].  Convergence when the decimated coupling's
-    largest entry drops below [tol]; raises {!Numerics_error.Stalled}
-    after [max_iter] iterations.  Reports [self_energy.sancho_calls] /
+    largest entry drops below [tol]; raises
+    [Robust_error.Error (Iterative_no_convergence _)] after [max_iter]
+    iterations.  Reports [self_energy.sancho_calls] /
     [self_energy.sancho_iterations] and a per-call timer into
     {!Obs.global} (docs/OBS.md). *)

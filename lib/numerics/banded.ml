@@ -40,8 +40,12 @@ let factorize t =
   for k = 0 to n - 1 do
     let pivot = raw_get t k k in
     if Float.abs pivot < Tol.pivot then
-      Numerics_error.singular ~solver:"Banded.factorize"
-        ~detail:(Printf.sprintf "zero pivot at row %d" k);
+      Robust_error.raise_
+        (Robust_error.Singular
+           {
+             solver = "Banded.factorize";
+             detail = Printf.sprintf "zero pivot at row %d" k;
+           });
     let imax = min (n - 1) (k + kl) in
     for i = k + 1 to imax do
       let factor = raw_get t i k /. pivot in
@@ -102,8 +106,3 @@ let solve_tail t x ~from =
 let forward_in_place t x =
   check_solve t "Banded.forward_in_place" (Array.length x);
   forward t x ~from:0
-
-let solve_fresh t b =
-  let c = { t with data = Array.copy t.data; factorized = false } in
-  factorize c;
-  solve c b

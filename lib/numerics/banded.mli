@@ -22,8 +22,9 @@ val get : t -> int -> int -> float
 (** Reads [A(i,j)]; elements outside the band read as [0.]. *)
 
 val factorize : t -> unit
-(** In-place LU without pivoting; raises [Failure] on a tiny pivot. After
-    factorization [set]/[add_to] must not be used. *)
+(** In-place LU without pivoting; raises [Robust_error.Error (Singular _)]
+    on a tiny pivot. After factorization [set]/[add_to] must not be
+    used. *)
 
 val solve : t -> float array -> float array
 (** Solve with a previously {!factorize}d matrix. *)
@@ -41,6 +42,3 @@ val solve_tail : t -> float array -> from:int -> unit
     below [from] are left as they were.  A right-hand side that differs
     from a previously swept one only at and after row [from] thus
     re-solves in the cost of the rows from [from] on. *)
-
-val solve_fresh : t -> float array -> float array
-(** Copy, factorize and solve — keeps [t] reusable for re-assembly. *)

@@ -101,8 +101,12 @@ let gauss_jordan m bre bim bcols =
       end
     done;
     if !best < Tol.pivot_norm2 then
-      Numerics_error.singular ~solver:"Cmatrix.solve"
-        ~detail:(Printf.sprintf "singular matrix (pivot column %d)" k);
+      Robust_error.raise_
+        (Robust_error.Singular
+           {
+             solver = "Cmatrix.solve";
+             detail = Printf.sprintf "singular matrix (pivot column %d)" k;
+           });
     if !pivot <> k then begin
       swap_rows are k !pivot n;
       swap_rows aim k !pivot n;

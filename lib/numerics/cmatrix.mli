@@ -32,7 +32,9 @@ val adjoint : t -> t
 (** Conjugate transpose. *)
 
 val inverse : t -> t
-(** Gauss–Jordan with partial pivoting; raises [Failure] when singular. *)
+(** Gauss–Jordan with partial pivoting; raises
+    [Robust_error.Error (Singular _)] (solver ["Cmatrix.solve"]) when
+    singular. *)
 
 val solve : t -> Complex.t array -> Complex.t array
 

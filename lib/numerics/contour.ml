@@ -93,16 +93,3 @@ let chain segments =
 
 let extract ~xs ~ys ~values ~level =
   chain (all_segments ~xs ~ys ~values ~level)
-
-let interior_points ~xs ~ys ~values ~level =
-  List.concat_map (fun (a, b) -> [ a; b ]) (all_segments ~xs ~ys ~values ~level)
-
-let minimize_on_contour ~xs ~ys ~values ~level ~objective =
-  let points = interior_points ~xs ~ys ~values ~level in
-  List.fold_left
-    (fun best p ->
-      let v = objective p.x p.y in
-      match best with
-      | Some (_, bv) when bv <= v -> best
-      | _ -> Some (p, v))
-    None points

@@ -14,18 +14,3 @@ val extract :
     field [values.(i).(j)] at [(xs.(i), ys.(j))].  Segments from each grid
     cell are chained into polylines; open contours terminate at the grid
     boundary. *)
-
-val interior_points :
-  xs:float array -> ys:float array -> values:float array array -> level:float -> point list
-(** Flat list of all contour crossing points (cheaper than chaining when only
-    point-on-contour queries are needed). *)
-
-val minimize_on_contour :
-  xs:float array ->
-  ys:float array ->
-  values:float array array ->
-  level:float ->
-  objective:(float -> float -> float) ->
-  (point * float) option
-(** Point on the level set minimizing [objective x y], or [None] when the
-    level set is empty. *)

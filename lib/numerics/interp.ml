@@ -19,22 +19,18 @@ let segment xs x =
     !lo
   end
 
-let linear_core ~clamp ~xs ~ys x =
+let linear ~xs ~ys x =
   check_axis "Interp.linear" xs 2;
   if Array.length xs <> Array.length ys then
     invalid_arg "Interp.linear: length mismatch";
   let n = Array.length xs in
-  if clamp && x <= xs.(0) then ys.(0)
-  else if clamp && x >= xs.(n - 1) then ys.(n - 1)
+  if x <= xs.(0) then ys.(0)
+  else if x >= xs.(n - 1) then ys.(n - 1)
   else begin
     let i = segment xs x in
     let t = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
     ((1. -. t) *. ys.(i)) +. (t *. ys.(i + 1))
   end
-
-let linear ~xs ~ys x = linear_core ~clamp:true ~xs ~ys x
-
-let linear_extrapolate ~xs ~ys x = linear_core ~clamp:false ~xs ~ys x
 
 type spline = {
   sx : float array;

@@ -5,10 +5,6 @@ val linear : xs:float array -> ys:float array -> float -> float
 (** Piecewise-linear interpolation; clamps to the end values outside the
     table. [xs] must be strictly increasing with at least two points. *)
 
-val linear_extrapolate : xs:float array -> ys:float array -> float -> float
-(** Like {!linear} but extrapolates linearly beyond the table ends using the
-    first/last segment slope. *)
-
 type spline
 (** Natural cubic spline. *)
 

@@ -81,8 +81,12 @@ let lu_factor_in_place n a piv =
       end
     done;
     if !best < Tol.pivot then
-      Numerics_error.singular ~solver:"Matrix.lu_factor"
-        ~detail:(Printf.sprintf "singular matrix (pivot column %d)" k);
+      Robust_error.raise_
+        (Robust_error.Singular
+           {
+             solver = "Matrix.lu_factor";
+             detail = Printf.sprintf "singular matrix (pivot column %d)" k;
+           });
     if !pivot <> k then begin
       let p = !pivot in
       for j = 0 to n - 1 do
@@ -137,19 +141,5 @@ let lu_solve { n; lu_data; piv } b =
   x
 
 let solve a b = lu_solve (lu_factor a) b
-
-let inverse m =
-  let f = lu_factor m in
-  let n = m.rows in
-  let out = create n n in
-  for j = 0 to n - 1 do
-    let e = Array.make n 0. in
-    e.(j) <- 1.;
-    let col = lu_solve f e in
-    for i = 0 to n - 1 do
-      set out i j col.(i)
-    done
-  done;
-  out
 
 let max_abs m = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. m.data

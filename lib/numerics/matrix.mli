@@ -36,8 +36,9 @@ type lu
 (** LU factorization with partial pivoting. *)
 
 val lu_factor : t -> lu
-(** Raises [Numerics_error.Singular] (solver ["Matrix.lu_factor"]) on
-    (numerically) singular input. The input matrix is not modified. *)
+(** Raises [Robust_error.Error (Singular _)] (solver
+    ["Matrix.lu_factor"]) on (numerically) singular input. The input
+    matrix is not modified. *)
 
 val lu_solve : lu -> float array -> float array
 
@@ -56,7 +57,5 @@ val lu_solve_in_place : int -> float array -> float array -> unit
 
 val solve : t -> float array -> float array
 (** One-shot [lu_solve (lu_factor a) b]. *)
-
-val inverse : t -> t
 
 val max_abs : t -> float

@@ -20,8 +20,6 @@ let reset t =
   t.xs <- [];
   t.rs <- []
 
-let residual ~x ~gx = Vec.max_abs_diff gx x
-
 let take n xs =
   let rec go n = function
     | [] -> []
@@ -49,7 +47,8 @@ let anderson_step ~history ~alpha t x r =
     let a = Matrix.init n m (fun i j -> (List.nth older_r j).(i) -. r0.(i)) in
     let gamma =
       try Lstsq.solve a (Array.map (fun v -> -.v) r0)
-      with Failure _ | Numerics_error.Singular _ -> Array.make m 0.
+      with Failure _ | Robust_error.Error (Robust_error.Singular _) ->
+        Array.make m 0.
     in
     let xmix = Array.copy x and rmix = Array.copy r in
     List.iteri

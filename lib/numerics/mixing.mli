@@ -20,6 +20,3 @@ val step : t -> x:float array -> gx:float array -> float array
 
 val reset : t -> unit
 (** Drop accumulated history (e.g. when restarting at a new bias point). *)
-
-val residual : x:float array -> gx:float array -> float
-(** Convenience: max-norm of [gx - x]. *)

@@ -249,13 +249,6 @@ let map_reduce ?(chunk = default_chunk) ~n ~worker ~body ~combine init =
     !acc
   end
 
-let parallel_for ?chunk ~n body =
-  map_reduce ?chunk ~n
-    ~worker:(fun _ -> ())
-    ~body:(fun () ~lo ~hi -> body ~lo ~hi)
-    ~combine:(fun () () -> ())
-    ()
-
 let map f inputs =
   let n = Array.length inputs in
   let slots = min (num_domains ()) n in

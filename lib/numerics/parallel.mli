@@ -89,8 +89,3 @@ val map_reduce :
     exactly once).  Exceptions raised by [worker], [body] or [combine]
     are re-raised in the caller once all slots have drained.  [n <= 0]
     returns [init]. *)
-
-val parallel_for : ?chunk:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** [parallel_for ~n body] runs [body ~lo ~hi] over the chunked
-    partition of [0, n) that {!map_reduce} uses.  The chunks are disjoint, so bodies writing to disjoint
-    index ranges of a shared array need no further synchronisation. *)

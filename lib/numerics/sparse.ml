@@ -62,17 +62,6 @@ let diagonal m =
   done;
   d
 
-exception No_convergence of { solver : string; iterations : int; residual : float }
-
-let () =
-  Printexc.register_printer (function
-    | No_convergence { solver; iterations; residual } ->
-      Some
-        (Printf.sprintf
-           "Sparse.No_convergence(%s: %d iterations, relative residual %.3e)"
-           solver iterations residual)
-    | _ -> None)
-
 let cg_calls = Obs.Counter.make "sparse.cg.calls"
 let cg_iters = Obs.Counter.make "sparse.cg.iterations"
 let cg_failures = Obs.Counter.make "sparse.cg.no_convergence"
@@ -82,9 +71,10 @@ let sor_iters = Obs.Counter.make "sparse.sor.iterations"
 let sor_failures = Obs.Counter.make "sparse.sor.no_convergence"
 
 (* Fault-injection site (docs/ROBUST.md): an armed campaign can make a cg
-   call fail before iterating, as the typed No_convergence its callers
-   already handle, so recovery ladders (poisson3d retry/SOR fallback) are
-   exercisable deterministically.  A single branch when disarmed. *)
+   call fail before iterating, as the typed Iterative_no_convergence its
+   callers already handle, so recovery ladders (poisson3d retry/SOR
+   fallback) are exercisable deterministically.  A single branch when
+   disarmed. *)
 let fault_cg = Fault.site "sparse.cg"
 
 let cg ?max_iter ?(tol = 1e-10) ?x0 m b =
@@ -93,7 +83,9 @@ let cg ?max_iter ?(tol = 1e-10) ?x0 m b =
   if Fault.should_fail fault_cg then begin
     Obs.Counter.incr cg_calls;
     Obs.Counter.incr cg_failures;
-    raise (No_convergence { solver = "cg"; iterations = 0; residual = infinity })
+    Robust_error.raise_
+      (Robust_error.Iterative_no_convergence
+         { solver = "cg"; iterations = 0; residual = infinity })
   end;
   let x = match x0 with Some v -> Array.copy v | None -> Array.make n 0. in
   let d = diagonal m in
@@ -116,8 +108,8 @@ let cg ?max_iter ?(tol = 1e-10) ?x0 m b =
     else if it >= max_iter then begin
       finish it;
       Obs.Counter.incr cg_failures;
-      raise
-        (No_convergence
+      Robust_error.raise_
+        (Robust_error.Iterative_no_convergence
            { solver = "cg"; iterations = it; residual = Vec.norm2 r /. bnorm })
     end
     else begin
@@ -153,8 +145,8 @@ let sor ?(omega = 1.7) ?max_iter ?(tol = 1e-10) ?x0 m b =
     else if it >= max_iter then begin
       Obs.Counter.add sor_iters it;
       Obs.Counter.incr sor_failures;
-      raise
-        (No_convergence
+      Robust_error.raise_
+        (Robust_error.Iterative_no_convergence
            { solver = "sor"; iterations = it; residual = residual_norm () })
     end
     else begin

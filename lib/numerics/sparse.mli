@@ -28,14 +28,6 @@ val mul_vec : t -> float array -> float array
 val diagonal : t -> float array
 (** Diagonal entries (0. where absent). *)
 
-exception No_convergence of { solver : string; iterations : int; residual : float }
-(** Raised by {!cg} and {!sor} when the iteration cap is reached:
-    [solver] is ["cg"] or ["sor"], [iterations] the count performed and
-    [residual] the relative residual at that point.  Typed so SCF
-    drivers can catch and recover (relax the tolerance, switch solver)
-    without string matching; a printer is registered with
-    [Printexc]. *)
-
 val cg :
   ?max_iter:int ->
   ?tol:float ->
@@ -45,10 +37,14 @@ val cg :
   float array * int
 (** Jacobi-preconditioned conjugate gradient for symmetric positive-definite
     systems. Returns the solution and iterations used; raises
-    {!No_convergence} if the tolerance (relative residual, default
-    [1e-10]) is not reached in [max_iter] (default [4 * n]) iterations.
-    Instrumented: bumps the [sparse.cg.*] counters and iteration
-    histogram in {!Obs.global} (see docs/OBS.md). *)
+    [Robust_error.Error (Iterative_no_convergence _)] (solver ["cg"],
+    the iterations performed and the relative residual reached) if the
+    tolerance (relative residual, default [1e-10]) is not reached in
+    [max_iter] (default [4 * n]) iterations, so callers recover (retry,
+    switch solver) without string matching.  The [sparse.cg] fault site
+    raises the same error before iterating.  Instrumented: bumps the
+    [sparse.cg.*] counters and iteration histogram in {!Obs.global}
+    (see docs/OBS.md). *)
 
 val sor :
   ?omega:float ->
@@ -59,5 +55,5 @@ val sor :
   float array ->
   float array * int
 (** Successive over-relaxation (default [omega = 1.7]); same failure
-    contract as {!cg} ([sparse.sor.*] counters).  Intended for
-    diagnostics and tests. *)
+    contract as {!cg}, with solver ["sor"] ([sparse.sor.*] counters).
+    Intended for diagnostics and tests. *)

@@ -9,8 +9,9 @@ val solve :
   upper:float array ->
   rhs:float array ->
   float array
-(** Raises [Failure] on a zero pivot (the algorithm does not pivot; the
-    matrices we solve are diagonally dominant). *)
+(** Raises [Robust_error.Error (Singular _)] on a zero pivot (the
+    algorithm does not pivot; the matrices we solve are diagonally
+    dominant). *)
 
 val solve_complex :
   lower:Complex.t array ->

@@ -7,17 +7,4 @@ let occupation ~mu ~kt e =
     else 1. /. (1. +. exp x)
   end
 
-let hole_occupation ~mu ~kt e = occupation ~mu:(-.mu) ~kt (-.e)
-
-let derivative ~mu ~kt e =
-  if kt <= 0. then 0.
-  else begin
-    let x = (e -. mu) /. kt in
-    if Float.abs x > 40. then 0.
-    else begin
-      let c = cosh (0.5 *. x) in
-      1. /. (4. *. kt *. c *. c)
-    end
-  end
-
 let window ~mu1 ~mu2 ~kt e = occupation ~mu:mu1 ~kt e -. occupation ~mu:mu2 ~kt e

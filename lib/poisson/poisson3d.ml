@@ -60,8 +60,8 @@ let solve ?(tol = 1e-10) ?(boundary = 0.) t ~charges =
   Obs.Counter.incr obs_solves;
   let t0 = Obs.Timer.start obs_solve_time in
   (* Stop on every path: the out-of-interior invalid_arg and a cg/SOR
-     No_convergence escaping the recovery ladder must not leak the
-     sample (gnrlint span-balance). *)
+     Iterative_no_convergence escaping the recovery ladder must not leak
+     the sample (gnrlint span-balance). *)
   Fun.protect ~finally:(fun () -> Obs.Timer.stop obs_solve_time t0) @@ fun () ->
   let { nx; ny; nz; spacing; matrix } = t in
   let mx = nx - 2 and my = ny - 2 and mz = nz - 2 in
@@ -110,14 +110,17 @@ let solve ?(tol = 1e-10) ?(boundary = 0.) t ~charges =
      solvers target the same tolerance, so the recovered potential is
      interchangeable with the fast path. *)
   let max_iter = 20 * mx * my * mz in
+  let cg () = Sparse.cg ~tol ~max_iter matrix rhs in
   let x, iters =
-    match Sparse.cg ~tol ~max_iter matrix rhs with
+    match cg () with
     | result -> result
-    | exception Sparse.No_convergence _ -> begin
+    | exception Robust_error.Error (Robust_error.Iterative_no_convergence _)
+      -> begin
       Obs.Counter.incr obs_cg_retries;
-      match Sparse.cg ~tol ~max_iter matrix rhs with
+      match cg () with
       | result -> result
-      | exception Sparse.No_convergence _ ->
+      | exception Robust_error.Error (Robust_error.Iterative_no_convergence _)
+        ->
         Obs.Counter.incr obs_sor_fallbacks;
         Sparse.sor ~tol ~max_iter:(2 * max_iter) matrix rhs
     end

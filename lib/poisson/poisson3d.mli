@@ -24,8 +24,10 @@ val solve :
   ?tol:float -> ?boundary:float -> t -> charges:charge list -> float array array array
 (** Node potentials [u.(ix).(iy).(iz)] in volts ([u = -V] mid-gap
     convention, so a negative charge produces a positive [u] bump).
-    Conjugate-gradient solution; raises {!Sparse.No_convergence} if the
-    CG iteration cap is hit.  Instrumented: bumps [poisson3d.solves],
+    Conjugate-gradient solution, retried once and then handed to SOR
+    when cg misses its iteration cap; raises
+    [Robust_error.Error (Iterative_no_convergence _)] if SOR misses its
+    cap too.  Instrumented: bumps [poisson3d.solves],
     [poisson3d.cg_iterations] and the [poisson3d.solve] timer in
     {!Obs.global} (see docs/OBS.md). *)
 

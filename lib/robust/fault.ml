@@ -1,11 +1,3 @@
-exception Injected of { site : string; hit : int }
-
-let () =
-  Printexc.register_printer (function
-    | Injected { site; hit } ->
-      Some (Printf.sprintf "Fault.Injected(site=%s, hit=%d)" site hit)
-    | _ -> None)
-
 type mode =
   | Always
   | Prob of float
@@ -115,7 +107,9 @@ let should_fail s =
       fire
 
 let fail s =
-  if should_fail s then raise (Injected { site = s.s_name; hit = hits s })
+  if should_fail s then
+    Robust_error.raise_
+      (Robust_error.Injected_fault { site = s.s_name; hit = hits s })
 
 (* --- spec parsing ------------------------------------------------------ *)
 

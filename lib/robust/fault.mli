@@ -9,7 +9,7 @@
     {[
       let fault_cg = Fault.site "sparse.cg"
       ...
-      Fault.fail fault_cg;          (* raises Injected when armed & due *)
+      Fault.fail fault_cg;          (* raises Injected_fault when armed & due *)
     ]}
 
     {b Cost contract.}  Mirrors [Obs]: while no campaign is armed (the
@@ -49,20 +49,17 @@ val splitmix64 : int64 -> int64
     fuzzer in test/test_tbl_format.ml) shares one audited mixing
     function instead of growing private RNGs. *)
 
-exception Injected of { site : string; hit : int }
-(** Raised by {!fail} when the armed campaign selects this hit.  [hit]
-    is 1-based and counts calls made while armed. *)
-
 val site : string -> site
 (** Find-or-create the site registered under this name. *)
 
 val site_name : site -> string
 
 val fail : site -> unit
-(** Raise {!Injected} if an armed campaign selects this hit of the
-    site; otherwise (and always when disarmed) return unit.  Each armed
-    call advances the site's hit counter; each injection also bumps the
-    obs counter [robust.fault.<site-name>]. *)
+(** Raise [Robust_error.Error (Injected_fault { site; hit })] if an
+    armed campaign selects this hit of the site; otherwise (and always
+    when disarmed) return unit.  [hit] is 1-based and counts calls made
+    while armed.  Each armed call advances the site's hit counter; each
+    injection also bumps the obs counter [robust.fault.<site-name>]. *)
 
 val should_fail : site -> bool
 (** Decision without the raise, for sites that model failure as a

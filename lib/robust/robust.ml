@@ -1,17 +1,3 @@
-module Error = Robust_error
-module Fault = Fault
-module Scf = Scf_robust
-
-let classify : exn -> Robust_error.t option = function
-  | Fault.Injected { site; hit } ->
-    Some (Robust_error.Injected_fault { site; hit })
-  | Sparse.No_convergence { solver; iterations; residual } ->
-    Some (Robust_error.Iterative_no_convergence { solver; iterations; residual })
-  | Numerics_error.Stalled { solver; iterations; residual } ->
-    Some (Robust_error.Iterative_no_convergence { solver; iterations; residual })
-  | Robust_error.Error e -> Some e
-  | _ -> None
-
 module Report = struct
   type t = { fault_spec : string option; counters : (string * int) list }
 

@@ -1,27 +1,9 @@
-(** gnrfet_robust — solver-failure taxonomy, escalation-ladder recovery
-    and deterministic fault injection, in one namespace.
-
-    - {!Error} ({!Robust_error}): the typed failure taxonomy every
-      recoverable solver failure is expressed in;
-    - {!Fault}: seeded, env-gated ([GNRFET_FAULT]) fault injection at
-      named solver sites;
-    - {!Scf} ({!Scf_robust}): the SCF escalation ladder
-      (Anderson → damped restart → slow linear → neighbor continuation);
-    - {!classify}: map an arbitrary exception onto the taxonomy;
-    - {!Report}: the robustness slice of an obs snapshot (the
-      [robust-report] CLI subcommand).
-
-    See docs/ROBUST.md for ladder semantics, the fault-spec grammar and
-    the metric inventory. *)
-
-module Error = Robust_error
-module Fault = Fault
-module Scf = Scf_robust
-
-val classify : exn -> Robust_error.t option
-(** [Some] for exceptions that belong to the taxonomy — [Fault.Injected],
-    [Sparse.No_convergence], [Robust_error.Error] — and [None] for
-    anything else (which should keep propagating). *)
+(** The robustness slice of an obs snapshot, behind the
+    [robust-report] CLI subcommand: the armed fault campaign and the
+    [robust.*] and table-cache failure counters.  The failure taxonomy
+    is {!Robust_error}, fault injection is {!Fault} and the SCF ladder
+    is [Scf_robust]; see docs/ROBUST.md for ladder semantics, the
+    fault-spec grammar and the metric inventory. *)
 
 module Report : sig
   type t = {

@@ -13,8 +13,7 @@ type torn_reason =
   | Torn_out_of_order of { record : int; expected : int; found : int }
 
 type t =
-  | Scf_stalled of { vg : float; vd : float; iterations : int; residual : float }
-  | Scf_max_iter of { vg : float; vd : float; iterations : int; residual : float }
+  | Singular of { solver : string; detail : string }
   | Iterative_no_convergence of {
       solver : string;
       iterations : int;
@@ -69,14 +68,7 @@ let torn_reason_to_string = function
       expected found
 
 let to_string = function
-  | Scf_stalled { vg; vd; iterations; residual } ->
-    Printf.sprintf
-      "SCF stalled at vg=%g vd=%g (%d iterations, residual %.3g V)" vg vd
-      iterations residual
-  | Scf_max_iter { vg; vd; iterations; residual } ->
-    Printf.sprintf
-      "SCF hit max iterations at vg=%g vd=%g (%d iterations, residual %.3g V)"
-      vg vd iterations residual
+  | Singular { solver; detail } -> Printf.sprintf "%s: %s" solver detail
   | Iterative_no_convergence { solver; iterations; residual } ->
     Printf.sprintf "%s did not converge (%d iterations, residual %.3g)" solver
       iterations residual

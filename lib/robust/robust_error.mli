@@ -1,11 +1,11 @@
 (** Typed failure taxonomy for the solver stack.
 
-    Every recoverable solver failure is one of these constructors, so
-    recovery policy (lib/robust ladders, quarantines) can match on
-    structure instead of scraping [Failure] strings, and unrecovered
-    failures surface with enough context to reproduce them (bias point,
-    iteration count, residual).  Raised as {!Error}; classify foreign
-    exceptions with [Robust.classify].  See docs/ROBUST.md. *)
+    Every recoverable solver failure is one of these constructors,
+    raised as {!Error} (through {!raise_}), so recovery policy (the SCF
+    ladder, quarantines) names one exception and matches on structure
+    instead of scraping [Failure] strings, and unrecovered failures
+    surface with enough context to reproduce them (solver, iteration
+    count, residual).  See docs/ROBUST.md. *)
 
 type corrupt_reason =
   | Bad_magic  (** the file does not start with the [GNRTBL] magic *)
@@ -70,16 +70,20 @@ val torn_reason_to_string : torn_reason -> string
 (** One-line human-readable rendering. *)
 
 type t =
-  | Scf_stalled of { vg : float; vd : float; iterations : int; residual : float }
-      (** SCF terminated by the stall detector: the residual stopped
-          improving before the iteration cap. *)
-  | Scf_max_iter of { vg : float; vd : float; iterations : int; residual : float }
-      (** SCF hit the iteration cap while still improving. *)
+  | Singular of { solver : string; detail : string }
+      (** A direct solve hit a pivot below [Tol.pivot] (or the
+          complex-norm floor [Tol.pivot_norm2]): the system is singular
+          to working precision.  [solver] is ["Matrix.lu_factor"],
+          ["Tridiag.solve"], ["Tridiag.solve_complex"],
+          ["Banded.factorize"] or ["Cmatrix.solve"]. *)
   | Iterative_no_convergence of {
-      solver : string;  (** ["cg"] or ["sor"] *)
+      solver : string;  (** ["cg"], ["sor"] or ["Self_energy.sancho_rubio"] *)
       iterations : int;
       residual : float;
-    }  (** A linear iterative solve failed to reach tolerance. *)
+    }
+      (** An iterative solve exhausted its iteration budget before
+          reaching tolerance ([residual] is relative for cg/SOR, the
+          decimated coupling's largest entry for Sancho–Rubio). *)
   | Newton_failure of { analysis : string; time : float }
       (** MNA Newton iteration failed after every escalation rung;
           [analysis] is ["dc"] or ["transient"], [time] the simulation
@@ -89,11 +93,13 @@ type t =
           being) quarantined — renamed to [<path>.corrupt].  [reason]
           is checksum-precise: see {!corrupt_reason}. *)
   | Injected_fault of { site : string; hit : int }
-      (** A {!Fault} campaign injection that escaped every recovery
-          layer (only reachable when a ladder is exhausted). *)
+      (** Raised by [Fault.fail] when an armed campaign selects hit
+          [hit] (1-based) of [site]. *)
   | Unrecovered of { stage : string; attempts : int; detail : string }
-      (** An escalation ladder ran out of rungs; [detail] describes the
-          last underlying failure. *)
+      (** [stage] gave up after [attempts] attempts; [detail] describes
+          the last underlying failure.  The campaign's serve executor
+          raises it (stage ["serve:<kind>"]) for a daemon-side solver
+          error. *)
   | Client_timeout of { op : string; deadline_s : float }
       (** A serve-client request missed its per-request deadline; the
           connection is closed (a late response would desynchronize the

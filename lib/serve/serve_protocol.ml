@@ -408,8 +408,7 @@ let parse_response line =
 let error_of_robust (e : Robust_error.t) =
   let kind =
     match e with
-    | Robust_error.Scf_stalled _ -> "scf_stalled"
-    | Robust_error.Scf_max_iter _ -> "scf_max_iter"
+    | Robust_error.Singular _ -> "singular"
     | Robust_error.Iterative_no_convergence _ -> "iterative_no_convergence"
     | Robust_error.Newton_failure _ -> "newton_failure"
     | Robust_error.Cache_corrupt _ -> "cache_corrupt"

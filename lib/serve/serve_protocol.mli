@@ -82,8 +82,9 @@ type error = {
   kind : string;
       (** ["busy"] (backpressure reject; check [retry_after_ms]),
           ["bad_request"], ["shutting_down"], a {!Robust_error.t}
-          constructor in snake case (["scf_stalled"], ["scf_max_iter"],
-          ["unrecovered"], ...), or ["internal"] *)
+          constructor in snake case (["singular"],
+          ["iterative_no_convergence"], ["unrecovered"], ...), or
+          ["internal"] *)
   detail : string;
   retry_after_ms : int option;
 }

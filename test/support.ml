@@ -19,17 +19,6 @@ let check_raises_invalid msg f =
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-(* Composite Simpson rule on [n] (even) panels of [a, b]; exact for
-   cubics. *)
-let simpson ~f ~a ~b ~n =
-  let h = (b -. a) /. float_of_int n in
-  let acc = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let w = if i mod 2 = 1 then 4. else 2. in
-    acc := !acc +. (w *. f (a +. (h *. float_of_int i)))
-  done;
-  !acc *. h /. 3.
-
 (* Skip a test whose exact (often bit-for-bit) assertions are only
    meaningful while no fault campaign can fire inside it — the CI fault
    legs run the whole suite under GNRFET_FAULT (docs/ROBUST.md). *)

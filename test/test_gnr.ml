@@ -7,16 +7,7 @@ let test_fermi () =
   let kt = 0.0259 in
   approx "deep below" 1. (Fermi.occupation ~mu:0. ~kt (-1.));
   approx "deep above" 0. (Fermi.occupation ~mu:0. ~kt 1.);
-  approx "at mu" 0.5 (Fermi.occupation ~mu:0. ~kt 0.);
-  (* f(e) = 0.7 at e = kT ln(1/0.7 - 1); the hole occupation there is 0.3. *)
-  let e = kt *. log ((1. /. 0.7) -. 1.) in
-  approx ~eps:1e-12 "hole complement" 0.3 (Fermi.hole_occupation ~mu:0. ~kt e)
-
-let test_fermi_derivative_normalization () =
-  let kt = 0.0259 in
-  let f e = Fermi.derivative ~mu:0. ~kt e in
-  let integral = simpson ~f ~a:(-1.) ~b:1. ~n:4000 in
-  approx ~eps:1e-6 "-df/dE integrates to 1" 1. integral
+  approx "at mu" 0.5 (Fermi.occupation ~mu:0. ~kt 0.)
 
 let test_fermi_window () =
   let kt = 0.0259 in
@@ -127,8 +118,6 @@ let test_sites_for_length () =
 let suite =
   [
     Alcotest.test_case "fermi occupation" `Quick test_fermi;
-    Alcotest.test_case "fermi derivative normalization" `Quick
-      test_fermi_derivative_normalization;
     Alcotest.test_case "fermi window" `Quick test_fermi_window;
     Alcotest.test_case "lattice geometry" `Quick test_lattice_geometry;
     Alcotest.test_case "lattice bond counts" `Quick test_lattice_bonds;

@@ -447,12 +447,15 @@ let test_dimer_surface_closed_form () =
 
 let test_sancho_rubio_stalls_typed () =
   (* An iteration cap that cannot be met must surface as the typed
-     Stalled, carrying the solver name — never a silent wrong answer. *)
+     Iterative_no_convergence, carrying the solver name — never a silent
+     wrong answer. *)
   let tb = Tight_binding.make 7 in
   let h00 = Cmatrix.of_real tb.Tight_binding.h00 in
   let h01 = Cmatrix.of_real tb.Tight_binding.h01 in
   match Self_energy.sancho_rubio ~max_iter:0 ~h00 ~h01 0.8 with
-  | exception Numerics_error.Stalled { solver; iterations; _ } ->
+  | exception
+      Robust_error.Error
+        (Robust_error.Iterative_no_convergence { solver; iterations; _ }) ->
     Alcotest.(check string) "solver tag" "Self_energy.sancho_rubio" solver;
     Alcotest.(check int) "stopped at the cap" 0 iterations
   | _ -> Alcotest.fail "sancho_rubio converged with max_iter:0"

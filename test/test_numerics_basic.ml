@@ -136,8 +136,7 @@ let test_mixing_linear () =
   let m = Mixing.linear ~alpha:0.5 in
   let x = [| 0. |] and gx = [| 1. |] in
   let x' = Mixing.step m ~x ~gx in
-  approx "half step" 0.5 x'.(0);
-  approx "residual" 1. (Mixing.residual ~x ~gx)
+  approx "half step" 0.5 x'.(0)
 
 let test_mixing_anderson_converges () =
   (* Fixed point of g(x) = 0.5 x + c is 2c; Anderson should hit it fast. *)

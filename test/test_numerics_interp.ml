@@ -9,8 +9,6 @@ let test_linear () =
   approx "second segment" 3. (Interp.linear ~xs ~ys 2.);
   approx "clamp low" 0. (Interp.linear ~xs ~ys (-5.));
   approx "clamp high" 4. (Interp.linear ~xs ~ys 10.);
-  approx "extrapolate low" (-2.) (Interp.linear_extrapolate ~xs ~ys (-1.));
-  approx "extrapolate high" 5. (Interp.linear_extrapolate ~xs ~ys 4.);
   check_raises_invalid "non-increasing" (fun () ->
       Interp.linear ~xs:[| 0.; 0. |] ~ys:[| 1.; 2. |] 0.)
 
@@ -82,7 +80,7 @@ let radial_grid n =
 
 let test_contour_circle () =
   let xs, ys, values = radial_grid 41 in
-  let points = Contour.interior_points ~xs ~ys ~values ~level:1. in
+  let points = List.concat (Contour.extract ~xs ~ys ~values ~level:1.) in
   Alcotest.(check bool) "points found" true (List.length points > 20);
   List.iter
     (fun (p : Contour.point) ->
@@ -97,14 +95,6 @@ let test_contour_chaining () =
   Alcotest.(check bool) "few pieces" true (List.length polylines <= 3);
   let total = List.fold_left (fun acc pl -> acc + List.length pl) 0 polylines in
   Alcotest.(check bool) "enough points" true (total > 16)
-
-let test_contour_minimize () =
-  let xs, ys, values = radial_grid 41 in
-  match Contour.minimize_on_contour ~xs ~ys ~values ~level:1. ~objective:(fun x _ -> x) with
-  | Some (p, v) ->
-    approx ~eps:0.05 "min x on circle" (-1.) v;
-    approx ~eps:0.05 "y near 0" 0. p.Contour.y
-  | None -> Alcotest.fail "contour not found"
 
 let test_contour_empty () =
   let xs, ys, values = radial_grid 11 in
@@ -122,6 +112,5 @@ let suite =
     prop_grid2_within_bounds;
     Alcotest.test_case "contour circle" `Quick test_contour_circle;
     Alcotest.test_case "contour chaining" `Quick test_contour_chaining;
-    Alcotest.test_case "contour minimize" `Quick test_contour_minimize;
     Alcotest.test_case "contour empty" `Quick test_contour_empty;
   ]

@@ -1,4 +1,4 @@
-(* Parallel pool: agreement of map/map_reduce/parallel_for with the
+(* Parallel pool: agreement of map/map_reduce with the
    sequential path (bit-for-bit, per the determinism contract), exception
    propagation from pool workers, pool reuse across many calls, nested
    runs, the GNRFET_DOMAINS environment override, each slot's contiguous
@@ -143,18 +143,6 @@ let test_map_reduce_exception () =
            ~body:(fun () ~lo ~hi -> hi - lo)
            ~combine:( + ) 0))
 
-let test_parallel_for_covers () =
-  let out = Array.make 1000 (-1) in
-  at_width 5 (fun () ->
-      (* Chunks are disjoint index ranges of [out].  gnrlint: allow-shared *)
-      Parallel.parallel_for ~n:1000 (fun ~lo ~hi ->
-          for i = lo to hi - 1 do
-            out.(i) <- i
-          done));
-  Array.iteri
-    (fun i v -> Alcotest.(check int) (Printf.sprintf "index %d" i) i v)
-    out
-
 let test_nested_runs () =
   (* map_reduce inside pool workers of an outer map, both at the one
      width: the inner runs must complete (work helping prevents
@@ -257,7 +245,6 @@ let suite =
     Alcotest.test_case "map_reduce worker state" `Quick test_map_reduce_worker_state;
     Alcotest.test_case "map_reduce empty/small" `Quick test_map_reduce_empty_and_small;
     Alcotest.test_case "map_reduce exception" `Quick test_map_reduce_exception;
-    Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers;
     Alcotest.test_case "nested parallel runs" `Quick test_nested_runs;
     Alcotest.test_case "map_reduce contiguous slot runs" `Quick test_contiguous_runs;
     Alcotest.test_case "pool domains retire with the scope" `Quick test_domains_retire;

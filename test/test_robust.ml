@@ -1,10 +1,11 @@
-(* Tests for the gnrfet_robust layer: the fault-injection harness itself
-   (spec parsing, deterministic firing, with_spec scoping), the SCF
-   escalation ladder driven rung by rung via injected faults — including
-   the bit-for-bit no-op contract on healthy inputs — the table-cache
-   corruption hardening, the MNA recovery ladders, the Monte Carlo
-   quarantine, Iv_table point quarantine/patching and the report/classify
-   façade.  See docs/ROBUST.md. *)
+(* Tests for the robustness layer: the fault-injection harness itself
+   (spec parsing, deterministic firing, with_spec scoping, the typed
+   Injected_fault it raises), the SCF escalation ladder driven rung by
+   rung via injected faults — including the bit-for-bit no-op contract
+   on healthy inputs — the table-cache corruption hardening, the MNA
+   recovery ladders, the Monte Carlo quarantine, Iv_table point
+   quarantine/patching, error printing and the report.  See
+   docs/ROBUST.md. *)
 
 open Support
 
@@ -113,18 +114,16 @@ let check_bit_identical label (a : Scf.solution) (b : Scf.solution) =
 let test_ladder_noop_on_healthy_input () =
   skip_if_fault_armed scf_sites;
   let plain = Scf.solve tiny ~vg:0.4 ~vd:0.3 in
-  let o =
-    Robust.Scf.solve_robust tiny ~vg:0.4 ~vd:0.3
-  in
+  let o = Scf_robust.solve_robust tiny ~vg:0.4 ~vd:0.3 in
   (match o.Scf_robust.solution with
-  | Some s -> check_bit_identical "wrapped" plain s
+  | Some s ->
+    check_bit_identical "wrapped" plain s;
+    Alcotest.(check bool) "converged" true (s.Scf.status = Scf.Converged)
   | None -> Alcotest.fail "expected a solution");
   Alcotest.(check int) "exactly one attempt" 1
     (List.length o.Scf_robust.attempts);
   Alcotest.(check bool) "plain convergence is not recovery" false
-    o.Scf_robust.recovered;
-  Alcotest.(check bool) "no typed error" true
-    (Scf_robust.error_of_outcome o = None)
+    o.Scf_robust.recovered
 
 let rung_of (a : Scf_robust.attempt) = a.Scf_robust.rung
 
@@ -133,8 +132,7 @@ let test_ladder_damped_restart_rung () =
   let obs = Obs.create ~enabled:true () in
   let o =
     Fault.with_spec "scf.charge#1" (fun () ->
-        Robust.Scf.solve_robust ~obs tiny
-          ~vg:0.4 ~vd:0.3)
+        Scf_robust.solve_robust ~obs tiny ~vg:0.4 ~vd:0.3)
   in
   (match o.Scf_robust.attempts with
   | [ a1; a2 ] ->
@@ -161,7 +159,7 @@ let test_ladder_slow_linear_rung () =
   skip_if_fault_armed scf_sites;
   let o =
     Fault.with_spec "scf.charge#1-2" (fun () ->
-        Robust.Scf.solve_robust tiny ~vg:0.4 ~vd:0.3)
+        Scf_robust.solve_robust tiny ~vg:0.4 ~vd:0.3)
   in
   Alcotest.(check (list bool)) "rung sequence anderson/damped/linear"
     [ true; true; true ]
@@ -182,25 +180,24 @@ let test_ladder_neighbor_rung_and_unrecovered () =
   let obs = Obs.create ~enabled:true () in
   let dead =
     Fault.with_spec "scf.charge#1-3" (fun () ->
-        Robust.Scf.solve_robust ~obs tiny
-          ~vg:0.4 ~vd:0.3)
+        Scf_robust.solve_robust ~obs tiny ~vg:0.4 ~vd:0.3)
   in
   Alcotest.(check bool) "no solution without the neighbor rung" true
     (dead.Scf_robust.solution = None);
   Alcotest.(check int) "three failed attempts" 3
     (List.length dead.Scf_robust.attempts);
+  Alcotest.(check bool) "every attempt raised" true
+    (List.for_all
+       (fun (a : Scf_robust.attempt) ->
+         a.Scf_robust.status = None && a.Scf_robust.error <> None)
+       dead.Scf_robust.attempts);
   Alcotest.(check int) "unrecovered counted" 1
     (Obs.counter_value ~obs "robust.scf.unrecovered");
-  (match Scf_robust.error_of_outcome dead with
-  | Some (Robust_error.Unrecovered { stage; attempts; _ }) ->
-    Alcotest.(check string) "unrecovered stage" "scf" stage;
-    Alcotest.(check int) "unrecovered attempt count" 3 attempts
-  | _ -> Alcotest.fail "expected Unrecovered");
   (* ...while a neighbor profile opens the continuation rung. *)
   let o =
     Fault.with_spec "scf.charge#1-3" (fun () ->
-        Robust.Scf.solve_robust
-          ~neighbor:clean.Scf.potential tiny ~vg:0.4 ~vd:0.3)
+        Scf_robust.solve_robust ~neighbor:clean.Scf.potential tiny ~vg:0.4
+          ~vd:0.3)
   in
   (match List.rev o.Scf_robust.attempts with
   | last :: _ ->
@@ -215,11 +212,8 @@ let test_ladder_escalates_on_status () =
   skip_if_fault_armed scf_sites;
   (* A brutally small iteration cap: no rung can converge, but each one
      must run (status-driven escalation, no exception involved) and the
-     outcome must surface the typed verdict with the best iterate. *)
-  let o =
-    Robust.Scf.solve_robust ~max_iter:2 tiny
-      ~vg:0.4 ~vd:0.3
-  in
+     outcome must keep the best iterate with its typed verdict. *)
+  let o = Scf_robust.solve_robust ~max_iter:2 tiny ~vg:0.4 ~vd:0.3 in
   Alcotest.(check int) "all ladder rungs attempted" 3
     (List.length o.Scf_robust.attempts);
   Alcotest.(check bool) "every attempt returned a status" true
@@ -227,22 +221,22 @@ let test_ladder_escalates_on_status () =
        (fun (a : Scf_robust.attempt) ->
          a.Scf_robust.error = None && a.Scf_robust.status <> Some Scf.Converged)
        o.Scf_robust.attempts);
-  (match o.Scf_robust.solution with
+  match o.Scf_robust.solution with
   | Some s ->
     Alcotest.(check bool) "best iterate kept" true
-      (s.Scf.status <> Scf.Converged && Float.is_finite s.Scf.residual)
-  | None -> Alcotest.fail "expected a best iterate");
-  match Scf_robust.error_of_outcome o with
-  | Some (Robust_error.Scf_max_iter _ | Robust_error.Scf_stalled _) -> ()
-  | _ -> Alcotest.fail "expected a typed SCF convergence error"
+      (Float.is_finite s.Scf.residual);
+    Alcotest.(check bool) "typed non-converged verdict" true
+      (match s.Scf.status with
+      | Scf.Max_iter | Scf.Stalled -> true
+      | Scf.Converged -> false)
+  | None -> Alcotest.fail "expected a best iterate"
 
 let test_scf_init_length_validated () =
   check_raises_invalid "Scf.solve rejects a wrong-length init" (fun () ->
       Scf.solve ~init:(Array.make 3 0.) tiny
         ~vg:0.1 ~vd:0.1);
   check_raises_invalid "solve_robust propagates the caller bug" (fun () ->
-      Robust.Scf.solve_robust
-        ~init:(Array.make 3 0.) tiny ~vg:0.1 ~vd:0.1)
+      Scf_robust.solve_robust ~init:(Array.make 3 0.) tiny ~vg:0.1 ~vd:0.1)
 
 (* --- table-cache hardening ------------------------------------------- *)
 
@@ -598,40 +592,26 @@ let test_poisson3d_cg_retry_and_sor_fallback () =
   Alcotest.(check int) "one sor fallback counted" 1
     (Obs.counter_value "robust.poisson3d.sor_fallbacks" - fallbacks_before)
 
-(* --- taxonomy, classify, report -------------------------------------- *)
+(* --- taxonomy, report ---------------------------------------------------- *)
 
-let test_classify () =
-  let check_some label e expected =
-    match Robust.classify e with
-    | Some t -> Alcotest.(check bool) label true (expected t)
-    | None -> Alcotest.failf "%s: expected a classification" label
-  in
-  check_some "injected fault"
-    (Fault.Injected { site = "x.y"; hit = 3 })
-    (function
-      | Robust_error.Injected_fault { site = "x.y"; hit = 3 } -> true
-      | _ -> false);
-  check_some "iterative breakdown"
-    (Sparse.No_convergence { solver = "cg"; iterations = 9; residual = 0.5 })
-    (function
-      | Robust_error.Iterative_no_convergence { solver = "cg"; iterations = 9; _ }
-        -> true
-      | _ -> false);
-  let typed =
-    Robust_error.Cache_corrupt
-      { path = "/tmp/x"; reason = Robust_error.Truncated { expected = 88; got = 0 } }
-  in
-  check_some "already-typed error" (Robust_error.Error typed) (( = ) typed);
-  Alcotest.(check bool) "foreign exceptions stay foreign" true
-    (Robust.classify Not_found = None)
+let test_fault_raises_injected_fault () =
+  (* Fault.fail raises the one typed failure exception, carrying the
+     site and the 1-based hit that fired. *)
+  Fault.with_spec "x.fail#3" (fun () ->
+      let s = Fault.site "x.fail" in
+      Fault.fail s;
+      Fault.fail s;
+      match Fault.fail s with
+      | exception
+          Robust_error.Error (Robust_error.Injected_fault { site; hit }) ->
+        Alcotest.(check string) "site" "x.fail" site;
+        Alcotest.(check int) "hit" 3 hit
+      | () -> Alcotest.fail "expected the third hit to raise")
 
 let test_error_printing () =
   let all =
     [
-      Robust_error.Scf_stalled
-        { vg = 0.1; vd = 0.2; iterations = 9; residual = 1e-2 };
-      Robust_error.Scf_max_iter
-        { vg = 0.1; vd = 0.2; iterations = 120; residual = 2e-3 };
+      Robust_error.Singular { solver = "Tridiag.solve"; detail = "row 0" };
       Robust_error.Iterative_no_convergence
         { solver = "cg"; iterations = 40; residual = 1e-4 };
       Robust_error.Newton_failure { analysis = "dc"; time = 0. };
@@ -713,8 +693,8 @@ let suite =
       test_mc_draws_unperturbed_by_quarantine;
     Alcotest.test_case "poisson3d cg retry and sor fallback" `Quick
       test_poisson3d_cg_retry_and_sor_fallback;
-    Alcotest.test_case "classify maps exceptions onto the taxonomy" `Quick
-      test_classify;
+    Alcotest.test_case "fault sites raise Injected_fault" `Quick
+      test_fault_raises_injected_fault;
     Alcotest.test_case "error printing" `Quick test_error_printing;
     Alcotest.test_case "report filters and sums" `Quick
       test_report_filters_and_sums;

@@ -245,10 +245,10 @@ let test_response_roundtrip () =
   | _ -> Alcotest.fail "error response mangled");
   let e =
     Serve_protocol.error_of_robust
-      (Robust_error.Scf_stalled
-         { vg = 0.1; vd = 0.2; iterations = 7; residual = 1e-2 })
+      (Robust_error.Singular
+         { solver = "Matrix.lu_factor"; detail = "zero pivot" })
   in
-  Alcotest.(check string) "robust kind" "scf_stalled" e.Serve_protocol.kind;
+  Alcotest.(check string) "robust kind" "singular" e.Serve_protocol.kind;
   Alcotest.(check bool) "robust detail nonempty" true
     (String.length e.Serve_protocol.detail > 0)
 

@@ -83,7 +83,8 @@ let rules =
       help =
         "Recovery paths (escalation ladder, Newton retries, Monte-Carlo \
          quarantine) must not string-match Failure messages; raise a typed \
-         exception (Numerics_error, Sparse.No_convergence) instead.";
+         Robust_error.Error (Singular, Iterative_no_convergence) through \
+         Robust_error.raise_ instead.";
     };
     {
       id = "assert-false";

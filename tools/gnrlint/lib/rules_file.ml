@@ -151,8 +151,8 @@ let check_failwith ctx e =
       match Longident.flatten txt with
       | [ "failwith" ] | [ "Stdlib"; "failwith" ] ->
         ctx.report e.pexp_loc "failwith-solver"
-          "`failwith` in a solver hot path; prefer raising a typed exception \
-           (Numerics_error.Singular/Stalled, Sparse.No_convergence) so SCF \
+          "`failwith` in a solver hot path; prefer raising a typed \
+           Robust_error.Error (Singular, Iterative_no_convergence) so SCF \
            drivers can recover without string matching"
       | _ -> ())
     | _ -> ()

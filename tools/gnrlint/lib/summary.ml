@@ -60,7 +60,7 @@ type cell = {
 type repo = {
   funcs : (string, func) Hashtbl.t;
   cells : (string, cell) Hashtbl.t;
-  aliases : (string, string) Hashtbl.t;  (* "Robust.Error" -> "Robust_error" *)
+  aliases : (string, string) Hashtbl.t;  (* "M.Sub" -> "Target" ([module Sub = Target] in M) *)
 }
 
 let drop_stdlib = function "Stdlib" :: rest -> rest | l -> l
