@@ -509,15 +509,14 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt count Serve.default_config.Serve.max_generations
+      & opt count Serve.default_max_generations
       & info [ "max-generations" ] ~docv:"K"
           ~doc:
             "Tables generated at once, 0 or more; a miss beyond them is \
              answered busy. 0 serves cached tables only.")
   in
   let run stdio socket max_generations =
-    let config = { Serve.default_config with Serve.max_generations } in
-    let server = Serve.create ~config () in
+    let server = Serve.create ~max_generations () in
     if stdio then Serve.serve_stdio server stdin stdout
     else begin
       Printf.eprintf "gnrfet-serve: listening on %s\n%!" socket;

@@ -217,9 +217,6 @@ type executor = Params.t -> Iv_table.grid_spec option -> Iv_table.t
 
 let c_fallbacks = Obs.Counter.make "campaign.serve_fallbacks"
 
-let local_executor ?obs () : executor =
- fun p grid -> Table_cache.get ?grid ?obs p
-
 let serve_executor ~fallback client () : executor =
  fun p grid ->
   let degrade e =
@@ -384,17 +381,18 @@ let feed acc (e : Journal.entry) =
   | Journal.Quarantined { index; reason } ->
     acc.a_quarantined <- (index, reason) :: acc.a_quarantined
 
-let run_with ?(obs = Obs.global) ?journal ?(resume = false)
-    ?(checkpoint_every = 1) ?kill_after ~evaluate spec =
+let c_samples = Obs.Counter.make "campaign.samples"
+let c_quarantined = Obs.Counter.make "campaign.quarantined"
+let c_replayed = Obs.Counter.make "campaign.replayed"
+let c_records = Obs.Counter.make "campaign.journal.records"
+let c_duplicates = Obs.Counter.make "campaign.journal.duplicates"
+let t_checkpoint = Obs.Timer.make "campaign.checkpoint"
+
+let run_with ?journal ?(resume = false) ?(checkpoint_every = 1) ?kill_after
+    ~evaluate spec =
   (match validate spec with
   | Ok _ -> ()
   | Error msg -> invalid_arg msg);
-  let c_samples = Obs.Counter.make ~obs "campaign.samples"
-  and c_quarantined = Obs.Counter.make ~obs "campaign.quarantined"
-  and c_replayed = Obs.Counter.make ~obs "campaign.replayed"
-  and c_records = Obs.Counter.make ~obs "campaign.journal.records"
-  and c_duplicates = Obs.Counter.make ~obs "campaign.journal.duplicates"
-  and t_checkpoint = Obs.Timer.make ~obs "campaign.checkpoint" in
   let hash = spec_hash spec in
   let acc =
     {
@@ -421,7 +419,7 @@ let run_with ?(obs = Obs.global) ?journal ?(resume = false)
         (match r.Journal.torn with
         | Some reason ->
           Obs.Counter.incr
-            (Obs.Counter.make ~obs
+            (Obs.Counter.make
                ("campaign.journal.torn." ^ Robust_error.torn_label reason))
         | None -> ());
         let w = Journal.open_append ~path ~good_bytes:r.Journal.good_bytes in
@@ -483,12 +481,10 @@ let run_with ?(obs = Obs.global) ?journal ?(resume = false)
   in
   { report; resumed = start; evaluated = !evaluated; torn; duplicates }
 
-let run ?obs ?executor ?journal ?resume ?checkpoint_every ?kill_after spec =
-  let exec =
-    match executor with Some e -> e | None -> local_executor ?obs ()
-  in
-  run_with ?obs ?journal ?resume ?checkpoint_every ?kill_after
-    ~evaluate:(evaluate_sample exec spec) spec
+let run ?(executor = fun p grid -> Table_cache.get ?grid p) ?journal ?resume
+    ?checkpoint_every ?kill_after spec =
+  run_with ?journal ?resume ?checkpoint_every ?kill_after
+    ~evaluate:(evaluate_sample executor spec) spec
 
 (* ------------------------------------------------------------------ *)
 (* Status                                                              *)

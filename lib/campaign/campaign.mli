@@ -78,20 +78,15 @@ type executor = Params.t -> Iv_table.grid_spec option -> Iv_table.t
 (** How a sample's device table is obtained.  May raise typed solver
     errors (quarantining the sample) or typed client errors. *)
 
-val local_executor : ?obs:Obs.t -> unit -> executor
-(** {!Table_cache.get} reporting to [obs] (default {!Obs.global}); the
-    default executor of {!run}. *)
-
 val serve_executor : fallback:bool -> Serve_client.t -> unit -> executor
 (** Fetch tables from the serve daemon via {!Serve_client.call} (so
     busy rejections are retried honoring [retry_after_ms]).  Daemon-side
     solver errors re-raise as [Robust_error] and quarantine the sample
     like a local failure.  With [~fallback:true], a typed {e client}
     failure (timeout, disconnect, breaker open, busy through the whole
-    retry budget) degrades to a local {!Table_cache.get} reporting to
-    {!Obs.global}, counted there in [campaign.serve_fallbacks], so a
-    dead or saturated daemon costs time, never samples; with
-    [~fallback:false] it re-raises. *)
+    retry budget) degrades to a local {!Table_cache.get}, counted in
+    [campaign.serve_fallbacks], so a dead or saturated daemon costs
+    time, never samples; with [~fallback:false] it re-raises. *)
 
 (** {2 Reports} *)
 
@@ -131,7 +126,6 @@ type sample_metrics = { delay : float; edp : float; snm : float }
     SNM (V). *)
 
 val run_with :
-  ?obs:Obs.t ->
   ?journal:string ->
   ?resume:bool ->
   ?checkpoint_every:int ->
@@ -147,7 +141,6 @@ val run_with :
     whose synced prefix then resumes). *)
 
 val run :
-  ?obs:Obs.t ->
   ?executor:executor ->
   ?journal:string ->
   ?resume:bool ->
@@ -162,11 +155,11 @@ val run :
     resume.  [kill_after:n] is the chaos hook: the process SIGKILLs
     itself at the first checkpoint boundary after evaluating [n]
     samples (CI uses it to die deterministically between records).
-    Obs accounting (in [obs], default {!Obs.global}, which the default
-    {!local_executor} also reports to): [campaign.samples] (evaluated
-    here), [campaign.quarantined], [campaign.replayed],
-    [campaign.journal.records], [campaign.journal.duplicates],
-    [campaign.journal.torn.<label>], timer [campaign.checkpoint].
+    [executor] defaults to {!Table_cache.get}.  Obs accounting:
+    [campaign.samples] (evaluated here), [campaign.quarantined],
+    [campaign.replayed], [campaign.journal.records],
+    [campaign.journal.duplicates], [campaign.journal.torn.<label>],
+    timer [campaign.checkpoint].
     Raises [Invalid_argument] on an invalid spec or [resume] without
     [journal]; [Robust_error.Error (Checkpoint_torn _)] on a fatally
     damaged journal. *)

@@ -302,9 +302,7 @@ let newton ?(max_iter = 80) ?(v_limit = 0.3) ?vscale c x0 time gmin dt =
       if Float.is_nan fnorm then None
       else begin
         match Matrix.lu_factor_in_place n jac piv with
-        | exception
-            (Failure _ | Robust_error.Error (Robust_error.Singular _)) ->
-          None
+        | exception Robust_error.Error (Robust_error.Singular _) -> None
         | () ->
           for i = 0 to n - 1 do
             dx.(i) <- -.f.(piv.(i))

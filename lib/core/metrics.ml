@@ -88,7 +88,14 @@ let inverter_metrics ~pair ~vdd () =
   let out_level = 0.5 *. (vout0 +. vout1) in
   let tau = time_scale pair ~fanout ~vdd in
   match measure_with_tau ~pair ~vdd ~tau ~attempt:0 ~in_level ~out_level () with
-  | None -> failwith "Metrics.inverter_metrics: no output transition observed"
+  | None ->
+    Robust_error.raise_
+      (Robust_error.Unrecovered
+         {
+           stage = "Metrics.inverter_metrics";
+           attempts = 4;
+           detail = "no output transition observed";
+         })
   | Some (bench, wf, tp_lh, tp_hl, t1, t2, t_end) ->
     let times = wf.Mna.times in
     let i_vdd = Mna.source_current bench.Cells.net wf bench.Cells.vdd_node in

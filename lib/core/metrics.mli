@@ -23,7 +23,9 @@ val inverter_metrics : pair:Cells.pair -> vdd:float -> unit -> inverter_metrics
 (** Characterize a FO4-loaded inverter (four copies of [pair] as the
     load): static powers from DC operating points, delays and switching
     energy from a two-edge transient (with a self-calibrated time step),
-    SNM from the static VTC. *)
+    SNM from the static VTC.  Raises [Robust_error.Error (Unrecovered _)]
+    (stage ["Metrics.inverter_metrics"]) when four transients at
+    growing time scales show no output transition. *)
 
 val ro_frequency : inverter_metrics -> stages:int -> float
 (** Ring-oscillator frequency implied by the average stage delay,

@@ -10,13 +10,10 @@ let fault_sample = Fault.site "montecarlo.sample"
 let c_quarantined = Obs.Counter.make "robust.mc.quarantined"
 
 (* The one definition of "this sample failed for a reason the study can
-   survive": typed solver errors (injected faults among them) and
-   solver [Failure]s.  The campaign engine (lib/campaign) quarantines on
-   exactly the same predicate so the two statistical layers cannot
-   drift apart. *)
-let quarantineable = function
-  | Robust_error.Error _ | Failure _ -> true
-  | _ -> false
+   survive": a typed solver error (injected faults among them).  The
+   campaign engine (lib/campaign) quarantines on exactly the same
+   predicate so the two statistical layers cannot drift apart. *)
+let quarantineable = function Robust_error.Error _ -> true | _ -> false
 
 (* The nine per-FET variants of the study. *)
 let mc_widths = [| 9; 12; 15 |]
@@ -36,8 +33,8 @@ let draw rng ~sigma_probability =
 
 (* The sampling loop, separated from the expensive transient-backed
    [evaluate] so the quarantine policy is testable with a cheap stub.
-   A sample whose evaluation fails with a typed solver error (or an
-   injected fault, or a solver [Failure] such as "no output transition")
+   A sample whose evaluation fails with a typed solver error (an
+   injected fault, or [Unrecovered] when no output transition shows)
    is dropped and counted — in [result.quarantined] and in the
    [robust.mc.quarantined] obs counter — instead of killing the whole
    study; the nominal evaluation stays fatal, since without it there is

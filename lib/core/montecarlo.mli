@@ -22,18 +22,19 @@ type result = {
           quarantined]) *)
   quarantined : int;
       (** samples dropped because their evaluation failed with a typed
-          solver error, an injected fault or a solver [Failure]; also
-          counted in the [robust.mc.quarantined] obs counter.  0 on
-          healthy runs.  See docs/ROBUST.md. *)
+          solver error or an injected fault; also counted in the
+          [robust.mc.quarantined] obs counter.  0 on healthy runs.  See
+          docs/ROBUST.md. *)
 }
 
 val quarantineable : exn -> bool
 (** True for the exceptions a statistical study survives by dropping
     the sample: [Robust_error.Error] (singular solves, non-converged
-    iterations and injected faults among them) and [Failure].  Shared
-    by {!run_with} and the campaign engine (lib/campaign) so the two
-    quarantine policies stay identical; anything else (out-of-memory,
-    programming errors) propagates. *)
+    iterations, injected faults and a transient with no output
+    transition among them).  Shared by {!run_with} and the campaign
+    engine (lib/campaign) so the two quarantine policies stay
+    identical; anything else ([Failure], out-of-memory, programming
+    errors) propagates. *)
 
 val run : ?samples:int -> ?seed:int -> unit -> result
 (** A 15-stage ring at operating point B; defaults 2000 samples, seed

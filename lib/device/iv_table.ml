@@ -21,6 +21,9 @@ let default_grid =
 let grid_key g =
   Printf.sprintf "vg%g:%g:%d-vd%g:%d" g.vg_min g.vg_max g.n_vg g.vd_max g.n_vd
 
+let c_generates = Obs.Counter.make "iv_table.generates"
+let c_quarantined = Obs.Counter.make "robust.iv_table.quarantined"
+
 (* Patch quarantined grid points from their nearest converged neighbors:
    linear interpolation along VG within the same VD column when the point
    is bracketed, nearest-converged copy at column edges.  Reads only
@@ -51,11 +54,10 @@ let patch_failed ~failed ~vg ~current ~charge =
       patch charge)
     failed
 
-let generate ?(grid = default_grid) ?(obs = Obs.global) p =
+let generate ?(grid = default_grid) p =
   Parallel.scoped @@ fun () ->
-  Obs.Span.run ~obs "iv_table.generate" @@ fun () ->
-  Obs.Counter.incr (Obs.Counter.make ~obs "iv_table.generates");
-  let c_quarantined = Obs.Counter.make ~obs "robust.iv_table.quarantined" in
+  Obs.Span.run "iv_table.generate" @@ fun () ->
+  Obs.Counter.incr c_generates;
   let vg = Vec.linspace grid.vg_min grid.vg_max grid.n_vg in
   let vd = Vec.linspace 0. grid.vd_max grid.n_vd in
   let current = Array.make_matrix grid.n_vg grid.n_vd 0. in
@@ -77,8 +79,8 @@ let generate ?(grid = default_grid) ?(obs = Obs.global) p =
       Array.iteri
         (fun ig vgv ->
           let outcome =
-            Scf_robust.solve_robust ?init:!init ?neighbor:!last_converged
-              ~obs p ~vg:vgv ~vd:vdv
+            Scf_robust.solve_robust ?init:!init ?neighbor:!last_converged p
+              ~vg:vgv ~vd:vdv
           in
           match outcome.Scf_robust.solution with
           | Some s ->

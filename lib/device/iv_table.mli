@@ -44,7 +44,7 @@ val grid_key : grid_spec -> string
     and the on-disk cache is addressed by a digest of that key, so the
     format must not change. *)
 
-val generate : ?grid:grid_spec -> ?obs:Obs.t -> Params.t -> t
+val generate : ?grid:grid_spec -> Params.t -> t
 (** Run the self-consistent solver over the grid (warm-starting each VG
     sweep from the previous bias point).  Each point goes through the
     {!Scf_robust} escalation ladder in continuation order: the first rung
@@ -58,8 +58,7 @@ val generate : ?grid:grid_spec -> ?obs:Obs.t -> Params.t -> t
     running inside a task of {!Table_cache.get_many}'s device fan-out
     nests its energy runs in that same pool.  Each generation runs
     inside an [iv_table.generate] span and bumps [iv_table.generates]
-    in [obs] (default {!Obs.global}), which is forwarded to
-    {!Scf_robust.solve_robust} (see docs/OBS.md). *)
+    (see docs/OBS.md). *)
 
 val current_at : t -> vg:float -> vd:float -> float
 (** Bilinear interpolation; requires [vd >= 0] (the circuit layer owns the

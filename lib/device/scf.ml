@@ -28,6 +28,12 @@ let fault_charge = Fault.site "scf.charge"
 
 let fault_poisson = Fault.site "scf.poisson"
 
+let c_solves = Obs.Counter.make "scf.solves"
+let c_iters = Obs.Counter.make "scf.iterations"
+let c_charge = Obs.Counter.make "scf.charge_evals"
+let c_poisson = Obs.Counter.make "scf.poisson_solves"
+let h_iters = Obs.Histogram.make "scf.iterations"
+
 let site_positions p =
   let n = Modespace.sites_for_length p.Params.channel_length in
   let dx = Modespace.site_spacing in
@@ -75,15 +81,10 @@ let chains_for p =
   let sigma = Self_energy.wideband ~gamma:p.Params.contact_gamma in
   Array.map (fun m -> (m, sigma)) ms.Modespace.modes
 
-let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
-    ?(obs = Obs.global) p ~vg ~vd =
+let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson) p ~vg
+    ~vd =
   Parallel.scoped @@ fun () ->
-  Obs.Span.run ~obs "scf.solve" @@ fun () ->
-  let c_solves = Obs.Counter.make ~obs "scf.solves" in
-  let c_iters = Obs.Counter.make ~obs "scf.iterations" in
-  let c_charge = Obs.Counter.make ~obs "scf.charge_evals" in
-  let c_poisson = Obs.Counter.make ~obs "scf.poisson_solves" in
-  let h_iters = Obs.Histogram.make ~obs "scf.iterations" in
+  Obs.Span.run "scf.solve" @@ fun () ->
   Obs.Counter.incr c_solves;
   let sites = site_positions p in
   let n = Array.length sites in
@@ -126,7 +127,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         in
         let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
         let q =
-          Observables.site_charge ~eta:1.5e-3 ~obs ~bias ~egrid
+          Observables.site_charge ~eta:1.5e-3 ~bias ~egrid
             ~midgap:onsite
             (fun _ -> chain)
         in
@@ -271,7 +272,7 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         in
         let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
         acc
-        +. Observables.current ~eta:1.5e-3 ~obs ~bias ~egrid
+        +. Observables.current ~eta:1.5e-3 ~bias ~egrid
              (fun _ -> chain))
       0. modes
   in

@@ -59,7 +59,6 @@ val solve :
   ?max_iter:int ->
   ?init:float array ->
   ?mixing:[ `Anderson | `Anderson_damped of float | `Linear of float ] ->
-  ?obs:Obs.t ->
   Params.t ->
   vg:float ->
   vd:float ->
@@ -85,8 +84,7 @@ val solve :
 
     {b Observability.}  Each call runs inside an [scf.solve] span and
     bumps [scf.solves], [scf.iterations] (plus the iteration histogram),
-    [scf.charge_evals] and [scf.poisson_solves] in [obs] (default
-    {!Obs.global}), which is also handed to the NEGF observables; the
-    Poisson layer underneath reports to {!Obs.global}.  All no-ops
-    while the registry is disabled; the {!trace} field is collected
-    regardless.  See docs/OBS.md. *)
+    [scf.charge_evals] and [scf.poisson_solves] in {!Obs.global}, the
+    registry the NEGF and Poisson layers underneath report to as well.
+    All no-ops while the registry is disabled; the {!trace} field is collected regardless.
+    See docs/OBS.md. *)

@@ -17,12 +17,12 @@ type outcome = {
 (* Matches the Scf.solve default; the slow-linear rungs scale it. *)
 let default_max_iter = 120
 
-let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
-    ~vd =
-  let c_retries = Obs.Counter.make ~obs "robust.scf.retries" in
-  let c_escalations = Obs.Counter.make ~obs "robust.scf.escalations" in
-  let c_recovered = Obs.Counter.make ~obs "robust.scf.recovered" in
-  let c_unrecovered = Obs.Counter.make ~obs "robust.scf.unrecovered" in
+let c_retries = Obs.Counter.make "robust.scf.retries"
+let c_escalations = Obs.Counter.make "robust.scf.escalations"
+let c_recovered = Obs.Counter.make "robust.scf.recovered"
+let c_unrecovered = Obs.Counter.make "robust.scf.unrecovered"
+
+let solve_robust ?tol ?max_iter ?init ?neighbor p ~vg ~vd =
   let budget = 3 * Option.value max_iter ~default:default_max_iter in
   (* Rung 1 must be the exact call a direct Scf.solve user would make:
      optional arguments pass through as given so Scf's own defaults
@@ -32,15 +32,15 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
     [
       ( Anderson,
         fun ~warm ->
-          Scf.solve ?tol ?max_iter ?init:warm ~obs p ~vg ~vd );
+          Scf.solve ?tol ?max_iter ?init:warm p ~vg ~vd );
       ( Damped_restart,
         fun ~warm ->
           Scf.solve ?tol ?max_iter ?init:warm
-            ~mixing:(`Anderson_damped 0.2) ~obs p ~vg ~vd );
+            ~mixing:(`Anderson_damped 0.2) p ~vg ~vd );
       ( Linear_slow,
         fun ~warm ->
           Scf.solve ?tol ~max_iter:budget ?init:warm ~mixing:(`Linear 0.1)
-            ~obs p ~vg ~vd );
+            p ~vg ~vd );
     ]
     @
     match neighbor with
@@ -50,7 +50,7 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
         ( Neighbor_continuation,
           fun ~warm:_ ->
             Scf.solve ?tol ~max_iter:budget ~init:nb ~mixing:(`Linear 0.1)
-              ~obs p ~vg ~vd );
+              p ~vg ~vd );
       ]
   in
   let best = ref None in
@@ -90,11 +90,10 @@ let solve_robust ?tol ?max_iter ?init ?neighbor ?(obs = Obs.global) p ~vg
             },
             s.status = Scf.Converged )
         | exception
-            (( Robust_error.Error
-                 ( Robust_error.Singular _
-                 | Robust_error.Iterative_no_convergence _
-                 | Robust_error.Injected_fault _ )
-             | Failure _ ) as e) ->
+            (Robust_error.Error
+               ( Robust_error.Singular _
+               | Robust_error.Iterative_no_convergence _
+               | Robust_error.Injected_fault _ ) as e) ->
           ( {
               rung;
               status = None;

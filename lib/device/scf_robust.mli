@@ -2,7 +2,7 @@
 
     A point that {!Scf.solve} cannot converge — or that dies in a raised
     solver failure (singular pivot, non-converged iteration, injected
-    fault, solver [Failure]) — is retried up a fixed ladder of
+    fault) — is retried up a fixed ladder of
     increasingly conservative configurations:
 
     + {b Anderson} — the exact plain [Scf.solve] call (bit-for-bit
@@ -50,15 +50,14 @@ val solve_robust :
   ?max_iter:int ->
   ?init:float array ->
   ?neighbor:float array ->
-  ?obs:Obs.t ->
   Params.t ->
   vg:float ->
   vd:float ->
   outcome
-(** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter]/[obs] default
+(** Run the ladder at (VG, VD).  [init]/[tol]/[max_iter] default
     exactly as in {!Scf.solve} (the first rung {e is} that call, with
-    the optional knobs forwarded as given); [obs] also receives the
-    ladder counters.  Raised failures ([Robust_error.Error] carrying
-    [Singular], [Iterative_no_convergence] or [Injected_fault], and
-    solver [Failure]) are recorded per attempt and trigger the next
-    rung; [Invalid_argument] (caller bugs) propagates. *)
+    the optional knobs forwarded as given).  Raised failures
+    ([Robust_error.Error] carrying [Singular],
+    [Iterative_no_convergence] or [Injected_fault]) are recorded per
+    attempt and trigger the next rung; [Invalid_argument] (caller bugs)
+    propagates. *)

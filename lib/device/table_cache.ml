@@ -25,6 +25,16 @@ let gnrtbl_path key =
    read as a corrupt file, exercising the quarantine path. *)
 let fault_read = Fault.site "table_cache.read"
 
+let c_memory_hits = Obs.Counter.make "table_cache.memory_hits"
+let c_disk_hits = Obs.Counter.make "table_cache.disk_hits"
+let c_mmap_hits = Obs.Counter.make "table_cache.mmap_hits"
+let c_misses = Obs.Counter.make "table_cache.misses"
+let c_generates = Obs.Counter.make "table_cache.generates"
+let c_deduped = Obs.Counter.make "table_cache.deduped"
+let c_store_failures = Obs.Counter.make "table_cache.store_failures"
+let c_corrupt_quarantined = Obs.Counter.make "table_cache.corrupt_quarantined"
+let c_quarantine_failed = Obs.Counter.make "table_cache.quarantine_failed"
+
 type disk_outcome =
   | Table of Iv_table.t
   | Absent
@@ -37,15 +47,13 @@ type disk_outcome =
    cache directory) must never raise: it is counted in
    [table_cache.quarantine_failed] and the lookup still degrades to a
    miss. *)
-let quarantine ?obs path reason =
-  Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.corrupt_quarantined");
+let quarantine path reason =
+  Obs.Counter.incr c_corrupt_quarantined;
   Obs.Counter.incr
-    (Obs.Counter.make ?obs
-       ("table_cache.corrupt." ^ Robust_error.corrupt_label reason));
+    (Obs.Counter.make ("table_cache.corrupt." ^ Robust_error.corrupt_label reason));
   match Sys.rename path (path ^ ".corrupt") with
   | () -> ()
-  | exception Sys_error _ ->
-    Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.quarantine_failed")
+  | exception Sys_error _ -> Obs.Counter.incr c_quarantine_failed
 
 let injected_reason site hit =
   Robust_error.Undecodable
@@ -55,7 +63,7 @@ let injected_reason site hit =
    checksum-precise [Cache_corrupt] reasons; everything else this
    function can observe is absence or an unreadable file, both of which
    degrade to a plain miss. *)
-let probe_key ?obs key =
+let probe_key key =
   let path = gnrtbl_path key in
   if not (Sys.file_exists path) then Absent
   else
@@ -68,25 +76,23 @@ let probe_key ?obs key =
         Table view.Tbl_format.v_table
       else Stale
     | exception Robust_error.Error (Robust_error.Cache_corrupt { reason; _ }) ->
-      quarantine ?obs path reason;
+      quarantine path reason;
       Corrupt reason
     | exception Robust_error.Error (Robust_error.Injected_fault { site; hit })
       ->
       let reason = injected_reason site hit in
-      quarantine ?obs path reason;
+      quarantine path reason;
       Corrupt reason
     | exception Sys_error _ ->
       Absent (* raced deletion or unreadable: a plain miss, not corrupt *)
 
-let probe_disk ?grid ?obs p = probe_key ?obs (key ?grid p)
+let probe_disk ?grid p = probe_key (key ?grid p)
 
 (* Writes are atomic (tmp + rename) and best-effort — a cache store
    failure must never kill the computation that produced the table — but
    never silent: every failed store counts in [table_cache.store_failures]. *)
-let store_file ?obs key table =
-  let store_failed () =
-    Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.store_failures")
-  in
+let store_file key table =
+  let store_failed () = Obs.Counter.incr c_store_failures in
   let dir = cache_dir () in
   if not (Sys.file_exists dir) then begin
     match Sys.mkdir dir 0o755 with
@@ -124,41 +130,41 @@ let store_file ?obs key table =
    cache-initiated table generations.  [table_cache.mmap_hits] is a
    copy of [table_cache.disk_hits], kept because perfbench and daemon
    [stats] readers consume it. *)
-let lookup ?grid ?obs p =
+let lookup ?grid p =
   let key = key ?grid p in
   match Mutex.protect memory_mutex (fun () -> Hashtbl.find_opt memory key) with
   | Some t ->
-    Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.memory_hits");
+    Obs.Counter.incr c_memory_hits;
     Some t
   | None -> begin
-    match probe_key ?obs key with
+    match probe_key key with
     | Table t ->
-      Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.disk_hits");
-      Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.mmap_hits");
+      Obs.Counter.incr c_disk_hits;
+      Obs.Counter.incr c_mmap_hits;
       Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
       Some t
     | Absent | Stale | Corrupt _ ->
-      Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.misses");
+      Obs.Counter.incr c_misses;
       None
   end
 
 (* A cache-initiated generation: counted, kept in memory and persisted
    before it is returned. *)
-let generate_and_store ?grid ?obs p =
+let generate_and_store ?grid p =
   let key = key ?grid p in
-  Obs.Counter.incr (Obs.Counter.make ?obs "table_cache.generates");
-  let t = Iv_table.generate ?grid ?obs p in
+  Obs.Counter.incr c_generates;
+  let t = Iv_table.generate ?grid p in
   Mutex.protect memory_mutex (fun () -> Hashtbl.replace memory key t);
-  store_file ?obs key t;
+  store_file key t;
   t
 
-let get ?grid ?obs p =
-  match lookup ?grid ?obs p with
+let get ?grid p =
+  match lookup ?grid p with
   | Some t -> t
-  | None -> generate_and_store ?grid ?obs p
+  | None -> generate_and_store ?grid p
 
-let get_many ?grid ?obs ps =
-  let missing = List.filter (fun p -> Option.is_none (lookup ?grid ?obs p)) ps in
+let get_many ?grid ps =
+  let missing = List.filter (fun p -> Option.is_none (lookup ?grid p)) ps in
   (* A batch may name the same device twice (duplicate Params in the
      request list): generate each unique key exactly once, counting the
      dropped duplicates in [table_cache.deduped].  Output order is
@@ -166,7 +172,6 @@ let get_many ?grid ?obs ps =
      to memory hits). *)
   let missing =
     let seen = Hashtbl.create 16 in
-    let c_deduped = Obs.Counter.make ?obs "table_cache.deduped" in
     List.filter
       (fun p ->
         let k = key ?grid p in
@@ -186,6 +191,6 @@ let get_many ?grid ?obs ps =
      one pool cannot oversubscribe the cores, and every table is
      bit-identical at every width (docs/PERF.md). *)
   ignore
-    (Parallel.map (generate_and_store ?grid ?obs) (Array.of_list missing)
+    (Parallel.map (generate_and_store ?grid) (Array.of_list missing)
       : Iv_table.t array);
-  List.map (fun p -> get ?grid ?obs p) ps
+  List.map (fun p -> get ?grid p) ps

@@ -9,7 +9,9 @@
     ({!Tbl_format}, docs/FORMAT.md): a disk hit reads the file and
     validates every section's CRC-32C as it decodes it.  Files in any
     other layout, such as the pre-gnrtbl Marshal [<digest>.table], are
-    ignored. *)
+    ignored.  The fixed-name [table_cache.*] counters register when
+    the module initialises, so a snapshot lists them before the first
+    lookup. *)
 
 val cache_dir : unit -> string
 
@@ -33,8 +35,7 @@ type disk_outcome =
       (** validation failed; the file has been quarantined and the
           reason counted — see {!lookup} *)
 
-val probe_disk :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> Params.t -> disk_outcome
+val probe_disk : ?grid:Iv_table.grid_spec -> Params.t -> disk_outcome
 (** The disk half of {!lookup}, with the outcome made explicit:
     corruption surfaces as the typed checksum-precise reason the
     [gnrtbl] validator raised instead of being collapsed into [None].
@@ -43,12 +44,11 @@ val probe_disk :
     harness drives ≥200 mutations through here and {!lookup}).  Does
     not touch the in-memory cache or the hit/miss counters. *)
 
-val lookup :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> Params.t -> Iv_table.t option
+val lookup : ?grid:Iv_table.grid_spec -> Params.t -> Iv_table.t option
 (** Load from memory or disk; [None] when absent, stale or corrupt.
     Every call bumps exactly one of [table_cache.memory_hits],
-    [table_cache.disk_hits] or [table_cache.misses] in [obs]
-    (default {!Obs.global}); every disk hit also bumps
+    [table_cache.disk_hits] or [table_cache.misses]; every disk hit
+    also bumps
     [table_cache.mmap_hits], a copy of [table_cache.disk_hits] kept for
     perfbench and daemon [stats] readers.  See docs/OBS.md.
 
@@ -63,15 +63,14 @@ val lookup :
     never raises.  A file whose stored key does not match reads as a
     plain miss without quarantine. *)
 
-val get : ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> Params.t -> Iv_table.t
+val get : ?grid:Iv_table.grid_spec -> Params.t -> Iv_table.t
 (** Load or generate (and persist). Thread through all experiment code.
     A generation bumps [table_cache.generates] on top of the {!lookup}
     miss.  Persisting writes [gnrtbl] atomically (tmp file + rename)
     and is best-effort: a failed write never fails the caller but
     counts in [table_cache.store_failures]. *)
 
-val get_many :
-  ?grid:Iv_table.grid_spec -> ?obs:Obs.t -> Params.t list -> Iv_table.t list
+val get_many : ?grid:Iv_table.grid_spec -> Params.t list -> Iv_table.t list
 (** Like {!get} for a batch.  The missing tables are generated by one
     {!Parallel.map} over the devices, and each device's energy runs
     nest in that same pool, so the pool is saturated without

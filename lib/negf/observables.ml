@@ -21,15 +21,18 @@ let energy_grid ~lo ~hi ~de =
    observable call (never per energy point) and per-chunk counter adds,
    so the energy loop itself stays allocation-free; energies/sec is the
    counter divided by the timer (docs/OBS.md). *)
+let tm_current = Obs.Timer.make "negf.current"
+let c_transmission = Obs.Counter.make "rgf.transmission_energies"
+let tm_charge = Obs.Timer.make "negf.site_charge"
+let c_spectra = Obs.Counter.make "rgf.spectra_energies"
+
 (* Per-worker scratch for the current: the RGF workspace and the
    integrand at grid index [last] (-1: none yet), which the next chunk
    reuses when it starts there. *)
 type current_scratch = { ws : Rgf.workspace; mutable prev : float; mutable last : int }
 
-let current ?eta ?(obs = Obs.global) ~bias ~egrid chain_at =
-  let tm = Obs.Timer.make ~obs "negf.current" in
-  let c_energies = Obs.Counter.make ~obs "rgf.transmission_energies" in
-  let t0 = Obs.Timer.start tm in
+let current ?eta ~bias ~egrid chain_at =
+  let t0 = Obs.Timer.start tm_current in
   let { mu_s; mu_d; kt } = bias in
   let integrand ws k =
     let e = egrid.(k) in
@@ -44,7 +47,7 @@ let current ?eta ?(obs = Obs.global) ~bias ~egrid chain_at =
       ~worker:(fun _ -> { ws = Rgf.workspace (); prev = 0.; last = -1 })
       ~body:(fun w ~lo ~hi ->
         let reused = w.last = lo in
-        Obs.Counter.add c_energies (if reused then hi - lo else hi - lo + 1);
+        Obs.Counter.add c_transmission (if reused then hi - lo else hi - lo + 1);
         let acc = ref 0. in
         let prev = ref (if reused then w.prev else integrand w.ws lo) in
         for k = lo to hi - 1 do
@@ -57,7 +60,7 @@ let current ?eta ?(obs = Obs.global) ~bias ~egrid chain_at =
         !acc)
       ~combine:( +. ) 0.
   in
-  Obs.Timer.stop tm t0;
+  Obs.Timer.stop tm_current t0;
   Const.g0 *. integral
 
 (* Signed occupied spectral weight of one site at energy [e]: an
@@ -86,14 +89,12 @@ type charge_scratch = {
   mutable last : int;
 }
 
-let site_charge ?eta ?(obs = Obs.global) ~bias ~egrid ~midgap chain_at =
-  let tm = Obs.Timer.make ~obs "negf.site_charge" in
-  let c_energies = Obs.Counter.make ~obs "rgf.spectra_energies" in
-  let t0 = Obs.Timer.start tm in
+let site_charge ?eta ~bias ~egrid ~midgap chain_at =
+  let t0 = Obs.Timer.start tm_charge in
   (* The timer must stop on every path: the length checks below (and
      anything chain_at raises) would otherwise leak the sample (gnrlint
      span-balance). *)
-  Fun.protect ~finally:(fun () -> Obs.Timer.stop tm t0) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.Timer.stop tm_charge t0) @@ fun () ->
   let { mu_s; mu_d; kt } = bias in
   let chain0 = chain_at egrid.(0) in
   let n = Array.length chain0.Rgf.onsite in
@@ -126,7 +127,7 @@ let site_charge ?eta ?(obs = Obs.global) ~bias ~egrid ~midgap chain_at =
            ended on, or one fresh sweep: bit-identical either way, so
            the chunk's result depends on its range only (docs/PERF.md). *)
         let reused = w.last = lo in
-        Obs.Counter.add c_energies (if reused then hi - lo else hi - lo + 1);
+        Obs.Counter.add c_spectra (if reused then hi - lo else hi - lo + 1);
         if not reused then begin
           let e = egrid.(lo) in
           ignore (Rgf.spectra_into ?eta w.wx (chain_of lo) e);

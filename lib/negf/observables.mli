@@ -25,10 +25,9 @@
     energies-per-second falls out of the snapshot.  A call on a grid of
     [ne] energies run by [s] pool slots counts [ne + s - 1] in either
     counter: a function of the grid and the width, never of the
-    schedule.  Metrics land in the [?obs] registry (default
-    {!Obs.global}, docs/API.md); counters are bumped once per chunk,
-    never per energy point, and everything is a no-op while the
-    registry is disabled.  See docs/OBS.md. *)
+    schedule.  Metrics land in {!Obs.global}; counters are bumped once
+    per chunk, never per energy point, and everything is a no-op while
+    the registry is disabled.  See docs/OBS.md. *)
 
 type bias = {
   mu_s : float;  (** source electro-chemical potential, eV *)
@@ -42,7 +41,6 @@ val energy_grid : lo:float -> hi:float -> de:float -> float array
 
 val current :
   ?eta:float ->
-  ?obs:Obs.t ->
   bias:bias ->
   egrid:float array ->
   (float -> Rgf.chain) ->
@@ -57,7 +55,6 @@ val current :
 
 val site_charge :
   ?eta:float ->
-  ?obs:Obs.t ->
   bias:bias ->
   egrid:float array ->
   midgap:float array ->

@@ -47,8 +47,7 @@ let anderson_step ~history ~alpha t x r =
     let a = Matrix.init n m (fun i j -> (List.nth older_r j).(i) -. r0.(i)) in
     let gamma =
       try Lstsq.solve a (Array.map (fun v -> -.v) r0)
-      with Failure _ | Robust_error.Error (Robust_error.Singular _) ->
-        Array.make m 0.
+      with Robust_error.Error (Robust_error.Singular _) -> Array.make m 0.
     in
     let xmix = Array.copy x and rmix = Array.copy r in
     List.iteri

@@ -10,15 +10,10 @@
 
 let now () = Unix.gettimeofday ()
 
-type counter_cell = {
-  c_name : string;
-  c_enabled : bool ref;  (* shared with the owning registry *)
-  cell : int Atomic.t;
-}
+type counter_cell = { c_name : string; cell : int Atomic.t }
 
 type timer_cell = {
   tm_name : string;
-  tm_enabled : bool ref;
   tm_calls : int Atomic.t;
   tm_total_ns : int Atomic.t;
 }
@@ -27,7 +22,6 @@ let hist_buckets = 63 (* bucket i: values with highest set bit i *)
 
 type hist_cell = {
   hg_name : string;
-  hg_enabled : bool ref;
   hg_count : int Atomic.t;
   hg_sum : int Atomic.t;
   hg_max : int Atomic.t;
@@ -37,7 +31,7 @@ type hist_cell = {
 type span_frame = { sp_name : string; sp_t0 : float }
 
 type t = {
-  enabled_ref : bool ref;
+  mutable on : bool;
   mutex : Mutex.t;
   counters : (string, counter_cell) Hashtbl.t;
   timers : (string, timer_cell) Hashtbl.t;
@@ -53,9 +47,14 @@ type t = {
   span_stack : (int, span_frame list ref) Hashtbl.t Domain.DLS.key;
 }
 
-let create ?(enabled = false) () =
+let env_enables_obs () =
+  match Sys.getenv_opt "GNRFET_OBS" with
+  | None | Some ("0" | "false" | "off" | "") -> false
+  | Some _ -> true
+
+let global =
   {
-    enabled_ref = ref enabled;
+    on = env_enables_obs ();
     mutex = Mutex.create ();
     counters = Hashtbl.create 64;
     timers = Hashtbl.create 32;
@@ -63,23 +62,15 @@ let create ?(enabled = false) () =
     span_stack = Domain.DLS.new_key (fun () -> Hashtbl.create 8);
   }
 
-let env_enables_obs () =
-  match Sys.getenv_opt "GNRFET_OBS" with
-  | None | Some ("0" | "false" | "off" | "") -> false
-  | Some _ -> true
+let enabled reg = reg.on
 
-let global = create ~enabled:(env_enables_obs ()) ()
-
-let enabled reg = !(reg.enabled_ref)
-
-let set_enabled reg flag = reg.enabled_ref := flag
-
-let resolve = function Some reg -> reg | None -> global
+let set_enabled reg flag = reg.on <- flag
 
 (* Find-or-create under the registry mutex; registration is rare (module
-   init or once per solver call), so the lock is uncontended. *)
-let intern table mutex name build =
-  Mutex.protect mutex (fun () ->
+   init, or a name built from a reason label), so the lock is
+   uncontended. *)
+let intern table name build =
+  Mutex.protect global.mutex (fun () ->
       match Hashtbl.find_opt table name with
       | Some cell -> cell
       | None ->
@@ -90,15 +81,12 @@ let intern table mutex name build =
 module Counter = struct
   type nonrec t = counter_cell
 
-  let make ?obs name =
-    let reg = resolve obs in
-    intern reg.counters reg.mutex name (fun () ->
-        { c_name = name; c_enabled = reg.enabled_ref; cell = Atomic.make 0 })
+  let make name =
+    intern global.counters name (fun () -> { c_name = name; cell = Atomic.make 0 })
 
-  let incr c = if !(c.c_enabled) then ignore (Atomic.fetch_and_add c.cell 1)
+  let incr c = if global.on then ignore (Atomic.fetch_and_add c.cell 1)
 
-  let add c n =
-    if !(c.c_enabled) && n > 0 then ignore (Atomic.fetch_and_add c.cell n)
+  let add c n = if global.on && n > 0 then ignore (Atomic.fetch_and_add c.cell n)
 
   let value c = Atomic.get c.cell
 
@@ -108,26 +96,20 @@ end
 module Timer = struct
   type nonrec t = timer_cell
 
-  let make ?obs name =
-    let reg = resolve obs in
-    intern reg.timers reg.mutex name (fun () ->
-        {
-          tm_name = name;
-          tm_enabled = reg.enabled_ref;
-          tm_calls = Atomic.make 0;
-          tm_total_ns = Atomic.make 0;
-        })
+  let make name =
+    intern global.timers name (fun () ->
+        { tm_name = name; tm_calls = Atomic.make 0; tm_total_ns = Atomic.make 0 })
 
   let record tm seconds =
-    if !(tm.tm_enabled) then begin
+    if global.on then begin
       let ns = int_of_float (Float.max 0. seconds *. 1e9) in
       ignore (Atomic.fetch_and_add tm.tm_calls 1);
       ignore (Atomic.fetch_and_add tm.tm_total_ns ns)
     end
 
-  let start tm = if !(tm.tm_enabled) then now () else 0.
+  let start _ = if global.on then now () else 0.
 
-  let stop tm t0 = if !(tm.tm_enabled) && t0 > 0. then record tm (now () -. t0)
+  let stop tm t0 = if global.on && t0 > 0. then record tm (now () -. t0)
 
   let calls tm = Atomic.get tm.tm_calls
 
@@ -137,12 +119,10 @@ end
 module Histogram = struct
   type nonrec t = hist_cell
 
-  let make ?obs name =
-    let reg = resolve obs in
-    intern reg.histograms reg.mutex name (fun () ->
+  let make name =
+    intern global.histograms name (fun () ->
         {
           hg_name = name;
-          hg_enabled = reg.enabled_ref;
           hg_count = Atomic.make 0;
           hg_sum = Atomic.make 0;
           hg_max = Atomic.make 0;
@@ -159,7 +139,7 @@ module Histogram = struct
     if v > cur && not (Atomic.compare_and_set cell cur v) then bump_max cell v
 
   let observe h v =
-    if !(h.hg_enabled) then begin
+    if global.on then begin
       let v = max 0 v in
       ignore (Atomic.fetch_and_add h.hg_count 1);
       ignore (Atomic.fetch_and_add h.hg_sum v);
@@ -177,10 +157,10 @@ end
 module Span = struct
   exception Mismatch of string
 
-  let thread_stack reg =
-    let tbl = Domain.DLS.get reg.span_stack in
+  let thread_stack () =
+    let tbl = Domain.DLS.get global.span_stack in
     let id = Thread.id (Thread.self ()) in
-    Mutex.protect reg.mutex (fun () ->
+    Mutex.protect global.mutex (fun () ->
         match Hashtbl.find_opt tbl id with
         | Some s -> s
         | None ->
@@ -188,32 +168,31 @@ module Span = struct
           Hashtbl.replace tbl id s;
           s)
 
-  let depth reg = List.length !(thread_stack reg)
+  let depth () = List.length !(thread_stack ())
 
-  let stack reg = List.map (fun f -> f.sp_name) !(thread_stack reg)
+  let stack () = List.map (fun f -> f.sp_name) !(thread_stack ())
 
-  let exit_span reg tm name =
-    let stack = thread_stack reg in
+  let exit_span tm name =
+    let stack = thread_stack () in
     match !stack with
     | { sp_name; sp_t0 } :: rest when String.equal sp_name name ->
       stack := rest;
       Timer.record tm (now () -. sp_t0)
     | _ -> raise (Mismatch name)
 
-  let run ?obs name f =
-    let reg = resolve obs in
-    if not (enabled reg) then f ()
+  let run name f =
+    if not global.on then f ()
     else begin
-      let tm = Timer.make ~obs:reg name in
-      let stack = thread_stack reg in
+      let tm = Timer.make name in
+      let stack = thread_stack () in
       stack := { sp_name = name; sp_t0 = now () } :: !stack;
       match f () with
       | result ->
-        exit_span reg tm name;
+        exit_span tm name;
         result
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        exit_span reg tm name;
+        exit_span tm name;
         Printexc.raise_with_backtrace e bt
     end
 end
@@ -240,12 +219,11 @@ type snapshot = {
 
 let sorted_by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-let snapshot ?obs () =
-  let reg = resolve obs in
-  Mutex.protect reg.mutex (fun () ->
+let snapshot () =
+  Mutex.protect global.mutex (fun () ->
       let counters =
         Hashtbl.fold (fun name c acc -> (name, Counter.value c) :: acc)
-          reg.counters []
+          global.counters []
       in
       let timers =
         Hashtbl.fold
@@ -253,7 +231,7 @@ let snapshot ?obs () =
             ( name,
               { t_calls = Timer.calls tm; total_ms = Timer.total_s tm *. 1e3 } )
             :: acc)
-          reg.timers []
+          global.timers []
       in
       let histograms =
         Hashtbl.fold
@@ -271,39 +249,37 @@ let snapshot ?obs () =
                 h_buckets = !buckets;
               } )
             :: acc)
-          reg.histograms []
+          global.histograms []
       in
       {
-        snap_enabled = enabled reg;
+        snap_enabled = global.on;
         snap_counters = sorted_by_name counters;
         snap_timers = sorted_by_name timers;
         snap_histograms = sorted_by_name histograms;
       })
 
-let counter_value ?obs name =
-  let reg = resolve obs in
+let counter_value name =
   match
-    Mutex.protect reg.mutex (fun () -> Hashtbl.find_opt reg.counters name)
+    Mutex.protect global.mutex (fun () -> Hashtbl.find_opt global.counters name)
   with
   | Some c -> Counter.value c
   | None -> 0
 
-let reset ?obs () =
-  let reg = resolve obs in
-  Mutex.protect reg.mutex (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) reg.counters;
+let reset () =
+  Mutex.protect global.mutex (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) global.counters;
       Hashtbl.iter
         (fun _ tm ->
           Atomic.set tm.tm_calls 0;
           Atomic.set tm.tm_total_ns 0)
-        reg.timers;
+        global.timers;
       Hashtbl.iter
         (fun _ h ->
           Atomic.set h.hg_count 0;
           Atomic.set h.hg_sum 0;
           Atomic.set h.hg_max 0;
           Array.iter (fun bin -> Atomic.set bin 0) h.hg_bins)
-        reg.histograms)
+        global.histograms)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)

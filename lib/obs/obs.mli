@@ -4,26 +4,25 @@
     histograms and nestable spans, registered by name in a registry that
     can be snapshotted to a deterministic report or reset between runs.
 
-    {b Cost model.}  Every metric handle carries the [enabled] flag of
-    its registry: when the registry is disabled each operation is a
-    single branch — no allocation, no clock read, no atomic traffic —
-    so instrumentation can stay in solver code permanently.  When
+    {b Cost model.}  Every metric operation reads the registry's one
+    [enabled] flag: while it is off each operation is a single branch —
+    no allocation, no clock read, no atomic traffic — so
+    instrumentation can stay in solver code permanently.  When
     enabled, counters and histograms are a single [Atomic] RMW and
     timers add one [Unix.gettimeofday] pair per timed region.  Hot
     per-energy loops must only touch counters (amortised per chunk);
     spans and timers belong at per-grid or per-solve granularity.
 
-    {b Registries.}  [global] is the process-wide registry used by the
-    static instrumentation in the numerics/NEGF/Poisson/circuit layers.
-    The solver entry points ([Observables] → [Scf.solve] →
-    [Iv_table.generate] → [Table_cache.get_many], the serve daemon and
-    the campaign engine) take the registry as [?obs] (default [global])
-    and pass it down, so a caller can collect an isolated snapshot
-    (docs/API.md).  The default enabled state of
-    [global] comes from the [GNRFET_OBS] environment variable: unset,
-    ["0"], ["false"] or ["off"] mean disabled (the test-suite default);
-    anything else means enabled.  The CLI turns it on explicitly
-    unless [GNRFET_OBS=0].
+    {b One registry.}  [global] is the only registry: every layer,
+    from the energy loop to the serve daemon and the campaign engine,
+    reports to it.  Fixed-name metrics are module-level handles, made
+    when their module initialises, so a snapshot lists every metric of
+    every module the executable links, zero or not; a span's timer
+    registers the first time the span runs enabled.  The default
+    enabled state comes from the [GNRFET_OBS] environment variable:
+    unset, ["0"], ["false"] or ["off"] mean disabled (the test-suite
+    default); anything else means enabled.  The CLI turns it on
+    explicitly unless [GNRFET_OBS=0].
 
     {b Determinism.}  Counter and histogram contents are deterministic
     functions of the work performed; timer values are wall-clock and
@@ -34,14 +33,10 @@
     See docs/OBS.md for the metric inventory and the JSON schema. *)
 
 type t
-(** A metric registry. *)
+(** The metric registry. *)
 
 val global : t
-(** The process-wide registry. *)
-
-val create : ?enabled:bool -> unit -> t
-(** Fresh, empty registry (default [enabled:false]); used by tests and
-    by callers that want isolated accounting. *)
+(** The process-wide registry, the only one. *)
 
 val enabled : t -> bool
 
@@ -54,17 +49,15 @@ val now : unit -> float
     time without their own unix dependency. *)
 
 module Counter : sig
-  type obs := t
-
   type t
   (** A named monotonic counter ([Atomic] int). *)
 
-  val make : ?obs:obs -> string -> t
-  (** Find-or-create by name in the registry (default {!global}): two
-      [make] calls with one name share one cell. *)
+  val make : string -> t
+  (** Find-or-create by name in {!global}: two [make] calls with one
+      name share one cell. *)
 
   val incr : t -> unit
-  (** No-op while the owning registry is disabled (a single branch). *)
+  (** No-op while the registry is disabled (a single branch). *)
 
   val add : t -> int -> unit
   (** [add c n] with [n >= 0]; negative deltas are ignored so counters
@@ -76,12 +69,10 @@ module Counter : sig
 end
 
 module Timer : sig
-  type obs := t
-
   type t
   (** A named cumulative wall-clock timer (call count + total time). *)
 
-  val make : ?obs:obs -> string -> t
+  val make : string -> t
 
   val start : t -> float
   (** Returns {!now} when the registry is enabled, [0.] otherwise (so a
@@ -100,14 +91,12 @@ module Timer : sig
 end
 
 module Histogram : sig
-  type obs := t
-
   type t
   (** Power-of-two-bucket histogram of non-negative integers (iteration
       counts, sizes): value [v] lands in the bucket whose exclusive
       upper bound is the smallest power of two above [v]. *)
 
-  val make : ?obs:obs -> string -> t
+  val make : string -> t
 
   val observe : t -> int -> unit
   (** No-op while disabled; negative values clamp to 0. *)
@@ -120,14 +109,12 @@ module Histogram : sig
 end
 
 module Span : sig
-  type obs := t
-
   exception Mismatch of string
   (** Raised when a span exit does not match the innermost open span on
       the current thread — structurally impossible through {!run}, kept
       as a checked invariant for the property suite. *)
 
-  val run : ?obs:obs -> string -> (unit -> 'a) -> 'a
+  val run : string -> (unit -> 'a) -> 'a
   (** [run name f] opens a span, runs [f], and closes the span whether
       [f] returns or raises; the elapsed time aggregates into the timer
       named [name].  Spans nest {e per thread} (not merely per domain:
@@ -136,10 +123,10 @@ module Span : sig
       interleave): the exit always matches the innermost open span.
       When the registry is disabled this is exactly [f ()]. *)
 
-  val depth : t -> int
+  val depth : unit -> int
   (** Open spans on the calling thread (0 outside any span). *)
 
-  val stack : t -> string list
+  val stack : unit -> string list
   (** Names of the open spans on the calling thread, innermost first. *)
 end
 
@@ -163,14 +150,14 @@ type snapshot = {
   snap_histograms : (string * hist_stat) list;  (** sorted by name *)
 }
 
-val snapshot : ?obs:t -> unit -> snapshot
+val snapshot : unit -> snapshot
 (** Consistent-enough copy of the registry (each cell is read once,
     atomically; no cross-metric transaction). *)
 
-val counter_value : ?obs:t -> string -> int
+val counter_value : string -> int
 (** Current value of a counter by name; 0 when unregistered. *)
 
-val reset : ?obs:t -> unit -> unit
+val reset : unit -> unit
 (** Zero every metric, keeping registrations (names survive, values
     restart from 0).  Open span stacks are not touched. *)
 

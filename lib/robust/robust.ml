@@ -10,8 +10,8 @@ module Report = struct
     || name = "table_cache.corrupt_quarantined"
     || name = "table_cache.store_failures"
 
-  let collect ?obs () =
-    let snap = Obs.snapshot ?obs () in
+  let collect () =
+    let snap = Obs.snapshot () in
     {
       fault_spec = Fault.current_spec ();
       counters = List.filter (fun (n, _) -> relevant n) snap.Obs.snap_counters;

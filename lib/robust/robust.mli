@@ -13,9 +13,8 @@ module Report : sig
             failure counters), sorted by name *)
   }
 
-  val collect : ?obs:Obs.t -> unit -> t
-  (** Snapshot the robustness counters from [?obs] (default
-      {!Obs.global}). *)
+  val collect : unit -> t
+  (** Snapshot the robustness counters from {!Obs.global}. *)
 
   val total_injected : t -> int
   (** Sum of the [robust.fault.*] counters. *)

@@ -99,7 +99,8 @@ type t =
       (** [stage] gave up after [attempts] attempts; [detail] describes
           the last underlying failure.  The campaign's serve executor
           raises it (stage ["serve:<kind>"]) for a daemon-side solver
-          error. *)
+          error, and [Metrics.inverter_metrics] when no transient shows
+          an output transition. *)
   | Client_timeout of { op : string; deadline_s : float }
       (** A serve-client request missed its per-request deadline; the
           connection is closed (a late response would desynchronize the

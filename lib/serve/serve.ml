@@ -1,59 +1,27 @@
-type config = { max_generations : int; obs : Obs.t }
-
-let default_config = { max_generations = 2; obs = Obs.global }
+let default_max_generations = 2
 
 (* Hint attached to every busy rejection. *)
 let retry_after_ms = 250
 
-type metrics = {
-  c_requests : Obs.Counter.t;
-  c_bad : Obs.Counter.t;
-  c_coalesced : Obs.Counter.t;
-  c_rejected : Obs.Counter.t;
-  c_jobs : Obs.Counter.t;
-  c_errors : Obs.Counter.t;
-  c_disconnects : Obs.Counter.t;
-}
+let c_requests = Obs.Counter.make "serve.requests"
+let c_bad = Obs.Counter.make "serve.bad_requests"
+let c_coalesced = Obs.Counter.make "serve.coalesced_hits"
+let c_rejected = Obs.Counter.make "serve.rejected"
+let c_jobs = Obs.Counter.make "serve.jobs"
+let c_errors = Obs.Counter.make "serve.errors"
+let c_disconnects = Obs.Counter.make "serve.client_disconnects"
 
-type t = {
-  config : config;
-  sf : Iv_table.t Single_flight.t;
-  m : metrics;
-  stopping_flag : bool Atomic.t;
-}
+type t = { sf : Iv_table.t Single_flight.t; stopping_flag : bool Atomic.t }
 
-let create ?(config = default_config) () =
-  let sf = Single_flight.create ~capacity:config.max_generations in
+let create ?(max_generations = default_max_generations) () =
+  let sf = Single_flight.create ~capacity:max_generations in
   (* A client that vanishes mid-response must surface as EPIPE on the
      write (counted below), not as a process-killing SIGPIPE.  No-op
      where the signal does not exist. *)
   (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
   | () -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ());
-  let obs = config.obs in
-  (* Pre-register the table-cache tier counters so a [stats] snapshot
-     reports them (as 0) even before the first lookup, instead of
-     omitting the row. *)
-  List.iter
-    (fun name -> ignore (Obs.Counter.make ~obs name : Obs.Counter.t))
-    [
-      "table_cache.mmap_hits";
-      "table_cache.disk_hits";
-      "table_cache.memory_hits";
-      "table_cache.misses";
-    ];
-  let m =
-    {
-      c_requests = Obs.Counter.make ~obs "serve.requests";
-      c_bad = Obs.Counter.make ~obs "serve.bad_requests";
-      c_coalesced = Obs.Counter.make ~obs "serve.coalesced_hits";
-      c_rejected = Obs.Counter.make ~obs "serve.rejected";
-      c_jobs = Obs.Counter.make ~obs "serve.jobs";
-      c_errors = Obs.Counter.make ~obs "serve.errors";
-      c_disconnects = Obs.Counter.make ~obs "serve.client_disconnects";
-    }
-  in
-  { config; sf; m; stopping_flag = Atomic.make false }
+  { sf; stopping_flag = Atomic.make false }
 
 let stopping t = Atomic.get t.stopping_flag
 
@@ -70,24 +38,22 @@ let stop t = Atomic.set t.stopping_flag true
    Table_cache.get still finds a table that another leader for the same
    key stored after this thread's lookup missed. *)
 let table_for t ~grid p =
-  let obs = t.config.obs in
-  match Table_cache.lookup ?grid ~obs p with
+  match Table_cache.lookup ?grid p with
   | Some table -> table
   | None ->
     let outcome =
       Single_flight.run t.sf (Table_cache.key ?grid p) (fun () ->
-          Obs.Counter.incr t.m.c_jobs;
-          Obs.Span.run ~obs "serve.generate" (fun () ->
-              Table_cache.get ?grid ~obs p))
+          Obs.Counter.incr c_jobs;
+          Obs.Span.run "serve.generate" (fun () -> Table_cache.get ?grid p))
     in
-    if outcome.Single_flight.coalesced then Obs.Counter.incr t.m.c_coalesced;
+    if outcome.Single_flight.coalesced then Obs.Counter.incr c_coalesced;
     outcome.Single_flight.value
 
 (* ------------------------------------------------------------------ *)
 (* Request evaluation                                                  *)
 
 let stats_json t =
-  let snap = Obs.snapshot ~obs:t.config.obs () in
+  let snap = Obs.snapshot () in
   Sjson.Obj
     [
       ("enabled", Sjson.Bool snap.Obs.snap_enabled);
@@ -120,10 +86,10 @@ let eval t (op : Serve_protocol.op) =
       ]
 
 let handle_line t line =
-  Obs.Counter.incr t.m.c_requests;
+  Obs.Counter.incr c_requests;
   match Serve_protocol.parse_request line with
   | Error detail ->
-    Obs.Counter.incr t.m.c_bad;
+    Obs.Counter.incr c_bad;
     (* Best-effort id recovery so the client can still correlate. *)
     let id =
       match Sjson.parse line with
@@ -142,13 +108,10 @@ let handle_line t line =
           retry_after_ms = None;
         }
     else (
-      match
-        Obs.Span.run ~obs:t.config.obs "serve.request" (fun () ->
-            eval t op)
-      with
+      match Obs.Span.run "serve.request" (fun () -> eval t op) with
       | result -> Serve_protocol.ok_line ~id result
       | exception Single_flight.Full ->
-        Obs.Counter.incr t.m.c_rejected;
+        Obs.Counter.incr c_rejected;
         Serve_protocol.error_line ~id
           {
             Serve_protocol.kind = "busy";
@@ -156,10 +119,10 @@ let handle_line t line =
             retry_after_ms = Some retry_after_ms;
           }
       | exception Robust_error.Error e ->
-        Obs.Counter.incr t.m.c_errors;
+        Obs.Counter.incr c_errors;
         Serve_protocol.error_line ~id (Serve_protocol.error_of_robust e)
       | exception e ->
-        Obs.Counter.incr t.m.c_errors;
+        Obs.Counter.incr c_errors;
         Serve_protocol.error_line ~id
           {
             Serve_protocol.kind = "internal";
@@ -213,7 +176,7 @@ let serve_unix t ~path =
       | () -> true
       | exception (Sys_error _ | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _))
         ->
-        Obs.Counter.incr t.m.c_disconnects;
+        Obs.Counter.incr c_disconnects;
         false
     in
     let rec loop () =

@@ -15,28 +15,22 @@
     line-pumps around it.  [handle_line] is thread-safe: the Unix
     transport calls it from one thread per connection. *)
 
-type config = {
-  max_generations : int;
-      (** tables generated at once before a miss is answered [busy]
-          (default 2); 0 serves cached tables only *)
-  obs : Obs.t;
-      (** metric registry for the server's own [serve.*] metrics and for
-          the table lookups and generations it runs (default
-          {!Obs.global}).  The bias grid is not part of the config: each
-          request names its own (docs/SERVE.md). *)
-}
-
-val default_config : config
-(** Defaults above with [obs = Obs.global]. *)
+val default_max_generations : int
+(** 2: tables generated at once before a miss is answered [busy]. *)
 
 type t
 
-val create : ?config:config -> unit -> t
-(** [max_generations < 0] raises [Invalid_argument].  Also ignores
-    SIGPIPE process-wide so a client that disconnects mid-response
-    surfaces as a counted write failure ([serve.client_disconnects],
-    docs/OBS.md) on that connection's thread instead of killing the
-    process. *)
+val create : ?max_generations:int -> unit -> t
+(** [max_generations] (default {!default_max_generations}) bounds the
+    tables generated at once; 0 serves cached tables only, and a
+    negative count raises [Invalid_argument].  The bias grid is not a
+    server setting: each request names its own (docs/SERVE.md).  The
+    server's [serve.*] metrics, and the lookups and generations it
+    runs, report to {!Obs.global}, which the [stats] request
+    snapshots.  Also ignores SIGPIPE process-wide so a client that
+    disconnects mid-response surfaces as a counted write failure
+    ([serve.client_disconnects], docs/OBS.md) on that connection's
+    thread instead of killing the process. *)
 
 val handle_line : t -> string -> string
 (** Evaluate one request line into one response line (no trailing

@@ -40,6 +40,16 @@ let with_env key value f =
    that read the width: putenv from several domains at once races. *)
 let at_width d f = with_env "GNRFET_DOMAINS" (string_of_int d) f
 
+(* Run [f] with Obs.global enabled (or not) and every metric zeroed,
+   then put the enabled flag back on every path.  Obs.global is the only
+   registry, so an absolute read inside [f] counts [f]'s work alone. *)
+let with_obs ?(enabled = true) f =
+  let old = Obs.enabled Obs.global in
+  Obs.set_enabled Obs.global enabled;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
+  Obs.reset ();
+  f ()
+
 (* Small deterministic RNG for fixtures. *)
 let rng = Rng.create 2024
 

@@ -61,8 +61,6 @@ let flaky (s : Campaign.sample) =
 let report_str (o : Campaign.run_outcome) =
   Sjson.to_string (Campaign.report_to_json o.Campaign.report)
 
-let counter obs name = Obs.counter_value ~obs name
-
 (* --- spec codec ------------------------------------------------------ *)
 
 let test_spec_codec () =
@@ -453,25 +451,22 @@ let test_journal_fuzz () =
 (* --- engine: run, crash-resume bit-identity, accounting -------------- *)
 
 let test_run_without_journal () =
-  let obs = Obs.create ~enabled:true () in
-  let o = Campaign.run_with ~obs ~evaluate:fake spec in
+  with_obs @@ fun () ->
+  let o = Campaign.run_with ~evaluate:fake spec in
   Alcotest.(check int) "total" 12 o.Campaign.report.Campaign.r_total;
   Alcotest.(check int) "completed" 12 o.Campaign.report.Campaign.r_completed;
   Alcotest.(check int) "evaluated" 12 o.Campaign.evaluated;
   Alcotest.(check int) "resumed" 0 o.Campaign.resumed;
-  Alcotest.(check int) "samples counter" 12 (counter obs "campaign.samples");
+  Alcotest.(check int) "samples counter" 12 (Obs.counter_value "campaign.samples");
   Alcotest.(check int) "no journal records" 0
-    (counter obs "campaign.journal.records");
+    (Obs.counter_value "campaign.journal.records");
   Alcotest.(check int) "snapshot count" 12
     o.Campaign.report.Campaign.r_delay.Stream_stats.s_count
 
 let test_resume_bit_identity () =
   with_tmp ".j" @@ fun j1 ->
   with_tmp ".j" @@ fun j2 ->
-  let uninterrupted =
-    Campaign.run_with ~obs:(Obs.create ~enabled:true ()) ~journal:j1
-      ~evaluate:fake spec
-  in
+  let uninterrupted = Campaign.run_with ~journal:j1 ~evaluate:fake spec in
   let golden = report_str uninterrupted in
   Alcotest.(check int) "journal size" (header + (12 * frame))
     (String.length (read_file j1));
@@ -482,9 +477,9 @@ let test_resume_bit_identity () =
   in
   let src = read_file j2 in
   write_file j2 (String.sub src 0 (header + (5 * frame) + 13));
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let resumed =
-    Campaign.run_with ~obs ~journal:j2 ~resume:true ~evaluate:fake spec
+    Campaign.run_with ~journal:j2 ~resume:true ~evaluate:fake spec
   in
   Alcotest.(check int) "resumed" 5 resumed.Campaign.resumed;
   Alcotest.(check int) "re-evaluated" 7 resumed.Campaign.evaluated;
@@ -495,13 +490,14 @@ let test_resume_bit_identity () =
     (report_str resumed);
   (* No sample is ever double-counted: replayed + evaluated covers the
      spec exactly once, visibly in the obs registry. *)
-  Alcotest.(check int) "replayed counter" 5 (counter obs "campaign.replayed");
-  Alcotest.(check int) "samples counter" 7 (counter obs "campaign.samples");
+  Alcotest.(check int) "replayed counter" 5 (Obs.counter_value "campaign.replayed");
+  Alcotest.(check int) "samples counter" 7 (Obs.counter_value "campaign.samples");
   Alcotest.(check int) "records appended" 7
-    (counter obs "campaign.journal.records");
-  Alcotest.(check int) "duplicates" 0 (counter obs "campaign.journal.duplicates");
+    (Obs.counter_value "campaign.journal.records");
+  Alcotest.(check int) "duplicates" 0
+    (Obs.counter_value "campaign.journal.duplicates");
   Alcotest.(check int) "tear counted" 1
-    (counter obs "campaign.journal.torn.truncated");
+    (Obs.counter_value "campaign.journal.torn.truncated");
   (* The resumed journal healed: full replay, no tear, and resuming a
      complete journal re-evaluates nothing yet reports identically. *)
   let r = Journal.replay ~path:j2 ~expect_hash:(Campaign.spec_hash spec) () in
@@ -516,16 +512,14 @@ let test_resume_bit_identity () =
 let test_resume_with_quarantine () =
   with_tmp ".j" @@ fun j1 ->
   with_tmp ".j" @@ fun j2 ->
-  let obs1 = Obs.create ~enabled:true () in
-  let uninterrupted =
-    Campaign.run_with ~obs:obs1 ~journal:j1 ~evaluate:flaky spec
-  in
+  with_obs @@ fun () ->
+  let uninterrupted = Campaign.run_with ~journal:j1 ~evaluate:flaky spec in
   Alcotest.(check int) "completed" 10 uninterrupted.Campaign.report.Campaign.r_completed;
   Alcotest.(check bool) "quarantine reasons journaled" true
     (uninterrupted.Campaign.report.Campaign.r_quarantined
     = [ (3, flaky_reason); (8, flaky_reason) ]);
   Alcotest.(check int) "quarantined counter" 2
-    (counter obs1 "campaign.quarantined");
+    (Obs.counter_value "campaign.quarantined");
   (* Quarantined frames are variable-length, so damage the tail without
      offset arithmetic: chop the last 10 bytes. *)
   let (_ : Campaign.run_outcome) =
@@ -559,16 +553,16 @@ let test_abort_keeps_synced_prefix () =
 
 let test_checkpoint_cadence_and_status () =
   with_tmp ".j" @@ fun path ->
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let o =
-    Campaign.run_with ~obs ~journal:path ~checkpoint_every:5 ~evaluate:flaky
-      spec
+    Campaign.run_with ~journal:path ~checkpoint_every:5 ~evaluate:flaky spec
   in
   (* The final record forces a sync regardless of cadence, so the file
      is complete. *)
   let r = Journal.replay ~path () in
   Alcotest.(check int) "all records present" 12 r.Journal.next;
-  Alcotest.(check int) "samples counted once" 12 (counter obs "campaign.samples");
+  Alcotest.(check int) "samples counted once" 12
+    (Obs.counter_value "campaign.samples");
   let st = Campaign.status ~journal:path ~spec () in
   Alcotest.(check int) "recorded" 12 st.Campaign.st_recorded;
   Alcotest.(check int) "completed" 10 st.Campaign.st_completed;
@@ -917,55 +911,47 @@ let with_temp_cache f =
 let test_serve_executor_fallback () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun () ->
+  with_obs @@ fun () ->
   let sleeps = ref [] in
-  let was_enabled = Obs.enabled Obs.global in
-  Obs.set_enabled Obs.global true;
-  let fallbacks0 = Obs.counter_value "campaign.serve_fallbacks" in
-  let generates0 = Obs.counter_value "table_cache.generates" in
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled Obs.global was_enabled)
-    (fun () ->
-      with_stub
-        [ [ Busy (Some 5); Busy (Some 5); Busy (Some 5); Busy (Some 5) ] ]
-        (fun path ->
-          let client =
-            Serve_client.connect
-              ~config:(recording_config ~max_attempts:2 sleeps)
-              ~path ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Serve_client.close client)
-            (fun () ->
-              (* Without the fallback the typed client failure is the
-                 caller's. *)
-              (match
-                 Campaign.serve_executor ~fallback:false client ()
-                   (tiny_device ()) (Some micro_grid)
-               with
-              | exception
-                  Robust_error.Error (Robust_error.Client_disconnected _) ->
-                ()
-              | _ -> Alcotest.fail "expected the busy daemon to fail the call");
-              let exec = Campaign.serve_executor ~fallback:true client () in
-              (* A daemon busy through the whole retry budget costs
-                 time, never the sample: the table still materializes
-                 locally. *)
-              let table = exec (tiny_device ()) (Some micro_grid) in
-              Alcotest.(check int) "table generated locally" 3
-                (Array.length table.Iv_table.vg))));
+  with_stub
+    [ [ Busy (Some 5); Busy (Some 5); Busy (Some 5); Busy (Some 5) ] ]
+    (fun path ->
+      let client =
+        Serve_client.connect
+          ~config:(recording_config ~max_attempts:2 sleeps)
+          ~path ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Serve_client.close client)
+        (fun () ->
+          (* Without the fallback the typed client failure is the
+             caller's. *)
+          (match
+             Campaign.serve_executor ~fallback:false client ()
+               (tiny_device ()) (Some micro_grid)
+           with
+          | exception Robust_error.Error (Robust_error.Client_disconnected _)
+            ->
+            ()
+          | _ -> Alcotest.fail "expected the busy daemon to fail the call");
+          let exec = Campaign.serve_executor ~fallback:true client () in
+          (* A daemon busy through the whole retry budget costs time,
+             never the sample: the table still materializes locally. *)
+          let table = exec (tiny_device ()) (Some micro_grid) in
+          Alcotest.(check int) "table generated locally" 3
+            (Array.length table.Iv_table.vg)));
   Alcotest.(check int) "client backed off once per call" 2
     (List.length !sleeps);
   Alcotest.(check int) "fallback counted" 1
-    (Obs.counter_value "campaign.serve_fallbacks" - fallbacks0);
-  Alcotest.(check int) "fallback generation reports to the global registry" 1
-    (Obs.counter_value "table_cache.generates" - generates0)
+    (Obs.counter_value "campaign.serve_fallbacks");
+  Alcotest.(check int) "fallback generation counted" 1
+    (Obs.counter_value "table_cache.generates")
 
 (* --- daemon counts mid-response client disconnects ------------------- *)
 
 let test_daemon_counts_client_disconnects () =
-  let obs = Obs.create ~enabled:true () in
-  let config = { Serve.default_config with Serve.obs } in
-  let server = Serve.create ~config () in
+  with_obs @@ fun () ->
+  let server = Serve.create () in
   let path = fresh_sock () in
   let th = Thread.create (fun () -> Serve.serve_unix server ~path) () in
   let deadline = Unix.gettimeofday () +. 5. in
@@ -988,7 +974,7 @@ let test_daemon_counts_client_disconnects () =
      fast rounds instead of asserting a single shot. *)
   let line = Serve_protocol.request_to_line ping ^ "\n" in
   let rec provoke round =
-    if Obs.counter_value ~obs "serve.client_disconnects" >= 1 then ()
+    if Obs.counter_value "serve.client_disconnects" >= 1 then ()
     else if round > 25 then
       Alcotest.fail "disconnect mid-response never counted"
     else begin
@@ -1040,25 +1026,19 @@ let test_client_framing_across_reads () =
     ]
   in
   let sleeps = ref [] in
-  let was_enabled = Obs.enabled Obs.global in
-  Obs.set_enabled Obs.global true;
-  let disconnects () = Obs.counter_value "serve_client.disconnects" in
-  let before = disconnects () in
+  with_obs @@ fun () ->
   let results =
-    Fun.protect
-      ~finally:(fun () -> Obs.set_enabled Obs.global was_enabled)
-      (fun () ->
-        with_stub [ script ] (fun path ->
-            let t =
-              Serve_client.connect ~config:(recording_config sleeps) ~path ()
-            in
-            Fun.protect
-              ~finally:(fun () -> Serve_client.close t)
-              (fun () ->
-                List.init 4 (fun _ ->
-                    match Serve_client.call t ping with
-                    | { Serve_protocol.result = Ok r; _ } -> r
-                    | _ -> Alcotest.fail "expected an ok response"))))
+    with_stub [ script ] (fun path ->
+        let t =
+          Serve_client.connect ~config:(recording_config sleeps) ~path ()
+        in
+        Fun.protect
+          ~finally:(fun () -> Serve_client.close t)
+          (fun () ->
+            List.init 4 (fun _ ->
+                match Serve_client.call t ping with
+                | { Serve_protocol.result = Ok r; _ } -> r
+                | _ -> Alcotest.fail "expected an ok response")))
   in
   (match results with
   | [ Sjson.Str s1; Sjson.Str s2; Sjson.Num 3.; Sjson.Str s4 ] ->
@@ -1067,7 +1047,8 @@ let test_client_framing_across_reads () =
     Alcotest.(check string) "second" "second" s2;
     Alcotest.(check string) "fourth" "fourth" s4
   | _ -> Alcotest.fail "responses out of order or damaged");
-  Alcotest.(check int) "no disconnects" before (disconnects ());
+  Alcotest.(check int) "no disconnects" 0
+    (Obs.counter_value "serve_client.disconnects");
   Alcotest.(check int) "no retries" 0 (List.length !sleeps)
 
 let suite =

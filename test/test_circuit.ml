@@ -168,9 +168,7 @@ let test_newton_work () =
     let b = Cells.inverter_fo4 ~pair ~vdd ~wave () in
     ignore (Mna.transient b.Cells.net ~t_stop:240e-12 ~dt:2e-12 : Mna.waveform)
   in
-  let old = Obs.enabled Obs.global in
-  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
-  Obs.set_enabled Obs.global true;
+  with_obs @@ fun () ->
   let iters0 = Obs.counter_value "mna.newton_iterations" in
   run ();
   let iters = Obs.counter_value "mna.newton_iterations" - iters0 in

@@ -180,10 +180,7 @@ let test_table_cache_hit_miss_accounting () =
      must be 100% cache hits — zero misses, zero Iv_table generations —
      and the obs counters are the proof. *)
   with_temp_cache (fun () ->
-      let old = Obs.enabled Obs.global in
-      Obs.set_enabled Obs.global true;
-      Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old)
-      @@ fun () ->
+      with_obs @@ fun () ->
       let devices = [ tiny; tiny_device ~gnr_index:9 () ] in
       let read name = Obs.counter_value name in
       let snap () =
@@ -225,10 +222,7 @@ let test_get_many_dedups_duplicates () =
      generated once and counted in table_cache.deduped, and the result
      list still matches the request order. *)
   with_temp_cache (fun () ->
-      let old = Obs.enabled Obs.global in
-      Obs.set_enabled Obs.global true;
-      Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old)
-      @@ fun () ->
+      with_obs @@ fun () ->
       let other = tiny_device ~gnr_index:9 () in
       let read name = Obs.counter_value name in
       let d0 = read "table_cache.deduped" and g0 = read "table_cache.generates" in

@@ -688,9 +688,7 @@ let test_site_charge_matches_oracle () =
   let current () =
     ignore (Observables.current ~eta ~bias ~egrid (fun _ -> fixed) : float)
   in
-  let old = Obs.enabled Obs.global in
-  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
-  Obs.set_enabled Obs.global true;
+  with_obs @@ fun () ->
   let ne = Array.length egrid in
   let adds counter f =
     let before = Obs.counter_value counter in

@@ -5,16 +5,14 @@
 
 open Support
 
-let fresh () = Obs.create ~enabled:true ()
-
 (* --- counters ------------------------------------------------------- *)
 
 let prop_counter_monotone =
   qtest ~count:200 "counter value is the sum of non-negative deltas; monotone"
     QCheck.(list (int_range (-50) 50))
     (fun deltas ->
-      let obs = fresh () in
-      let c = Obs.Counter.make ~obs "prop.counter" in
+      with_obs @@ fun () ->
+      let c = Obs.Counter.make "prop.counter" in
       let expected = ref 0 in
       let prev = ref 0 in
       List.iter
@@ -28,23 +26,23 @@ let prop_counter_monotone =
       Obs.Counter.value c = !expected)
 
 let test_counter_interning () =
-  let obs = fresh () in
-  let a = Obs.Counter.make ~obs "shared.name" in
-  let b = Obs.Counter.make ~obs "shared.name" in
+  with_obs @@ fun () ->
+  let a = Obs.Counter.make "shared.name" in
+  let b = Obs.Counter.make "shared.name" in
   Obs.Counter.incr a;
   Obs.Counter.add b 2;
   Alcotest.(check int) "two makes share one cell" 3 (Obs.Counter.value a);
-  Alcotest.(check int) "by-name readback" 3 (Obs.counter_value ~obs "shared.name");
+  Alcotest.(check int) "by-name readback" 3 (Obs.counter_value "shared.name");
   Alcotest.(check int) "unregistered name reads 0" 0
-    (Obs.counter_value ~obs "never.registered")
+    (Obs.counter_value "never.registered")
 
 let test_disabled_counter_noop () =
-  let obs = Obs.create ~enabled:false () in
-  let c = Obs.Counter.make ~obs "disabled.counter" in
+  with_obs ~enabled:false @@ fun () ->
+  let c = Obs.Counter.make "disabled.counter" in
   Obs.Counter.incr c;
   Obs.Counter.add c 41;
   Alcotest.(check int) "disabled ops count nothing" 0 (Obs.Counter.value c);
-  Obs.set_enabled obs true;
+  Obs.set_enabled Obs.global true;
   Obs.Counter.incr c;
   Alcotest.(check int) "re-enable resumes from retained value" 1
     (Obs.Counter.value c)
@@ -54,34 +52,33 @@ let test_disabled_counter_noop () =
 exception Probe
 
 let test_span_nesting () =
-  let obs = fresh () in
-  Alcotest.(check int) "depth 0 outside" 0 (Obs.Span.depth obs);
+  with_obs @@ fun () ->
+  Alcotest.(check int) "depth 0 outside" 0 (Obs.Span.depth ());
   let inner_stack = ref [] in
-  Obs.Span.run ~obs "outer" (fun () ->
-      Obs.Span.run ~obs "inner" (fun () ->
-          inner_stack := Obs.Span.stack obs;
-          Alcotest.(check int) "depth 2 inside" 2 (Obs.Span.depth obs)));
+  Obs.Span.run "outer" (fun () ->
+      Obs.Span.run "inner" (fun () ->
+          inner_stack := Obs.Span.stack ();
+          Alcotest.(check int) "depth 2 inside" 2 (Obs.Span.depth ())));
   Alcotest.(check (list string)) "stack innermost first" [ "inner"; "outer" ]
     !inner_stack;
-  Alcotest.(check int) "depth 0 after" 0 (Obs.Span.depth obs);
+  Alcotest.(check int) "depth 0 after" 0 (Obs.Span.depth ());
   (* The span aggregates into a same-named timer. *)
-  let snap = Obs.snapshot ~obs () in
+  let snap = Obs.snapshot () in
   let outer = List.assoc "outer" snap.Obs.snap_timers in
   Alcotest.(check int) "span recorded one timer call" 1 outer.Obs.t_calls
 
 let test_span_exception_unwinds () =
-  let obs = fresh () in
+  with_obs @@ fun () ->
   (match
-     Obs.Span.run ~obs "outer" (fun () ->
-         Obs.Span.run ~obs "boom" (fun () -> raise Probe))
+     Obs.Span.run "outer" (fun () -> Obs.Span.run "boom" (fun () -> raise Probe))
    with
   | exception Probe -> ()
   | () -> Alcotest.fail "expected Probe to propagate");
-  Alcotest.(check int) "depth back to 0 after exception" 0 (Obs.Span.depth obs);
+  Alcotest.(check int) "depth back to 0 after exception" 0 (Obs.Span.depth ());
   Alcotest.(check (list string)) "stack empty after exception" []
-    (Obs.Span.stack obs);
+    (Obs.Span.stack ());
   (* Both spans closed: their timers recorded despite the raise. *)
-  let snap = Obs.snapshot ~obs () in
+  let snap = Obs.snapshot () in
   List.iter
     (fun name ->
       let t = List.assoc name snap.Obs.snap_timers in
@@ -94,37 +91,36 @@ let prop_span_depth_balanced =
   qtest ~count:100 "span depth balanced for arbitrary nesting"
     QCheck.(pair (int_range 0 8) bool)
     (fun (depth, raise_inner) ->
-      let obs = fresh () in
+      with_obs @@ fun () ->
       let rec nest k =
         if k = 0 then (if raise_inner then raise Probe)
-        else Obs.Span.run ~obs (Printf.sprintf "lvl%d" k) (fun () -> nest (k - 1))
+        else Obs.Span.run (Printf.sprintf "lvl%d" k) (fun () -> nest (k - 1))
       in
       (match nest depth with () -> () | exception Probe -> ());
-      Obs.Span.depth obs = 0)
+      Obs.Span.depth () = 0)
 
 (* --- snapshot / reset / json ---------------------------------------- *)
 
-let populated () =
-  let obs = fresh () in
-  let c = Obs.Counter.make ~obs "z.counter" in
+let populate () =
+  let c = Obs.Counter.make "z.counter" in
   Obs.Counter.add c 7;
-  let t = Obs.Timer.make ~obs "a.timer" in
+  let t = Obs.Timer.make "a.timer" in
   Obs.Timer.record t 0.25;
-  let h = Obs.Histogram.make ~obs "m.hist" in
-  List.iter (Obs.Histogram.observe h) [ 1; 3; 3; 9 ];
-  obs
+  let h = Obs.Histogram.make "m.hist" in
+  List.iter (Obs.Histogram.observe h) [ 1; 3; 3; 9 ]
 
 let test_snapshot_reset_roundtrip () =
-  let obs = populated () in
-  let before = Obs.snapshot ~obs () in
+  with_obs @@ fun () ->
+  populate ();
+  let before = Obs.snapshot () in
   Alcotest.(check int) "counter captured" 7
     (List.assoc "z.counter" before.Obs.snap_counters);
   let h = List.assoc "m.hist" before.Obs.snap_histograms in
   Alcotest.(check int) "hist count" 4 h.Obs.h_count;
   Alcotest.(check int) "hist sum" 16 h.Obs.h_sum;
   Alcotest.(check int) "hist max" 9 h.Obs.h_max;
-  Obs.reset ~obs ();
-  let after = Obs.snapshot ~obs () in
+  Obs.reset ();
+  let after = Obs.snapshot () in
   (* Names survive a reset; every value restarts from zero. *)
   Alcotest.(check (list string)) "counter names survive"
     (List.map fst before.Obs.snap_counters)
@@ -145,15 +141,16 @@ let test_snapshot_reset_roundtrip () =
     after.Obs.snap_histograms
 
 let test_snapshot_sorted_and_json_deterministic () =
-  let obs = populated () in
-  let snap = Obs.snapshot ~obs () in
+  with_obs @@ fun () ->
+  populate ();
+  let snap = Obs.snapshot () in
   let sorted l = List.sort compare l = l in
   Alcotest.(check bool) "counters sorted by name" true
     (sorted (List.map fst snap.Obs.snap_counters));
   Alcotest.(check bool) "timers sorted by name" true
     (sorted (List.map fst snap.Obs.snap_timers));
   let j1 = Obs.to_json snap in
-  let j2 = Obs.to_json (Obs.snapshot ~obs ()) in
+  let j2 = Obs.to_json (Obs.snapshot ()) in
   (* Timer totals are wall-clock but [record] gave a fixed duration, so
      two snapshots of an untouched registry serialize identically. *)
   Alcotest.(check string) "json deterministic" j1 j2;
@@ -167,11 +164,6 @@ let test_snapshot_sorted_and_json_deterministic () =
 
 (* --- disabled mode changes no numbers ------------------------------- *)
 
-let with_global_obs enabled f =
-  let old = Obs.enabled Obs.global in
-  Obs.set_enabled Obs.global enabled;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) f
-
 let test_disabled_mode_same_cg_result () =
   skip_if_fault_armed [ "sparse.cg" ];
   let n = 24 in
@@ -183,8 +175,8 @@ let test_disabled_mode_same_cg_result () =
     if i < n - 1 then Sparse.Builder.add builder i (i + 1) (-1.)
   done;
   let m = Sparse.Builder.finalize builder in
-  let x_off, it_off = with_global_obs false (fun () -> Sparse.cg m b) in
-  let x_on, it_on = with_global_obs true (fun () -> Sparse.cg m b) in
+  let x_off, it_off = with_obs ~enabled:false (fun () -> Sparse.cg m b) in
+  let x_on, it_on = with_obs (fun () -> Sparse.cg m b) in
   Alcotest.(check int) "same iteration count" it_off it_on;
   Array.iteri
     (fun i v ->
@@ -198,8 +190,8 @@ let test_disabled_mode_same_scf_result () =
   skip_if_fault_armed [ "scf.charge"; "scf.poisson" ];
   let p = tiny_device () in
   let solve () = Scf.solve p ~vg:0.3 ~vd:0.2 in
-  let off = with_global_obs false solve in
-  let on = with_global_obs true solve in
+  let off = with_obs ~enabled:false solve in
+  let on = with_obs solve in
   Alcotest.(check int) "same iterations" off.Scf.iterations on.Scf.iterations;
   Alcotest.(check bool) "same current bit-for-bit" true
     (Float.equal off.Scf.current on.Scf.current);

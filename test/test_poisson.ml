@@ -176,9 +176,7 @@ let test_probe_matches_one_hot_solves () =
 let test_probe_counts_solves () =
   let t = stack () in
   let bc = { Stack2d.left = 0.; right = -0.1; bottom = 0.2; top = 0.2 } in
-  let old = Obs.enabled Obs.global in
-  Obs.set_enabled Obs.global true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) @@ fun () ->
+  with_obs @@ fun () ->
   let before = Obs.counter_value "stack2d.solves" in
   ignore (Stack2d.probe t ~bc ~sheet_charge:1e-3);
   Alcotest.(check int) "one stack2d.solves per probe" (Stack2d.nx t - 2)

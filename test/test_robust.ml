@@ -129,10 +129,10 @@ let rung_of (a : Scf_robust.attempt) = a.Scf_robust.rung
 
 let test_ladder_damped_restart_rung () =
   skip_if_fault_armed scf_sites;
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let o =
     Fault.with_spec "scf.charge#1" (fun () ->
-        Scf_robust.solve_robust ~obs tiny ~vg:0.4 ~vd:0.3)
+        Scf_robust.solve_robust tiny ~vg:0.4 ~vd:0.3)
   in
   (match o.Scf_robust.attempts with
   | [ a1; a2 ] ->
@@ -147,13 +147,13 @@ let test_ladder_damped_restart_rung () =
   | l -> Alcotest.failf "expected 2 attempts, got %d" (List.length l));
   Alcotest.(check bool) "recovered" true o.Scf_robust.recovered;
   Alcotest.(check int) "retries counted" 1
-    (Obs.counter_value ~obs "robust.scf.retries");
+    (Obs.counter_value "robust.scf.retries");
   Alcotest.(check int) "escalations counted" 1
-    (Obs.counter_value ~obs "robust.scf.escalations");
+    (Obs.counter_value "robust.scf.escalations");
   Alcotest.(check int) "recovery counted" 1
-    (Obs.counter_value ~obs "robust.scf.recovered");
+    (Obs.counter_value "robust.scf.recovered");
   Alcotest.(check int) "nothing unrecovered" 0
-    (Obs.counter_value ~obs "robust.scf.unrecovered")
+    (Obs.counter_value "robust.scf.unrecovered")
 
 let test_ladder_slow_linear_rung () =
   skip_if_fault_armed scf_sites;
@@ -177,10 +177,10 @@ let test_ladder_neighbor_rung_and_unrecovered () =
   skip_if_fault_armed scf_sites;
   let clean = Scf.solve tiny ~vg:0.4 ~vd:0.3 in
   (* Without a neighbor the same campaign exhausts the ladder... *)
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let dead =
     Fault.with_spec "scf.charge#1-3" (fun () ->
-        Scf_robust.solve_robust ~obs tiny ~vg:0.4 ~vd:0.3)
+        Scf_robust.solve_robust tiny ~vg:0.4 ~vd:0.3)
   in
   Alcotest.(check bool) "no solution without the neighbor rung" true
     (dead.Scf_robust.solution = None);
@@ -192,7 +192,7 @@ let test_ladder_neighbor_rung_and_unrecovered () =
          a.Scf_robust.status = None && a.Scf_robust.error <> None)
        dead.Scf_robust.attempts);
   Alcotest.(check int) "unrecovered counted" 1
-    (Obs.counter_value ~obs "robust.scf.unrecovered");
+    (Obs.counter_value "robust.scf.unrecovered");
   (* ...while a neighbor profile opens the continuation rung. *)
   let o =
     Fault.with_spec "scf.charge#1-3" (fun () ->
@@ -273,9 +273,9 @@ let read_file path =
 let test_cache_corruption_matrix () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun dir ->
-  let obs = Obs.create ~enabled:true () in
-  let read_counter name = Obs.counter_value ~obs name in
-  let t0 = Table_cache.get ~grid:micro_grid ~obs tiny in
+  with_obs @@ fun () ->
+  let read_counter = Obs.counter_value in
+  let t0 = Table_cache.get ~grid:micro_grid tiny in
   let path =
     match
       Sys.readdir dir |> Array.to_list
@@ -291,7 +291,7 @@ let test_cache_corruption_matrix () =
   in
   let expect_miss label =
     Alcotest.(check bool) (label ^ " reads as a miss") true
-      (Option.is_none (Table_cache.lookup ~grid:micro_grid ~obs tiny))
+      (Option.is_none (Table_cache.lookup ~grid:micro_grid tiny))
   in
   (* 1. Truncated file: quarantined with the precise reason counted. *)
   write_file path (String.sub good_bytes 0 (String.length good_bytes / 2));
@@ -335,7 +335,7 @@ let test_cache_corruption_matrix () =
   (* 5. And an intact gnrtbl file still round-trips from disk. *)
   reseed ();
   let mmap_before = read_counter "table_cache.mmap_hits" in
-  match Table_cache.lookup ~grid:micro_grid ~obs tiny with
+  match Table_cache.lookup ~grid:micro_grid tiny with
   | Some t ->
     approx "intact file round-trips" t0.Iv_table.current.(1).(1)
       t.Iv_table.current.(1).(1);
@@ -356,29 +356,29 @@ let test_cache_store_failure_counted () =
       Sys.remove blocker)
   @@ fun () ->
   Table_cache.clear_memory ();
-  let obs = Obs.create ~enabled:true () in
-  let t = Table_cache.get ~grid:micro_grid ~obs tiny in
+  with_obs @@ fun () ->
+  let t = Table_cache.get ~grid:micro_grid tiny in
   Alcotest.(check int) "table still produced" 3 (Array.length t.Iv_table.vg);
   Alcotest.(check int) "store failure counted" 1
-    (Obs.counter_value ~obs "table_cache.store_failures")
+    (Obs.counter_value "table_cache.store_failures")
 
 (* --- Iv_table quarantine --------------------------------------------- *)
 
 let test_iv_table_quarantines_and_patches () =
   skip_if_fault_armed [ "scf.charge"; "scf.poisson" ];
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   (* Hits 1-8 fail every charge evaluation: points (0,0) and (1,0) burn
      one hit per rung (3 rungs, no converged neighbor yet) and die;
      point (2,0) fails rungs 1-2 (hits 7-8) and converges on the slow
      linear rung; everything after runs clean. *)
   let t =
     Fault.with_spec "scf.charge#1-8" (fun () ->
-        Iv_table.generate ~grid:micro_grid ~obs tiny)
+        Iv_table.generate ~grid:micro_grid tiny)
   in
   Alcotest.(check (list (pair int int))) "quarantined points"
     [ (0, 0); (1, 0) ] t.Iv_table.failed_points;
   Alcotest.(check int) "quarantine counter" 2
-    (Obs.counter_value ~obs "robust.iv_table.quarantined");
+    (Obs.counter_value "robust.iv_table.quarantined");
   (* Edge-of-column quarantined points copy the nearest converged value. *)
   approx "patched (0,0) from (2,0)" t.Iv_table.current.(2).(0)
     t.Iv_table.current.(0).(0);
@@ -419,11 +419,6 @@ let test_mna_dc_recovers_from_transient_fault () =
   let v = Fault.with_spec "mna.newton#1" (fun () -> Mna.solve_dc net) in
   approx ~eps:1e-9 "gmin ladder recovers the dc point" clean.(mid) v.(mid)
 
-let with_global_obs f =
-  let old = Obs.enabled Obs.global in
-  Obs.set_enabled Obs.global true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled Obs.global old) f
-
 let rc_net () =
   let net = Netlist.create () in
   let src = Netlist.fresh_node net in
@@ -435,7 +430,7 @@ let rc_net () =
 
 let test_mna_transient_recovers_by_subdividing () =
   skip_if_fault_armed [ "mna.newton" ];
-  with_global_obs @@ fun () ->
+  with_obs @@ fun () ->
   let rc = 1e-6 in
   let net, out = rc_net () in
   let retries_before = Obs.counter_value "mna.transient_retries" in
@@ -460,7 +455,7 @@ let test_mna_transient_recovers_by_subdividing () =
 
 let test_mna_transient_unrecoverable_is_typed () =
   skip_if_fault_armed [ "mna.newton" ];
-  with_global_obs @@ fun () ->
+  with_obs @@ fun () ->
   let rc = 1e-6 in
   let net, _ = rc_net () in
   let timer = Obs.Timer.make "mna.transient" in
@@ -505,6 +500,19 @@ let test_mc_quarantines_failed_samples () =
   Alcotest.(check bool) "nominal evaluated first" true
     (Float.equal r.Montecarlo.nominal.Montecarlo.frequency 1.)
 
+let test_mc_quarantine_predicate_is_typed () =
+  Alcotest.(check bool) "a missing output transition quarantines" true
+    (Montecarlo.quarantineable
+       (Robust_error.Error
+          (Robust_error.Unrecovered
+             {
+               stage = "Metrics.inverter_metrics";
+               attempts = 4;
+               detail = "no output transition observed";
+             })));
+  Alcotest.(check bool) "an untyped Failure propagates" false
+    (Montecarlo.quarantineable (Failure "x"))
+
 let test_mc_draws_unperturbed_by_quarantine () =
   skip_if_fault_armed [ "montecarlo.sample" ];
   let record () =
@@ -544,7 +552,7 @@ let test_mc_draws_unperturbed_by_quarantine () =
 
 let test_poisson3d_cg_retry_and_sor_fallback () =
   skip_if_fault_armed [ "sparse.cg" ];
-  with_global_obs @@ fun () ->
+  with_obs @@ fun () ->
   let t =
     Poisson3d.make ~nx:5 ~ny:5 ~nz:5 ~spacing:1e-9 ~eps_r:(fun _ _ _ -> 3.9)
   in
@@ -631,13 +639,13 @@ let test_error_printing () =
     all
 
 let test_report_filters_and_sums () =
-  let obs = Obs.create ~enabled:true () in
-  Obs.Counter.add (Obs.Counter.make ~obs "robust.fault.some.site") 2;
-  Obs.Counter.add (Obs.Counter.make ~obs "robust.fault.other.site") 3;
-  Obs.Counter.add (Obs.Counter.make ~obs "robust.scf.retries") 4;
-  Obs.Counter.add (Obs.Counter.make ~obs "table_cache.corrupt_quarantined") 1;
-  Obs.Counter.add (Obs.Counter.make ~obs "scf.solves") 99;
-  let r = Robust.Report.collect ~obs () in
+  with_obs @@ fun () ->
+  Obs.Counter.add (Obs.Counter.make "robust.fault.some.site") 2;
+  Obs.Counter.add (Obs.Counter.make "robust.fault.other.site") 3;
+  Obs.Counter.add (Obs.Counter.make "robust.scf.retries") 4;
+  Obs.Counter.add (Obs.Counter.make "table_cache.corrupt_quarantined") 1;
+  Obs.Counter.add (Obs.Counter.make "scf.solves") 99;
+  let r = Robust.Report.collect () in
   let names = List.map fst r.Robust.Report.counters in
   Alcotest.(check bool) "robust counters included" true
     (List.mem "robust.scf.retries" names
@@ -689,6 +697,8 @@ let suite =
       test_mna_transient_unrecoverable_is_typed;
     Alcotest.test_case "monte carlo quarantines failed samples" `Quick
       test_mc_quarantines_failed_samples;
+    Alcotest.test_case "monte carlo quarantine predicate is typed" `Quick
+      test_mc_quarantine_predicate_is_typed;
     Alcotest.test_case "monte carlo draws unperturbed by quarantine" `Quick
       test_mc_draws_unperturbed_by_quarantine;
     Alcotest.test_case "poisson3d cg retry and sor fallback" `Quick

@@ -254,10 +254,9 @@ let test_response_roundtrip () =
 
 (* --- server ---------------------------------------------------------- *)
 
-let make_server ?(max_generations = 2) () =
-  let obs = Obs.create ~enabled:true () in
-  let config = { Serve.max_generations; obs } in
-  (Serve.create ~config (), obs)
+(* Run [f] on a fresh server with zeroed, enabled metrics. *)
+let with_server ?max_generations f =
+  with_obs @@ fun () -> f (Serve.create ?max_generations ())
 
 let table_line ?(id = 1) ?(params = tiny) ?(grid = micro_grid) () =
   Serve_protocol.request_to_line
@@ -296,8 +295,8 @@ let test_serve_cached_tables_never_queue () =
   Sys.mkdir (Table_cache.cache_dir ()) 0o755;
   Tbl_format.write ~path:(Table_cache.gnrtbl_path key) ~cache_key:key
     (synthetic_table ~key ());
-  let server, obs = make_server ~max_generations:0 () in
-  let count name = Obs.counter_value ~obs name in
+  with_server ~max_generations:0 @@ fun server ->
+  let count = Obs.counter_value in
   ignore (expect_ok (Serve.handle_line server (table_line ())));
   Alcotest.(check int) "disk hit" 1 (count "table_cache.disk_hits");
   Alcotest.(check int) "no job" 0 (count "serve.jobs");
@@ -310,7 +309,7 @@ let test_serve_cached_tables_never_queue () =
 let test_serve_single_flight_acceptance () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun () ->
-  let server, obs = make_server () in
+  with_server @@ fun server ->
   let n = 8 in
   let line = table_line ~grid:coalescing_grid () in
   let responses = Array.make n "" in
@@ -343,22 +342,22 @@ let test_serve_single_flight_acceptance () =
   | Error e -> Alcotest.failf "table result does not decode: %s" e);
   (* The acceptance criterion: one generation, everyone else coalesced. *)
   Alcotest.(check int) "table_cache.generates" 1
-    (Obs.counter_value ~obs "table_cache.generates");
+    (Obs.counter_value "table_cache.generates");
   Alcotest.(check int) "serve.coalesced_hits" (n - 1)
-    (Obs.counter_value ~obs "serve.coalesced_hits");
+    (Obs.counter_value "serve.coalesced_hits");
   Alcotest.(check int) "serve.requests" n
-    (Obs.counter_value ~obs "serve.requests");
+    (Obs.counter_value "serve.requests");
   Alcotest.(check int) "no rejections" 0
-    (Obs.counter_value ~obs "serve.rejected");
+    (Obs.counter_value "serve.rejected");
   (* A request after the dust settles is a Table_cache memory hit that
      starts no generation. *)
-  let memory_hits = Obs.counter_value ~obs "table_cache.memory_hits" in
+  let memory_hits = Obs.counter_value "table_cache.memory_hits" in
   ignore (expect_ok (Serve.handle_line server line));
   Alcotest.(check int) "one more memory hit" (memory_hits + 1)
-    (Obs.counter_value ~obs "table_cache.memory_hits");
-  Alcotest.(check int) "still one job" 1 (Obs.counter_value ~obs "serve.jobs");
+    (Obs.counter_value "table_cache.memory_hits");
+  Alcotest.(check int) "still one job" 1 (Obs.counter_value "serve.jobs");
   Alcotest.(check int) "still one generation" 1
-    (Obs.counter_value ~obs "table_cache.generates")
+    (Obs.counter_value "table_cache.generates")
 
 (* A table crosses the wire as its gnrtbl bytes: special floats and
    failed points arrive bit for bit, and a damaged payload is an [Error]
@@ -377,7 +376,7 @@ let test_serve_table_wire_bits () =
   let staged = { staged with Iv_table.failed_points = [ (0, 0); (4, 5) ] } in
   Sys.mkdir (Table_cache.cache_dir ()) 0o755;
   Tbl_format.write ~path:(Table_cache.gnrtbl_path key) ~cache_key:key staged;
-  let server, _obs = make_server ~max_generations:0 () in
+  with_server ~max_generations:0 @@ fun server ->
   let result = expect_ok (Serve.handle_line server (table_line ())) in
   let bits = Array.map Int64.bits_of_float in
   let check_plane name expected actual =
@@ -446,15 +445,15 @@ let test_serve_backpressure () =
   with_temp_cache @@ fun () ->
   (* No generation allowed: every miss is rejected up front, so the
      test is deterministic (no timing on generation progress). *)
-  let server, obs = make_server ~max_generations:0 () in
+  with_server ~max_generations:0 @@ fun server ->
   match Serve_protocol.parse_response (Serve.handle_line server (table_line ())) with
   | Ok { Serve_protocol.result = Error e; _ } ->
     Alcotest.(check string) "busy" "busy" e.Serve_protocol.kind;
     Alcotest.(check (option int)) "retry hint" (Some 250)
       e.Serve_protocol.retry_after_ms;
-    Alcotest.(check int) "counted" 1 (Obs.counter_value ~obs "serve.rejected");
+    Alcotest.(check int) "counted" 1 (Obs.counter_value "serve.rejected");
     Alcotest.(check int) "nothing generated" 0
-      (Obs.counter_value ~obs "table_cache.generates")
+      (Obs.counter_value "table_cache.generates")
   | _ -> Alcotest.fail "expected a busy rejection"
 
 (* The bound while a generation runs: with room for one generation, a
@@ -463,8 +462,8 @@ let test_serve_backpressure () =
 let test_serve_admission_bound () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun () ->
-  let server, obs = make_server ~max_generations:1 () in
-  let count name = Obs.counter_value ~obs name in
+  with_server ~max_generations:1 @@ fun server ->
+  let count = Obs.counter_value in
   let slow = ref "" in
   let th =
     Thread.create
@@ -496,7 +495,7 @@ let test_serve_stats_reports_table_cache () =
   (* A fresh server's stats snapshot must already carry the table-cache
      hit-path counters (at 0) — table_cache.mmap_hits included, the
      copy of disk_hits that perfbench and stats readers consume. *)
-  let server, _obs = make_server () in
+  with_server @@ fun server ->
   let line =
     Serve_protocol.request_to_line
       { Serve_protocol.id = Some 1; op = Serve_protocol.Stats }
@@ -519,7 +518,7 @@ let test_serve_stats_reports_table_cache () =
   | _ -> Alcotest.fail "stats payload is not an object"
 
 let test_serve_bad_request_and_ping () =
-  let server, obs = make_server () in
+  with_server @@ fun server ->
   (match
      Serve_protocol.parse_response
        (Serve.handle_line server {|{"id":9,"op":"frobnicate"}|})
@@ -535,10 +534,10 @@ let test_serve_bad_request_and_ping () =
     -> ()
   | _ -> Alcotest.fail "expected pong");
   Alcotest.(check int) "bad counted" 1
-    (Obs.counter_value ~obs "serve.bad_requests")
+    (Obs.counter_value "serve.bad_requests")
 
 let test_serve_stdio_transport () =
-  let server, _obs = make_server () in
+  with_server @@ fun server ->
   let in_path = Filename.temp_file "serve_in" ".jsonl" in
   let out_path = Filename.temp_file "serve_out" ".jsonl" in
   Fun.protect
@@ -568,7 +567,7 @@ let test_serve_stdio_transport () =
         lines)
 
 let test_serve_unix_transport () =
-  let server, _obs = make_server () in
+  with_server @@ fun server ->
   let path = Filename.temp_file "gnrfet" ".sock" in
   Sys.remove path;
   let th = Thread.create (fun () -> Serve.serve_unix server ~path) () in

@@ -283,7 +283,7 @@ let min_fuzz_iterations = 200
 let test_corruption_matrix () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun _dir ->
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let table = specials_table () in
   let key = Table_cache.key ~grid:micro_grid tiny in
   let good = Tbl_format.encode ~cache_key:key table in
@@ -302,8 +302,8 @@ let test_corruption_matrix () =
     (* Full cache path: quarantined with the same reason, lookup a miss. *)
     write_file path bytes;
     Table_cache.clear_memory ();
-    let q0 = Obs.counter_value ~obs "table_cache.corrupt_quarantined" in
-    (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
+    let q0 = Obs.counter_value "table_cache.corrupt_quarantined" in
+    (match Table_cache.probe_disk ~grid:micro_grid tiny with
     | Table_cache.Corrupt reason ->
       if reason <> expected then
         Alcotest.failf "%s: probe_disk expected %s, got %s" label
@@ -315,11 +315,11 @@ let test_corruption_matrix () =
     | exception e ->
       Alcotest.failf "%s: probe_disk leaked %s" label (Printexc.to_string e));
     Alcotest.(check int) (label ^ ": quarantined") (q0 + 1)
-      (Obs.counter_value ~obs "table_cache.corrupt_quarantined");
+      (Obs.counter_value "table_cache.corrupt_quarantined");
     if Sys.file_exists (path ^ ".corrupt") then Sys.remove (path ^ ".corrupt");
     (* lookup never raises and degrades to a miss (file already gone). *)
     Table_cache.clear_memory ();
-    match Table_cache.lookup ~grid:micro_grid ~obs tiny with
+    match Table_cache.lookup ~grid:micro_grid tiny with
     | None -> ()
     | Some _ -> Alcotest.failf "%s: lookup returned a table" label
     | exception e ->
@@ -375,7 +375,7 @@ let test_corruption_matrix () =
     (* The intact bytes still read back, exactly. *)
     write_file path good;
     Table_cache.clear_memory ();
-    match Table_cache.lookup ~grid:micro_grid ~obs tiny with
+    match Table_cache.lookup ~grid:micro_grid tiny with
     | Some t -> check_table_bits "post-fuzz intact read" table t
     | None -> Alcotest.fail "intact file must read back after the fuzz run"
   in
@@ -554,7 +554,7 @@ let test_golden_specials () =
 let test_quarantine_rename_failure_counted () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun _dir ->
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let key = Table_cache.key ~grid:micro_grid tiny in
   let path = Table_cache.gnrtbl_path key in
   write_file path (String.make 96 'x');
@@ -562,17 +562,17 @@ let test_quarantine_rename_failure_counted () =
      even for root, so this pins the quarantine-rename failure path
      without needing an unwritable cache directory. *)
   Sys.mkdir (path ^ ".corrupt") 0o755;
-  (match Table_cache.lookup ~grid:micro_grid ~obs tiny with
+  (match Table_cache.lookup ~grid:micro_grid tiny with
   | None -> ()
   | Some _ -> Alcotest.fail "corrupt file must read as a miss"
   | exception e ->
     Alcotest.failf "quarantine failure leaked %s" (Printexc.to_string e));
   Alcotest.(check int) "corruption still counted" 1
-    (Obs.counter_value ~obs "table_cache.corrupt_quarantined");
+    (Obs.counter_value "table_cache.corrupt_quarantined");
   Alcotest.(check int) "per-reason counter still bumped" 1
-    (Obs.counter_value ~obs "table_cache.corrupt.bad_magic");
+    (Obs.counter_value "table_cache.corrupt.bad_magic");
   Alcotest.(check int) "failed rename counted" 1
-    (Obs.counter_value ~obs "table_cache.quarantine_failed");
+    (Obs.counter_value "table_cache.quarantine_failed");
   Alcotest.(check bool) "file left in place (not renamed)" true
     (Sys.file_exists path)
 
@@ -581,16 +581,16 @@ let test_quarantine_rename_failure_counted () =
 let test_probe_disk_outcomes () =
   skip_if_fault_armed [ "table_cache.read" ];
   with_temp_cache @@ fun _dir ->
-  let obs = Obs.create ~enabled:true () in
+  with_obs @@ fun () ->
   let key = Table_cache.key ~grid:micro_grid tiny in
   let table = specials_table () in
   let is_absent = function Table_cache.Absent -> true | _ -> false in
   Alcotest.(check bool) "no file -> Absent" true
-    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~obs tiny));
+    (is_absent (Table_cache.probe_disk ~grid:micro_grid tiny));
   (* gnrtbl stored under a different cache key -> Stale, untouched. *)
   write_file (Table_cache.gnrtbl_path key)
     (Tbl_format.encode ~cache_key:"some-other-key" table);
-  (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
+  (match Table_cache.probe_disk ~grid:micro_grid tiny with
   | Table_cache.Stale -> ()
   | _ -> Alcotest.fail "wrong-key gnrtbl must probe as Stale");
   Alcotest.(check bool) "stale file left in place" true
@@ -598,7 +598,7 @@ let test_probe_disk_outcomes () =
   (* Correct key -> Table, bit-exact. *)
   write_file (Table_cache.gnrtbl_path key)
     (Tbl_format.encode ~cache_key:key table);
-  (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
+  (match Table_cache.probe_disk ~grid:micro_grid tiny with
   | Table_cache.Table t -> check_table_bits "probe Table" table t
   | _ -> Alcotest.fail "matching gnrtbl must probe as Table");
   (* A pre-gnrtbl Marshal [<digest>.table] next to a missing gnrtbl is
@@ -611,14 +611,14 @@ let test_probe_disk_outcomes () =
   Marshal.to_channel oc (key, table) [];
   close_out oc;
   Alcotest.(check bool) "Marshal file -> Absent" true
-    (is_absent (Table_cache.probe_disk ~grid:micro_grid ~obs tiny));
+    (is_absent (Table_cache.probe_disk ~grid:micro_grid tiny));
   Alcotest.(check bool) "Marshal file left in place" true
     (Sys.file_exists marshal_path);
   let corrupt_counts =
     List.filter
       (fun (name, v) ->
         v > 0 && String.starts_with ~prefix:"table_cache.corrupt" name)
-      (Obs.snapshot ~obs ()).Obs.snap_counters
+      (Obs.snapshot ()).Obs.snap_counters
   in
   Alcotest.(check int) "no corrupt counter bumped" 0 (List.length corrupt_counts)
 

@@ -110,9 +110,9 @@ let rules =
       severity = Error;
       summary = "unguarded top-level mutable state reachable from a parallel closure";
       help =
-        "A closure handed to Parallel.map_reduce / Parallel.parallel_for / \
-         Parallel.map / Domain.spawn reaches (through the whole-repo call \
-         graph) a function that mutates a top-level ref / Hashtbl / array / \
+        "A closure handed to Parallel.map_reduce / Parallel.map / \
+         Domain.spawn reaches (through the whole-repo call graph) a \
+         function that mutates a top-level ref / Hashtbl / array / \
          mutable record without a Mutex/Atomic/DLS guard on the access \
          path.  Under more than one domain this is a data race: the \
          bit-for-bit determinism contract (docs/PERF.md) is void.";

@@ -1,7 +1,7 @@
 (* Whole-repo interprocedural rules built on Summary's call graph.
 
    domain-race — for every parallel entry point (a closure handed to
-   Parallel.map_reduce / parallel_for / Parallel.map / Domain.spawn),
+   Parallel.map_reduce / Parallel.map / Domain.spawn),
    walk the call graph reachable from the closure's body and flag every
    write to a top-level mutable cell that is neither Atomic nor inside a
    function that takes a Mutex / uses Domain.DLS.  Reported at the

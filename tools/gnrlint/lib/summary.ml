@@ -4,7 +4,7 @@
    edge, so closures passed by name are covered), (b) its writes to
    top-level mutable cells, (c) its order/clock-dependent operations,
    and (d) the parallel entry points it contains (closures handed to
-   Parallel.map_reduce / parallel_for / Parallel.map / Domain.spawn).
+   Parallel.map_reduce / Parallel.map / Domain.spawn).
 
    Known approximations (docs/LINT.md):
    - A file's module name is its capitalized basename; libraries are
@@ -139,7 +139,6 @@ let nondet_op flat =
 let parallel_api flat =
   match flat with
   | [ "Parallel"; "map_reduce" ] | [ "map_reduce" ] -> Some "Parallel.map_reduce"
-  | [ "Parallel"; "parallel_for" ] | [ "parallel_for" ] -> Some "Parallel.parallel_for"
   | [ "Parallel"; "map" ] -> Some "Parallel.map"
   | [ "Domain"; "spawn" ] -> Some "Domain.spawn"
   | _ -> None
